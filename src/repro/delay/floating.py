@@ -95,7 +95,9 @@ def floating_delay(
     roots = list(roots)
     manager = BddManager(budget=budget)
     expander = TimedExpander(circuit, delays, manager, budget=budget)
-    instance_map = collect_leaf_instances(circuit, delays, roots, budget=budget)
+    instance_map = collect_leaf_instances(
+        circuit, delays, roots, budget=budget, programs=expander.programs
+    )
     per_root: dict[str, Fraction] = {}
     comparisons = 0
     for root in roots:
@@ -178,6 +180,12 @@ def _site_expand(
     Settled sub-cones are cached on ``(net, offset)`` as usual;
     sub-cones containing unsettled reads are keyed by use site so that
     their junk stays uncorrelated across fanout branches.
+
+    ``is_dirty`` and ``value`` are written as recursions whose recursive
+    calls are ``yield``-ed; :func:`_run_on_stack` drives them on an
+    explicit stack, so cone depth is not bounded by Python's recursion
+    limit while calls, budget charges and BDD operations keep their
+    recursive order.
     """
     from repro.logic.gate import gate_bdd
     from repro.logic.delays import ZERO, Interval
@@ -193,7 +201,7 @@ def _site_expand(
 
     unsettled_memo: dict[tuple[str, Interval], bool] = {}
 
-    def is_dirty(net: str, offset: Interval) -> bool:
+    def is_dirty(net: str, offset: Interval):
         key = (net, offset)
         hit = unsettled_memo.get(key)
         if hit is not None:
@@ -205,21 +213,21 @@ def _site_expand(
             gate = circuit.gates[net]
             for pin, child in enumerate(gate.inputs):
                 timing = delays.pin(net, pin)
-                if is_dirty(child, offset + timing.rise):
+                if (yield is_dirty(child, offset + timing.rise)):
                     hit = True
                     break
-                if not timing.is_symmetric and is_dirty(
-                    child, offset + timing.fall
+                if not timing.is_symmetric and (
+                    yield is_dirty(child, offset + timing.fall)
                 ):
                     hit = True
                     break
         unsettled_memo[key] = hit
         return hit
 
-    def value(net: str, offset: Interval, site: str) -> object:
+    def value(net: str, offset: Interval, site: str):
         if budget is not None:
             budget.charge()
-        dirty = is_dirty(net, offset)
+        dirty = yield is_dirty(net, offset)
         key = (net, offset, site if dirty else "")
         hit = cache.get(key)
         if hit is not None:
@@ -237,9 +245,9 @@ def _site_expand(
             for pin, child in enumerate(gate.inputs):
                 timing = delays.pin(net, pin)
                 child_site = f"{site}/{net}.{pin}"
-                v = value(child, offset + timing.rise, child_site)
+                v = yield value(child, offset + timing.rise, child_site)
                 if not timing.is_symmetric:
-                    v2 = value(child, offset + timing.fall, child_site)
+                    v2 = yield value(child, offset + timing.fall, child_site)
                     if timing.rise.lo >= timing.fall.hi:
                         v = v & v2
                     else:
@@ -249,7 +257,25 @@ def _site_expand(
         cache[key] = result
         return result
 
-    # Recursion depth equals cone depth; acceptable for the circuit
-    # sizes this conservative mode targets (it is inherently
-    # path-exponential on dirty regions).
-    return value(root, ZERO, "")
+    return _run_on_stack(value(root, ZERO, ""))
+
+
+def _run_on_stack(call):
+    """Run a generator-coded recursion on an explicit stack.
+
+    ``call`` is a generator that yields a generator for each recursive
+    call, receives that call's return value back, and returns its own
+    result; the recursion depth lives in a list, not in Python frames.
+    """
+    stack = [call]
+    result = None
+    while stack:
+        try:
+            callee = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(callee)
+            result = None
+    return result

@@ -96,7 +96,9 @@ def transition_delay(
     roots = list(roots)
     manager = BddManager(budget=budget)
     expander = TimedExpander(circuit, delays, manager, budget=budget)
-    instance_map = collect_leaf_instances(circuit, delays, roots, budget=budget)
+    instance_map = collect_leaf_instances(
+        circuit, delays, roots, budget=budget, programs=expander.programs
+    )
     per_root: dict[str, Fraction] = {}
     comparisons = 0
     for root in roots:

@@ -178,5 +178,15 @@ class Budget:
             return None
         return max(0, self.limit - self.used)
 
+    def require(self, amount: int) -> None:
+        """Raise exactly as ``charge(amount)`` would on a limit, but
+        consume nothing and skip the fault hook: a planning check for
+        work that will be charged unit by unit later."""
+        budget = self
+        while budget is not None:
+            if budget.limit is not None and budget.used + amount > budget.limit:
+                raise ResourceBudgetExceeded(budget.resource, budget.limit)
+            budget = budget._parent
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Budget({self.used}/{self.limit or 'inf'} {self.resource})"

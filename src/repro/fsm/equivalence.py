@@ -68,7 +68,7 @@ def _build_root_bdds(
         )
     regime = machine.regime(tau)
     manager = BddManager()
-    expander = TimedExpander(circuit, delays, manager)
+    expander = TimedExpander(circuit, delays, manager, programs=machine.programs)
 
     def resolver(inst):
         tl = machine.fold(inst)

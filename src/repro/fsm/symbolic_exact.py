@@ -112,7 +112,14 @@ class SymbolicTauMachine:
     def _build_functions(self, delays: DelayMap, budget: Budget | None) -> None:
         circuit = self.circuit
         mgr = self.manager
-        expander = TimedExpander(circuit, delays, mgr, budget=budget)
+        # A caller-supplied machine shares its compiled cones only when
+        # it was discretized from this very delay map.
+        expander = TimedExpander(
+            circuit, delays, mgr, budget=budget,
+            programs=(
+                self.machine.programs if self.machine.delays is delays else None
+            ),
+        )
         setup_extra = Interval.point(self.machine.setup)
 
         def tau_value(leaf: str, age: int) -> Function:

@@ -102,7 +102,7 @@ class DecisionContext:
         )
         self.expander = TimedExpander(
             circuit, machine.delays, self.manager, budget=budget,
-            deadline=deadline,
+            deadline=deadline, programs=machine.programs,
         )
         if initial_state is None:
             initial_state = {q: False for q in circuit.latches}

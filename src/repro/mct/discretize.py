@@ -25,7 +25,7 @@ from fractions import Fraction
 from repro.errors import AnalysisError, Budget
 from repro.logic.delays import DelayMap, Interval
 from repro.logic.netlist import Circuit
-from repro.timed.expansion import LeafInstance, collect_leaf_instances
+from repro.timed.expansion import ConePrograms, LeafInstance, collect_leaf_instances
 
 
 def age_of(k: Fraction, tau: Fraction) -> int:
@@ -79,6 +79,9 @@ class DiscretizedMachine:
     timed_leaves: frozenset[TimedLeaf]
     #: the steady-state constant L of Definition 2 (max total delay)
     L: Fraction
+    #: the compiled root cones, shared by the collection that built this
+    #: machine and every decision context of its sweep
+    programs: ConePrograms = dataclasses.field(compare=False, repr=False)
 
     def fold(self, instance: LeafInstance, dest_phase: Fraction = Fraction(0)) -> TimedLeaf:
         """Total *effective* loop delay of a raw instance.
@@ -140,6 +143,7 @@ def build_discretized_machine(
     setup = delays.setup
     state_roots = [latch.data for latch in circuit.latches.values()]
     output_roots = list(circuit.outputs)
+    programs = ConePrograms(delays)
     state_instances = (
         collect_leaf_instances(
             circuit,
@@ -148,13 +152,15 @@ def build_discretized_machine(
             extra=Interval.point(setup),
             budget=budget,
             deadline=deadline,
+            programs=programs,
         )
         if state_roots
         else {}
     )
     output_instances = (
         collect_leaf_instances(
-            circuit, delays, output_roots, budget=budget, deadline=deadline
+            circuit, delays, output_roots, budget=budget, deadline=deadline,
+            programs=programs,
         )
         if output_roots
         else {}
@@ -168,6 +174,7 @@ def build_discretized_machine(
         output_instances=output_instances,
         timed_leaves=frozenset(),  # placeholder, replaced below
         L=Fraction(0),
+        programs=programs,
     )
     for q, latch in circuit.latches.items():
         dest = delays.phase(q)

@@ -201,7 +201,12 @@ def _windows_init(config: dict) -> dict:
             "deadline": wire_deadline,
         },
     )
-    state["label"] = f"{socket.gethostname()}:{os.getpid()}"
+    # The coordinator keeps one telemetry snapshot per label; the
+    # session nonce stops two sessions of one process (a reconnect, an
+    # in-process loopback fleet) from overwriting each other's counters.
+    state["label"] = (
+        f"{socket.gethostname()}:{os.getpid()}:{os.urandom(4).hex()}"
+    )
     return state
 
 

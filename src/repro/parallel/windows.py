@@ -173,7 +173,8 @@ def _snapshot(state: dict) -> dict:
     """Cumulative telemetry of this worker (process or remote host).
 
     ``pid`` doubles as the snapshot identity; cluster workers override
-    it with a ``host:pid`` label so two hosts can never collide.
+    it with a ``host:pid:session`` label so two hosts, or two sessions
+    of one process, can never collide.
     """
     context = state["context"]
     return {

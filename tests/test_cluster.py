@@ -174,6 +174,17 @@ class TestClusterSweep:
         assert all(r.attempts == 1 for r in result.candidates)
         assert not any(r.quarantined for r in result.candidates)
 
+    def test_sessions_of_one_process_keep_separate_telemetry(self, widened):
+        # The coordinator keeps one counter snapshot per worker label;
+        # two sessions in one process (this loopback fleet) must not
+        # share a label, or one's LP/BDD counters overwrite the other's.
+        from repro.parallel.cluster import _windows_init
+
+        circuit, delays = widened
+        config = {"circuit": circuit, "delays": delays, "options": MctOptions()}
+        first, second = _windows_init(config), _windows_init(config)
+        assert first["label"] != second["label"]
+
     def test_host_kill_reclaims_leases(self, widened, serial):
         # One worker dies after its first decide; its leased window is
         # reclaimed and re-dispatched, and the answer never changes.

@@ -1,20 +1,49 @@
 """Tests for the timed-expansion engine (Fig. 2 circuit as the anchor)."""
 
+import asyncio
+import gc
+import random
+import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bdd import BddManager
-from repro.errors import Budget, ResourceBudgetExceeded, TbfError, AnalysisError
+from repro.benchgen import paper_example2
+from repro.benchgen.generators import random_fsm
+from repro.delay import floating_delay, transition_delay, uncorrelated_floating_delay
+from repro.errors import (
+    AnalysisError,
+    Budget,
+    DeadlineExceeded,
+    ResourceBudgetExceeded,
+    TbfError,
+)
 from repro.logic import Circuit, DelayMap, Gate, GateType, Interval, Latch, PinTiming
 from repro.logic.delays import ZERO
+from repro.logic.gate import gate_bdd
+from repro.mct import minimum_cycle_time
+from repro.resilience import Deadline
+from repro.resilience.faults import inject_faults, observe_calls
 from repro.timed import (
     CombinationalBdd,
     LeafInstance,
     TimedExpander,
     collect_leaf_instances,
 )
-from repro.timed.expansion import combinational_bdd
+from repro.service import JobManager
+from repro.timed.expansion import ConePrograms, combinational_bdd
+
+
+def not_chain(length: int) -> tuple[Circuit, DelayMap]:
+    """``length`` unit-delay inverters in series, ``x`` to ``n{length-1}``."""
+    gates = [Gate("n0", GateType.NOT, ("x",))]
+    for i in range(1, length):
+        gates.append(Gate(f"n{i}", GateType.NOT, (f"n{i-1}",)))
+    circuit = Circuit("chain", ["x"], [f"n{length - 1}"], gates)
+    pins = {(g.output, 0): PinTiming.symmetric(1) for g in gates}
+    return circuit, DelayMap(circuit, pins)
 
 
 def fig2_circuit() -> tuple[Circuit, DelayMap]:
@@ -47,6 +76,96 @@ def fig2_circuit() -> tuple[Circuit, DelayMap]:
         ("g", 1): PinTiming.symmetric(0),
     }
     return circuit, DelayMap(circuit, pins)
+
+
+# ----------------------------------------------------------------------
+# Reference walk: the depth-first cone walk that expansion and leaf
+# collection each ran before cones were compiled, kept as a test oracle.
+# ----------------------------------------------------------------------
+def _pin_dependencies(circuit, delays, net, offset):
+    deps = []
+    for pin, child in enumerate(circuit.gates[net].inputs):
+        timing = delays.pin(net, pin)
+        if timing.is_symmetric:
+            deps.append([(child, offset + timing.rise)])
+        else:
+            deps.append(
+                [(child, offset + timing.rise), (child, offset + timing.fall)]
+            )
+    return deps
+
+
+def _combine_pin(delays, net, pin, values):
+    timing = delays.pin(net, pin)
+    if timing.is_symmetric:
+        return values[0]
+    rise, fall = timing.rise, timing.fall
+    v_rise, v_fall = values
+    if rise.lo >= fall.hi:
+        return v_rise & v_fall
+    if rise.hi <= fall.lo:
+        return v_rise | v_fall
+    raise TbfError(f"pin {pin} of gate {net!r} has overlapping rise/fall intervals")
+
+
+def reference_expand(
+    circuit, delays, manager, root, resolver, extra=ZERO, budget=None
+):
+    """Walk the cone of ``root``, resolving and combining as it goes."""
+    cache = {}
+    stack = [(root, extra, False)]
+    while stack:
+        net, offset, ready = stack.pop()
+        key = (net, offset)
+        if key in cache:
+            continue
+        if circuit.is_leaf(net):
+            if budget is not None:
+                budget.charge()
+            cache[key] = resolver(LeafInstance(net, offset))
+            continue
+        deps = _pin_dependencies(circuit, delays, net, offset)
+        if not ready:
+            stack.append((net, offset, True))
+            for dep_keys in deps:
+                for dep in dep_keys:
+                    if dep not in cache:
+                        stack.append((dep[0], dep[1], False))
+            continue
+        if budget is not None:
+            budget.charge()
+        operands = [
+            _combine_pin(delays, net, pin, [cache[dep] for dep in dep_keys])
+            for pin, dep_keys in enumerate(deps)
+        ]
+        cache[key] = gate_bdd(circuit.gates[net].gtype, manager, operands)
+    return cache[(root, extra)]
+
+
+def reference_collect(circuit, delays, roots, extra=ZERO, budget=None):
+    """Forward-propagate each root's ``(net, offset)`` keys; keep leaves."""
+    result = {}
+    for root in roots:
+        seen = set()
+        instances = set()
+        stack = [(root, extra)]
+        while stack:
+            net, offset = stack.pop()
+            if (net, offset) in seen:
+                continue
+            seen.add((net, offset))
+            if budget is not None:
+                budget.charge()
+            if circuit.is_leaf(net):
+                instances.add(LeafInstance(net, offset))
+                continue
+            for pin, child in enumerate(circuit.gates[net].inputs):
+                timing = delays.pin(net, pin)
+                stack.append((child, offset + timing.rise))
+                if not timing.is_symmetric:
+                    stack.append((child, offset + timing.fall))
+        result[root] = instances
+    return result
 
 
 class TestCollectLeafInstances:
@@ -196,27 +315,362 @@ class TestTimedExpander:
 
     def test_deep_chain_no_recursion_error(self):
         # 5000-gate inverter chain: must not hit the recursion limit.
-        gates = [Gate("n0", GateType.NOT, ("x",))]
-        for i in range(1, 5000):
-            gates.append(Gate(f"n{i}", GateType.NOT, (f"n{i-1}",)))
-        circuit = Circuit("chain", ["x"], [f"n{4999}"], gates)
-        pins = {(g.output, 0): PinTiming.symmetric(1) for g in gates}
-        delays = DelayMap(circuit, pins)
+        circuit, delays = not_chain(5000)
         mgr = BddManager()
         out = TimedExpander(circuit, delays, mgr).expand(
             "n4999", lambda inst: mgr.var(f"x@{inst.offset.lo}")
         )
         assert out == mgr.var("x@5000")  # even chain: buffer overall
 
+    def test_deep_chain_uncorrelated_floating_no_recursion_error(self):
+        # The per-use-site floating mode walks its cone with is_dirty and
+        # value helpers that used to recurse once per gate level.
+        circuit, delays = not_chain(3000)
+        assert floating_delay(circuit, delays).delay == 3000
+        assert uncorrelated_floating_delay(circuit, delays).delay == 3000
+
     def test_deep_chain_collect(self):
-        gates = [Gate("n0", GateType.NOT, ("x",))]
-        for i in range(1, 3000):
-            gates.append(Gate(f"n{i}", GateType.NOT, (f"n{i-1}",)))
-        circuit = Circuit("chain", ["x"], ["n2999"], gates)
-        pins = {(g.output, 0): PinTiming.symmetric(1) for g in gates}
-        delays = DelayMap(circuit, pins)
+        circuit, delays = not_chain(3000)
         instances = collect_leaf_instances(circuit, delays, ["n2999"])["n2999"]
         assert instances == {LeafInstance("x", Interval.point(3000))}
+
+
+def _with_pins(delays: DelayMap, timing_of) -> DelayMap:
+    """A copy of ``delays`` with every pin's timing mapped by ``timing_of``."""
+    circuit = delays.circuit
+    pins = {
+        (net, pin): timing_of(delays.pin(net, pin))
+        for net, gate in circuit.gates.items()
+        for pin in range(len(gate.inputs))
+    }
+    latches = {q: delays.latch(q) for q in circuit.latches}
+    return DelayMap(circuit, pins, latches, setup=delays.setup)
+
+
+def _asymmetric(delays: DelayMap, seed: int) -> DelayMap:
+    """Some pins slow-rise, some slow-fall (never overlapping)."""
+    rng = random.Random(seed)
+
+    def timing_of(timing):
+        d = timing.rise.hi
+        return rng.choice([
+            timing,
+            PinTiming.asym(rise=d + 1, fall=d),
+            PinTiming.asym(rise=d, fall=d + Fraction(1, 2)),
+        ])
+
+    return _with_pins(delays, timing_of)
+
+
+def _overlapping(delays: DelayMap, seed: int) -> DelayMap:
+    """Like :func:`_asymmetric`, plus pins whose rise and fall overlap."""
+    rng = random.Random(seed)
+    skewed = _asymmetric(delays, seed)
+
+    def timing_of(timing):
+        if rng.random() < 0.2:
+            d = timing.rise.hi
+            return PinTiming(rise=Interval.of(d, d + 2), fall=Interval.of(d + 1, d + 3))
+        return timing
+
+    return _with_pins(skewed, timing_of)
+
+
+def _delays_for(mode: str, seed: int):
+    circuit, delays = random_fsm(seed, n_inputs=2, n_latches=2, n_gates=10)
+    if mode == "widened":
+        delays = delays.widen(Fraction(9, 10))
+    elif mode == "asymmetric":
+        delays = _asymmetric(delays, seed)
+    elif mode == "asymmetric-widened":
+        delays = _asymmetric(delays, seed).widen(Fraction(9, 10))
+    elif mode == "overlapping":
+        delays = _overlapping(delays, seed)
+    return circuit, delays
+
+
+def _recording(manager, calls):
+    def resolver(instance):
+        calls.append(instance)
+        return manager.var(
+            f"{instance.leaf}@{instance.offset.lo}:{instance.offset.hi}"
+        )
+
+    return resolver
+
+
+def _outcome(expand):
+    try:
+        return expand(), None
+    except TbfError as exc:
+        return None, type(exc)
+
+
+#: ``extra`` values: zero, a point whose denominator the pin delays do
+#: not share (the compile walk must rescale), and an interval.
+EXTRAS = (ZERO, Interval.point(Fraction(1, 3)), Interval.of(Fraction(1, 2), 1))
+
+
+class TestCompiledMatchesReferenceWalk:
+    """The compiled cones reproduce the cone walk's whole work sequence."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        mode=st.sampled_from(
+            ["fixed", "widened", "asymmetric", "asymmetric-widened", "overlapping"]
+        ),
+        extra=st.sampled_from(EXTRAS),
+    )
+    def test_expand_and_collect(self, seed, mode, extra):
+        circuit, delays = _delays_for(mode, seed)
+        roots = list(circuit.combinational_roots)
+        ref_budget = Budget(limit=10**9)
+        new_budget = Budget(limit=10**9)
+        ref_mgr = BddManager(budget=ref_budget)
+        new_mgr = BddManager(budget=new_budget)
+        expander = TimedExpander(circuit, delays, new_mgr, budget=new_budget)
+        # Cones at offset zero compile first, so a finer ``extra`` makes
+        # the table rescale; the second round replays every cone.
+        calls = [(root, e) for e in dict.fromkeys((ZERO, extra)) for root in roots]
+        for root, e in calls + calls:
+            ref_calls: list = []
+            new_calls: list = []
+            ref, ref_error = _outcome(lambda: reference_expand(
+                circuit, delays, ref_mgr, root, _recording(ref_mgr, ref_calls),
+                e, ref_budget,
+            ))
+            new, new_error = _outcome(lambda: expander.expand(
+                root, _recording(new_mgr, new_calls), e
+            ))
+            assert new_error is ref_error
+            assert new_calls == ref_calls
+            assert new_budget.used == ref_budget.used
+            if ref is not None:
+                assert new.node == ref.node
+        assert new_mgr.var_names == ref_mgr.var_names
+        assert new_mgr.stats.ite_calls == ref_mgr.stats.ite_calls
+        assert new_mgr.stats.nodes_created == ref_mgr.stats.nodes_created
+
+        ref_budget = Budget(limit=10**9)
+        new_budget = Budget(limit=10**9)
+        ref_sets = reference_collect(circuit, delays, roots, extra, ref_budget)
+        new_sets = collect_leaf_instances(
+            circuit, delays, roots, extra, budget=new_budget
+        )
+        assert new_sets == ref_sets
+        assert new_budget.used == ref_budget.used
+        # Reading the expander's table walks nothing and charges the same.
+        shared_budget = Budget(limit=10**9)
+        shared = collect_leaf_instances(
+            circuit, delays, roots, extra, budget=shared_budget,
+            programs=expander.programs,
+        )
+        assert shared == ref_sets
+        assert shared_budget.used == ref_budget.used
+
+    def test_second_expand_replays_without_walking(self, monkeypatch):
+        circuit, delays = fig2_circuit()
+        compiles = []
+        real = ConePrograms._compile
+
+        def counting(self, *args):
+            compiles.append(args[0])
+            return real(self, *args)
+
+        monkeypatch.setattr(ConePrograms, "_compile", counting)
+        budget = Budget(limit=1000)
+        mgr = BddManager()
+        expander = TimedExpander(circuit, delays, mgr, budget=budget)
+        used = []
+        for _ in range(2):
+            before = budget.used
+            expander.expand("g", lambda inst: mgr.var(f"f@{inst.offset.lo}"))
+            used.append(budget.used - before)
+        assert compiles == ["g"]
+        # g, a, b, c, d, e and four timed appearances of f.
+        assert used == [10, 10]
+        collect_leaf_instances(
+            circuit, delays, ["g"], programs=expander.programs
+        )
+        assert compiles == ["g"]
+
+    def test_programs_from_another_delay_map_rejected(self):
+        circuit, delays = fig2_circuit()
+        other = delays.widen(Fraction(9, 10))
+        with pytest.raises(AnalysisError):
+            TimedExpander(
+                circuit, delays, BddManager(), programs=ConePrograms(other)
+            )
+        with pytest.raises(AnalysisError):
+            collect_leaf_instances(
+                circuit, delays, ["g"], programs=ConePrograms(other)
+            )
+
+
+def reconvergent_ladder(stages: int) -> tuple[Circuit, DelayMap]:
+    """``s_i = AND(s_{i-1}, s_{i-1})`` with pin delays 1 and ``1 + 2**i``.
+
+    Every choice of pins down the ladder sums to its own offset, so the
+    distinct ``(net, offset)`` entries double per stage: the cone of
+    the last stage has ``2**(stages + 1) - 1`` of them.
+    """
+    gates = []
+    pins = {}
+    prev = "x"
+    for i in range(stages):
+        net = f"s{i}"
+        gates.append(Gate(net, GateType.AND, (prev, prev)))
+        pins[(net, 0)] = PinTiming.symmetric(1)
+        pins[(net, 1)] = PinTiming.symmetric(1 + 2**i)
+        prev = net
+    circuit = Circuit("ladder", ["x"], [prev], gates)
+    return circuit, DelayMap(circuit, pins)
+
+
+class TestCompileBudgetAndDeadline:
+    """Compiling stops where the cone walk would have run out."""
+
+    LIMIT = 50
+
+    def test_expand_stops_after_limit_plus_one_entries(self):
+        circuit, delays = reconvergent_ladder(24)
+        budget = Budget(limit=self.LIMIT)
+        calls = []
+        expander = TimedExpander(
+            circuit, delays, BddManager(budget=budget), budget=budget,
+            deadline=Deadline(3600.0),
+        )
+        with observe_calls() as plan:
+            with pytest.raises(ResourceBudgetExceeded):
+                expander.expand(circuit.outputs[0], calls.append)
+        # The compile walk polls the deadline once per entry it finds.
+        assert 0 < plan.deadline_calls <= self.LIMIT + 1
+        assert plan.budget_calls == 0 and budget.used == 0
+        assert calls == []
+        assert len(expander.programs) == 0
+
+    def test_collect_stops_after_limit_plus_one_entries(self):
+        circuit, delays = reconvergent_ladder(24)
+        budget = Budget(limit=self.LIMIT)
+        with observe_calls() as plan:
+            with pytest.raises(ResourceBudgetExceeded):
+                collect_leaf_instances(
+                    circuit, delays, circuit.outputs, budget=budget,
+                    deadline=Deadline(3600.0),
+                )
+        assert 0 < plan.deadline_calls <= self.LIMIT + 1
+        assert budget.used == 0
+
+    def test_parent_budget_bounds_compile(self):
+        circuit, delays = reconvergent_ladder(24)
+        parent = Budget(limit=1000, resource="parent")
+        child = parent.child(1.0, resource="child")
+        for _ in range(1000 - self.LIMIT):
+            parent.charge()
+        with observe_calls() as plan:
+            with pytest.raises(ResourceBudgetExceeded) as info:
+                collect_leaf_instances(
+                    circuit, delays, circuit.outputs, budget=child,
+                    deadline=Deadline(3600.0),
+                )
+        assert "parent" in str(info.value)
+        assert plan.deadline_calls <= self.LIMIT + 1
+
+    def test_deadline_fault_fires_during_compile(self):
+        circuit, delays = reconvergent_ladder(24)
+        calls = []
+        expander = TimedExpander(
+            circuit, delays, BddManager(), deadline=Deadline(3600.0)
+        )
+        with inject_faults(deadline_at=10) as plan:
+            with pytest.raises(DeadlineExceeded):
+                expander.expand(circuit.outputs[0], calls.append)
+        assert plan.deadline_fired == 1
+        assert calls == []
+        assert len(expander.programs) == 0
+
+    def test_retry_after_failed_compile(self):
+        circuit, delays = reconvergent_ladder(8)
+        root = circuit.outputs[0]
+        programs = ConePrograms(delays)
+        mgr = BddManager()
+        resolver = _recording(mgr, [])
+        small = TimedExpander(
+            circuit, delays, mgr, budget=Budget(self.LIMIT), programs=programs
+        )
+        with pytest.raises(ResourceBudgetExceeded):
+            small.expand(root, resolver)
+        assert len(programs) == 0
+        budget = Budget(limit=10**6)
+        large = TimedExpander(circuit, delays, mgr, budget=budget, programs=programs)
+        value = large.expand(root, resolver)
+        assert len(programs) == 1
+        assert budget.used == 2**9 - 1
+        ref_mgr = BddManager()
+        ref = reference_expand(circuit, delays, ref_mgr, root, _recording(ref_mgr, []))
+        assert ref_mgr.var_names == mgr.var_names
+        assert value.node == ref.node
+        # Collection retried on the same table succeeds too.
+        instances = collect_leaf_instances(
+            circuit, delays, [root], budget=Budget(10**6), programs=programs
+        )[root]
+        assert len(instances) == 2**8
+
+
+class TestProgramLifetime:
+    """Compiled cones live no longer than the analysis that built them."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        created = []
+        real_init = ConePrograms.__init__
+
+        def tracking(self, delays):
+            real_init(self, delays)
+            created.append(weakref.ref(self))
+
+        monkeypatch.setattr(ConePrograms, "__init__", tracking)
+        return created
+
+    def test_analyses_release_their_tables(self, tables):
+        circuit, delays = paper_example2()
+        result = minimum_cycle_time(circuit, delays)
+        assert floating_delay(circuit, delays).delay == 4
+        assert transition_delay(circuit, delays).delay == 2
+        gc.collect()
+        assert result.mct_upper_bound == Fraction(5, 2)
+        assert len(tables) == 3
+        assert all(ref() is None for ref in tables)
+
+    def test_daemon_job_table_keeps_no_tables(self, tables):
+        async def scenario():
+            manager = JobManager()
+            job = manager.submit(
+                {"circuit": {"kind": "generator", "source": "example2"}}
+            )
+            loop = asyncio.get_running_loop()
+            while not job.finished:
+                await job.wait_change(loop)
+            gc.collect()
+            alive = [ref for ref in tables if ref() is not None]
+            await manager.close()
+            return job.state, manager.get(job.id), alive
+
+        state, kept, alive = asyncio.run(scenario())
+        assert state == "done" and kept is not None
+        assert tables and alive == []
+
+    def test_pickled_table_carries_only_its_delay_map(self):
+        import pickle
+
+        circuit, delays = fig2_circuit()
+        programs = ConePrograms(delays)
+        collect_leaf_instances(circuit, delays, ["g"], programs=programs)
+        assert len(programs) == 1
+        clone = pickle.loads(pickle.dumps(programs))
+        assert len(clone) == 0
+        assert clone.circuit.name == circuit.name
 
 
 class TestCombinationalBdd:
