@@ -197,7 +197,6 @@ def cmd_analyze(args) -> int:
     for flag, value in (
         ("--max-exact-paths", args.max_exact_paths),
         ("--max-exact-combos", args.max_exact_combos),
-        ("--lp-shards", args.lp_shards),
     ):
         if value < 1:
             print(f"error: {flag} must be positive", file=sys.stderr)
@@ -233,13 +232,20 @@ def cmd_analyze(args) -> int:
     if jobs < 0:
         print("error: --jobs must be non-negative", file=sys.stderr)
         return 1
-    if (jobs > 1 or transport is not None) and faulted:
-        # Fault hooks are process-global: a pool or cluster worker would
-        # never see them, so the injected fault must run in this
-        # process.  Worker kills (--kill-worker-at) are different: they
-        # target the pool itself and keep --jobs in force.
+    # Fault hooks are process-global: a pool or cluster worker would
+    # never see them, so the injected fault must run in this process.
+    # A degradation ladder changes rungs between windows, so the sweep
+    # decides every window here whatever --jobs/--workers say.  Worker
+    # kills (--kill-worker-at) are different: they target the pool
+    # itself and keep --jobs in force.
+    reason = None
+    if faulted:
+        reason = "fault injection"
+    elif args.degrade:
+        reason = "the degradation ladder (--degrade)"
+    if (jobs > 1 or transport is not None) and reason is not None:
         print(
-            "note: fault injection forces a serial sweep; "
+            f"note: {reason} forces a serial sweep; "
             "ignoring --jobs/--workers"
         )
         jobs = 1
@@ -268,7 +274,6 @@ def cmd_analyze(args) -> int:
             exact_feasibility=args.exact,
             max_exact_paths=args.max_exact_paths,
             max_exact_combinations=args.max_exact_combos,
-            lp_shards=args.lp_shards,
         )
     except OptionsError as exc:
         # Safety net behind the flag-named checks above: every knob is
@@ -817,11 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "exact LP; above it the sweep falls back to the "
                         "relaxed bound (resource knob, excluded from the "
                         "checkpoint fingerprint)")
-    p.add_argument("--lp-shards", type=int, default=1, metavar="N",
-                   help="solve surviving exact-LP programs on N worker "
-                        "processes per window (same bound as serial; "
-                        "execution knob, excluded from the checkpoint "
-                        "fingerprint)")
     p.add_argument("--stats", action="store_true",
                    help="print BDD-engine counters (ite calls, cache hit "
                         "rate, GC runs) and, under --exact, the exact-LP "

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from collections import deque
 from fractions import Fraction
 
 from repro.bdd import BddStats, Function
@@ -101,14 +102,6 @@ class MctOptions:
     exact_feasibility: bool = False
     max_exact_paths: int = 10_000
     max_exact_combinations: int = 256
-    #: Shard a large exact-LP survivor set across this many supervised
-    #: worker processes (1 = solve in-process).  A pure execution knob
-    #: like ``jobs``: the branch-and-bound max-merge is deterministic,
-    #: so the bound and candidates are identical at any shard count,
-    #: and the knob is not part of the checkpoint fingerprint.  Pool
-    #: and cluster workers clamp it to 1 — their LP work is already
-    #: distributed at window granularity.
-    lp_shards: int = 1
     #: Graceful-degradation rungs tried (in order) when a window
     #: exhausts its budget/deadline; a subset of :data:`DEFAULT_LADDER`.
     #: Empty (the default) fails fast exactly like the seed behaviour.
@@ -160,8 +153,18 @@ class MctOptions:
             raise OptionsError("max_exact_paths must be positive")
         if self.max_exact_combinations < 1:
             raise OptionsError("max_exact_combinations must be positive")
-        if self.lp_shards < 1:
-            raise OptionsError("lp_shards must be positive")
+        # The sweep divides by max_age (the default τ floor) and caps
+        # every window's depth with it: an age below 1 has no meaning.
+        if self.max_age < 1:
+            raise OptionsError("max_age must be positive")
+        if self.degraded_max_age < 1:
+            raise OptionsError("degraded_max_age must be positive")
+        for name in self.degradation_ladder:
+            if name not in DEFAULT_LADDER:
+                raise OptionsError(
+                    f"unknown degradation rung {name!r}; "
+                    f"choose from {', '.join(DEFAULT_LADDER)}"
+                )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -298,28 +301,30 @@ def minimum_cycle_time(
     and time limit are intentionally *not* part of that fingerprint —
     resuming with fresh resources is the point.
 
-    ``jobs > 1`` decides the upcoming breakpoint windows speculatively
-    on a pool of worker processes (see :mod:`repro.parallel`): verdicts
-    are committed strictly in breakpoint order and speculative work
-    past the first failing window is discarded, so the bound, candidate
-    sequence, and any checkpoint match the serial sweep.  Like the
-    budget and time limit, ``jobs`` is a resource knob and not part of
-    the checkpoint fingerprint — serial and parallel checkpoints are
-    interchangeable.  A configured ``degradation_ladder`` is stateful
-    across windows and therefore always runs serially.
+    The sweep is one loop over the planned breakpoint events.  By
+    default it decides every window in this process.  ``jobs > 1``
+    decides the upcoming windows speculatively on a pool of worker
+    processes instead (see :mod:`repro.parallel`): verdicts are still
+    committed strictly in breakpoint order and speculative work past
+    the first failing window is discarded, so the bound, candidate
+    sequence, and any checkpoint are those of the in-process sweep.
+    Like the budget and time limit, ``jobs`` is a resource knob and not
+    part of the checkpoint fingerprint — checkpoints move freely
+    between in-process and pooled runs.  A configured
+    ``degradation_ladder`` changes rungs between windows, so a ladder
+    sweep always decides in this process.
 
-    ``transport`` swaps the execution substrate of the parallel sweep:
-    a :class:`~repro.parallel.Transport` whose session decides the
-    windows — the in-process pool of ``jobs=N``
-    (:class:`~repro.parallel.LocalTransport`) or remote socket workers
-    (:class:`~repro.parallel.SocketTransport`).  Transport identity is
-    an execution detail like ``jobs``: excluded from the checkpoint
-    fingerprint, so checkpoints move freely between serial, pooled,
-    and clustered runs.
+    ``transport`` swaps where those windows are decided: a
+    :class:`~repro.parallel.Transport` whose session decides them — the
+    local pool of ``jobs=N`` (:class:`~repro.parallel.LocalTransport`)
+    or remote socket workers (:class:`~repro.parallel.SocketTransport`).
+    Transport identity is an execution detail like ``jobs``: excluded
+    from the checkpoint fingerprint, so checkpoints move freely between
+    in-process, pooled, and clustered runs.
 
     ``progress`` is an optional callable invoked with each
-    :class:`CandidateRecord` as it commits (serial or parallel; records
-    replayed from a checkpoint are not re-announced).  ``cancel`` is an
+    :class:`CandidateRecord` as it commits (wherever it was decided;
+    records replayed from a checkpoint are not re-announced).  ``cancel`` is an
     optional :class:`threading.Event`-like object polled between
     breakpoint windows; once set, the sweep stops exactly like an
     operator Ctrl-C — ``result.cancelled`` with a resume checkpoint
@@ -378,8 +383,8 @@ def _fingerprint(options: MctOptions) -> dict:
     describe *resources*, not the analysis, and resuming with more of
     either is the normal use.  Execution-side options are excluded for
     the same reason — ``retry_policy``, the heartbeat knobs, ``jobs``,
-    ``lp_shards``, and the transport identity (local pool vs. socket
-    cluster) never enter the fingerprint, so a checkpoint written by
+    and the transport identity (local pool vs. socket cluster) never
+    enter the fingerprint, so a checkpoint written by
     any execution configuration resumes under any other.  The exact-LP
     caps (``max_exact_paths`` / ``max_exact_combinations``) are also
     resource ceilings, not analysis choices, and stay out for the same
@@ -453,8 +458,6 @@ def _ladder(options: MctOptions) -> tuple[_RungConfig, ...]:
                     min(options.max_age, options.degraded_max_age),
                 )
             )
-        else:
-            raise AnalysisError(f"unknown degradation rung {name!r}")
     return tuple(rungs)
 
 
@@ -470,7 +473,11 @@ class _Verdict:
 
 
 class _SweepStop(Exception):
-    """Internal: the sweep must stop and report a partial result."""
+    """Internal: the sweep stops without a failing window.
+
+    A cap or the τ floor ends it complete; a budget or deadline flag
+    marks the result partial (a resume checkpoint is attached).
+    """
 
     def __init__(
         self,
@@ -489,6 +496,10 @@ class _SweepStop(Exception):
 #: Sentinel distinguishing "not computed yet" from a computed ``None``.
 _UNSET = object()
 
+#: Notes of a sweep whose window ran out of work budget or wall clock.
+_BUDGET_OUT = "work budget exhausted; last passing bound reported"
+_DEADLINE_OUT = "time limit exceeded mid-window; last passing bound reported"
+
 
 def decide_window(
     context,
@@ -500,14 +511,11 @@ def decide_window(
 ) -> _Verdict:
     """Decision + feasibility pass for one breakpoint window.
 
-    The rung-agnostic core of the sweep, shared by the serial ladder
-    (:meth:`_Sweep._examine_at`) and the parallel window workers
-    (:mod:`repro.parallel.windows`).  ``oracle_factory`` lazily builds
-    the exact gate-coupled LP oracle; it is only invoked when failing
-    combinations actually need filtering.  With ``options.lp_shards >
-    1`` a supervised shard pool (built lazily, torn down before
-    returning) solves large survivor sets in parallel — the verdict is
-    identical, only the wall clock changes.
+    The rung-agnostic core of the sweep, shared by the in-process ladder
+    (:meth:`_Sweep._examine_at`) and the window workers of a transport
+    session (:mod:`repro.parallel.windows`).  ``oracle_factory`` lazily
+    builds the exact gate-coupled LP oracle; it is only invoked when
+    failing combinations actually need filtering.
     """
     outcome = context.decide(regime)
     if outcome.passed_structurally:
@@ -524,43 +532,20 @@ def decide_window(
             roots=outcome.failing_roots,
         )
     oracle = oracle_factory() if oracle_factory is not None else None
-    shard_runner = None
     feasible = []
-    try:
-        for sigma in outcome.failing_options:
-            sup = sigma_sup_tau(sigma, window, deadline=deadline)
-            if sup is None:
-                continue
-            if oracle is not None:
-                if shard_runner is None and options.lp_shards > 1:
-                    from repro.parallel.windows import LpShardRunner
-
-                    shard_runner = LpShardRunner(
-                        oracle,
-                        shards=options.lp_shards,
-                        policy=options.retry_policy,
-                        deadline=deadline,
-                    )
-                exact_sup = _exact_sup(
-                    oracle,
-                    sigma,
-                    window,
-                    options,
-                    deadline,
-                    shard_dispatch=(
-                        shard_runner.dispatch if shard_runner else None
-                    ),
-                )
-                if exact_sup is _RELAXED:
-                    pass  # fell back: keep the relaxed sup
-                elif exact_sup is None:
-                    continue  # coupled LP proves σ unrealizable
-                else:
-                    sup = exact_sup
-            feasible.append((sigma, sup))
-    finally:
-        if shard_runner is not None:
-            shard_runner.shutdown()
+    for sigma in outcome.failing_options:
+        sup = sigma_sup_tau(sigma, window, deadline=deadline)
+        if sup is None:
+            continue
+        if oracle is not None:
+            exact_sup = _exact_sup(oracle, sigma, window, options, deadline)
+            if exact_sup is _RELAXED:
+                pass  # fell back: keep the relaxed sup
+            elif exact_sup is None:
+                continue  # coupled LP proves σ unrealizable
+            else:
+                sup = exact_sup
+        feasible.append((sigma, sup))
     if not feasible:
         return _Verdict("pass-infeasible", outcome.m)
     return _Verdict(
@@ -603,8 +588,11 @@ class _Sweep:
         self.contexts: dict[int, DecisionContext] = {}
         self.records: list[CandidateRecord] = []
         self.prev_tau: Fraction | None = None
-        self.prev_regime = None
         self.resume_below: Fraction | None = None
+        #: worker label -> (seq, BddStats dict, LpStats dict | None,
+        #: decisions_run): the newest cumulative snapshot each session
+        #: worker attached to a task result.
+        self.snapshots: dict = {}
         self.degradations: list[DegradationStep] = []
         self._degraded_by = "budget"
         self._reachable_fn = _UNSET
@@ -621,8 +609,6 @@ class _Sweep:
         self.records = list(checkpoint.records)
         self.prev_tau = checkpoint.last_tau
         self.resume_below = checkpoint.last_tau
-        if checkpoint.last_tau is not None:
-            self.prev_regime = self.machine.regime(checkpoint.last_tau)
         for idx, rung in enumerate(self.rungs):
             if rung.name == checkpoint.rung:
                 self.rung_idx = idx
@@ -631,8 +617,8 @@ class _Sweep:
     def _commit(self, record: CandidateRecord) -> None:
         """Append one record and announce it to the progress hook.
 
-        Every committed record flows through here (serial and parallel
-        paths alike); checkpoint replay bypasses it by design, so a
+        Every committed record flows through here, wherever its window
+        was decided; checkpoint replay bypasses it by design, so a
         resumed sweep only announces windows it actually examined.
         """
         self.records.append(record)
@@ -759,104 +745,68 @@ class _Sweep:
     # The sweep
     # ------------------------------------------------------------------
     def run(self) -> MctResult:
-        """Serial sweep, or the speculative parallel sweep for jobs > 1.
+        """Walk the planned events in breakpoint order, committing each.
 
-        The degradation ladder mutates rung state across windows, so a
-        ladder-configured sweep always runs serially regardless of
-        ``jobs`` or ``transport``.
+        A window is decided in this process — with no transport, and on
+        any sweep with a degradation ladder, whose rung carries over
+        from one window to the next — or speculatively on a transport
+        session (:mod:`repro.parallel`): pool processes or cluster hosts
+        that each own a BDD manager and decide whole windows.  The
+        session keeps up to ``session.capacity`` windows in flight;
+        in-process, the next event is planned only once this one is
+        committed.  Either way verdicts commit strictly in breakpoint
+        order and speculation past the first failing window is
+        discarded, so the bound, candidate sequence and checkpoint do
+        not depend on where windows were decided.  Per-record
+        ``elapsed_seconds``/``ite_calls`` and the merged ``bdd_stats``
+        measure the execution (each worker warms its own caches), so
+        they legitimately differ between transports.
+
+        At each breakpoint the checks run in one order: candidate cap,
+        cancel, deadline, then the active rung's age cap.  Cancel and
+        deadline are also polled before the τ-floor window.
         """
-        parallel = self.transport is not None or self.jobs > 1
-        if parallel and not self.options.degradation_ladder:
-            return self._run_parallel()
-        return self._run_serial()
-
-    def _run_serial(self) -> MctResult:
-        options = self.options
-        machine = self.machine
-        tau_floor = options.tau_floor
-        if tau_floor is None:
-            tau_floor = machine.L / options.max_age
-        steady = machine.steady_regime()
-
-        mct_ub: Fraction | None = None
-        failure_found = False
-        failing_window = None
-        failing_sigmas: tuple = ()
-        failing_roots: tuple[str, ...] = ()
-        exhausted = False
-        budget_exceeded = False
-        deadline_exceeded = False
-        notes = ""
-        interrupted = False
+        failing = stop = None
         cancelled = False
+        session = self._open_session()
+        plan = self._plan_events()
+        #: Planned, uncommitted events with their session handles
+        #: (``None`` for events that need no decision from a session).
+        pending: deque = deque()
+        in_flight = 0
         try:
-            for tau in tau_breakpoints(machine.endpoint_values, tau_floor):
-                if self.resume_below is not None and tau >= self.resume_below:
-                    continue  # already examined before the checkpoint
-                if len(self.records) >= options.max_candidates:
-                    exhausted, notes = True, "candidate cap reached"
-                    break
+            while True:
+                # Plan ahead: a session keeps its capacity of windows in
+                # flight; in-process, the next event waits for this one
+                # (its rung decides the next age cap).
+                while (
+                    in_flight < session.capacity
+                    if session is not None
+                    else not pending
+                ):
+                    event = next(plan, None)
+                    if event is None:
+                        break
+                    handle = None
+                    if event[0] == "decide" and session is not None:
+                        handle = session.submit(event[3], event[2])
+                        in_flight += 1
+                    pending.append((event, handle))
+                event, handle = pending.popleft()
+                kind = event[0]
+                if kind == "stop":
+                    raise _SweepStop(event[1], exhausted=True)
                 self._check_cancelled()
                 if self.deadline is not None and self.deadline.expired():
-                    exhausted, deadline_exceeded = True, True
-                    notes = "time limit reached"
-                    interrupted = True
-                    break
-                regime = machine.regime(tau)
-                m = max(max(ages) for ages in regime.values())
-                rung = self.rungs[self.rung_idx]
-                if m > rung.max_age:
-                    exhausted = True
-                    if self.rung_idx == 0:
-                        notes = f"age cap {rung.max_age} reached"
-                    else:
-                        # Degraded capability ran out: partial result.
-                        notes = (
-                            f"age cap {rung.max_age} reached "
-                            f"(degraded rung {rung.name})"
-                        )
-                        budget_exceeded = self._degraded_by == "budget"
-                        deadline_exceeded = self._degraded_by == "deadline"
-                        interrupted = True
-                    break
-                if regime == self.prev_regime:
-                    self.prev_tau = tau
-                    continue
-                self.prev_regime = regime
-                if regime == steady:
-                    self._commit(
-                        CandidateRecord(tau, "steady", m, 0.0, rung.name)
+                    raise _SweepStop(
+                        "time limit reached", deadline=True, exhausted=True
                     )
-                    self.prev_tau = tau
+                if kind == "age-cap":
+                    raise self._age_cap_stop()
+                if kind == "skip":
+                    self.prev_tau = event[1]
                     continue
-                window_top = (
-                    self.prev_tau if self.prev_tau is not None else machine.L
-                )
-                window = (tau, window_top)
-                verdict = self._decide_serial(regime, m, tau, window)
-                if verdict.status != "fail":
-                    self.prev_tau = tau
-                    continue
-                mct_ub = verdict.bound
-                failure_found = True
-                failing_window = window
-                failing_sigmas = verdict.sigmas
-                failing_roots = verdict.roots
-                break
-            else:
-                # The stream only yields breakpoints strictly above the
-                # floor; examine the floor itself so the exhausted-sweep
-                # bound is the grid-independent τ floor rather than the
-                # smallest breakpoint the delay values happened to put
-                # on the grid (which is not monotone under widening —
-                # hypothesis seed 2476).
-                event = self._floor_event(
-                    tau_floor,
-                    self.prev_tau,
-                    self.prev_regime,
-                    len(self.records),
-                )
-                if event is not None and event[0] == "steady":
+                if kind == "steady":
                     _, tau, m = event
                     self._commit(
                         CandidateRecord(
@@ -865,53 +815,166 @@ class _Sweep:
                         )
                     )
                     self.prev_tau = tau
-                elif event is not None:
-                    _, tau, window, regime, m = event
-                    verdict = self._decide_serial(regime, m, tau, window)
-                    if verdict.status == "fail":
-                        mct_ub = verdict.bound
-                        failure_found = True
-                        failing_window = window
-                        failing_sigmas = verdict.sigmas
-                        failing_roots = verdict.roots
-                    else:
-                        self.prev_tau = tau
-                if not failure_found:
-                    exhausted = True
-                    notes = "breakpoint stream exhausted (τ floor)"
-        except _SweepStop as stop:
-            budget_exceeded = budget_exceeded or stop.budget
-            deadline_exceeded = deadline_exceeded or stop.deadline
-            exhausted = exhausted or stop.exhausted
-            notes = stop.notes
-            interrupted = True
+                    continue
+                _, tau, window, regime, m = event
+                if handle is None:
+                    verdict = self._decide_here(regime, m, tau, window)
+                else:
+                    in_flight -= 1
+                    verdict = self._collect(
+                        session, handle, regime, m, tau, window
+                    )
+                if verdict.status != "fail":
+                    self.prev_tau = tau
+                    continue
+                failing = (verdict, window)
+                break
+        except _SweepStop as exc:
+            stop = exc
         except KeyboardInterrupt:
-            # Operator Ctrl-C / SIGTERM: keep everything decided so far
-            # and attach a checkpoint — the sweep is always resumable.
-            cancelled = interrupted = True
-            notes = "interrupted by operator; resume with the checkpoint"
+            # Operator Ctrl-C / SIGTERM or a cancel request: keep every
+            # committed record and attach a checkpoint — the sweep is
+            # always resumable.
+            cancelled = True
+        finally:
+            if session is not None:
+                # Drain telemetry from completed speculative tasks, then
+                # abandon the rest (their verdicts are intentionally
+                # unused).
+                for _, handle in pending:
+                    payload = None if handle is None else session.peek(handle)
+                    if payload is not None:
+                        self._absorb(payload)
+                session.shutdown()
+        return self._finalize(failing, stop, cancelled, session)
 
-        return self._finalize(
-            mct_ub=mct_ub,
-            failure_found=failure_found,
-            failing_window=failing_window,
-            failing_sigmas=failing_sigmas,
-            failing_roots=failing_roots,
-            budget_exceeded=budget_exceeded,
-            deadline_exceeded=deadline_exceeded,
-            exhausted=exhausted,
-            notes=notes,
-            interrupted=interrupted,
-            cancelled=cancelled,
-            decisions_run=sum(
-                ctx.decisions_run for ctx in self.contexts.values()
-            ),
-            bdd_stats=self._bdd_stats(),
-            lp_stats=self._lp_stats(),
+    def _open_session(self):
+        """The transport session deciding windows, or None (in-process).
+
+        A degradation ladder changes rungs between windows, so a ladder
+        sweep decides in this process whatever ``jobs`` or
+        ``transport`` say.
+        """
+        if self.options.degradation_ladder or (
+            self.transport is None and self.jobs == 1
+        ):
+            return None
+        from repro.parallel.transport import LocalTransport
+
+        transport = self.transport or LocalTransport(self.jobs)
+        return transport.open_windows(
+            self.circuit,
+            self.machine.delays,
+            self.options,
+            budget=self.budget,
+            deadline=self.deadline,
         )
 
-    def _decide_serial(self, regime, m: int, tau: Fraction, window) -> _Verdict:
-        """Examine one window via the ladder and append its record."""
+    def _plan_events(self):
+        """The sweep's events in breakpoint order, without any verdict.
+
+        Which windows need a decision — their regimes, unrolling depths
+        and window tops — is a pure function of the breakpoint stream;
+        a verdict only decides *whether the sweep goes on*.  So a
+        transport session can decide planned windows speculatively while
+        :meth:`run` commits them in order.  The age cap is read from the
+        active rung at each breakpoint, so a ladder escalation to
+        "reduced-age" holds from the next breakpoint on.  Events::
+
+            ("skip", tau)                      same regime: advance prev_tau
+            ("steady", tau, m)                 steady window: no decision
+            ("decide", tau, window, regime, m) undecided window
+            ("age-cap",)                       the active rung's age cap
+            ("stop", notes)                    candidate cap or τ floor
+        """
+        options = self.options
+        machine = self.machine
+        tau_floor = options.tau_floor
+        if tau_floor is None:
+            tau_floor = machine.L / options.max_age
+        steady = machine.steady_regime()
+        planned = len(self.records)
+        prev_tau = self.prev_tau
+        prev_regime = None if prev_tau is None else machine.regime(prev_tau)
+        for tau in tau_breakpoints(machine.endpoint_values, tau_floor):
+            if self.resume_below is not None and tau >= self.resume_below:
+                continue  # already examined before the checkpoint
+            if planned >= options.max_candidates:
+                yield ("stop", "candidate cap reached")
+                return
+            regime = machine.regime(tau)
+            m = max(max(ages) for ages in regime.values())
+            if m > self.rungs[self.rung_idx].max_age:
+                yield ("age-cap",)
+                return
+            if regime == prev_regime:
+                yield ("skip", tau)
+            elif regime == steady:
+                yield ("steady", tau, m)
+                planned += 1
+            else:
+                window_top = prev_tau if prev_tau is not None else machine.L
+                yield ("decide", tau, (tau, window_top), regime, m)
+                planned += 1
+            prev_tau, prev_regime = tau, regime
+        # The stream yields only breakpoints strictly above the floor.
+        # Examine the window [τ floor, prev_tau) too, so an exhausted
+        # sweep reports the grid-independent floor rather than the
+        # smallest breakpoint the delay values happened to put on the
+        # grid (which is not monotone under widening: adding a setup
+        # guard band could shrink the bound of a more pessimistic
+        # machine — hypothesis seed 2476).
+        if (
+            prev_tau is not None
+            and 0 < tau_floor < prev_tau
+            and planned < options.max_candidates
+        ):
+            regime = machine.regime(tau_floor)
+            m = max(max(ages) for ages in regime.values())
+            capped = m > self.rungs[self.rung_idx].max_age
+            # No floor window when it is capped or has the last
+            # window's machine.
+            if not capped and regime != prev_regime:
+                if regime == steady:
+                    yield ("steady", tau_floor, m)
+                else:
+                    window = (tau_floor, prev_tau)
+                    yield ("decide", tau_floor, window, regime, m)
+        yield ("stop", "breakpoint stream exhausted (τ floor)")
+
+    def _age_cap_stop(self) -> _SweepStop:
+        """The stop at the active rung's age cap.
+
+        On a degraded rung the cap is the rung's, not the analysis's:
+        the stop then reports the exhaustion that forced the escalation,
+        and the result is partial.
+        """
+        rung = self.rungs[self.rung_idx]
+        if self.rung_idx == 0:
+            return _SweepStop(
+                f"age cap {rung.max_age} reached", exhausted=True
+            )
+        return _SweepStop(
+            f"age cap {rung.max_age} reached (degraded rung {rung.name})",
+            budget=self._degraded_by == "budget",
+            deadline=self._degraded_by == "deadline",
+            exhausted=True,
+        )
+
+    def _decide_here(
+        self,
+        regime,
+        m: int,
+        tau: Fraction,
+        window,
+        attempts: int = 1,
+        quarantined: bool = False,
+    ) -> _Verdict:
+        """Decide one window in this process, via the ladder; commit it.
+
+        ``attempts``/``quarantined`` record what a transport session
+        spent on a window before it quarantined it.
+        """
         window_start = time.monotonic()
         ite_before = self._ite_calls()
         lp_before = self._lp_solves()
@@ -924,33 +987,86 @@ class _Sweep:
                 time.monotonic() - window_start,
                 self.rungs[self.rung_idx].name,
                 self._ite_calls() - ite_before,
+                attempts=attempts,
+                quarantined=quarantined,
                 lp_solves=self._lp_solves() - lp_before,
             )
         )
         return verdict
 
-    def _finalize(
-        self,
-        *,
-        mct_ub: Fraction | None,
-        failure_found: bool,
-        failing_window,
-        failing_sigmas: tuple,
-        failing_roots: tuple[str, ...],
-        budget_exceeded: bool,
-        deadline_exceeded: bool,
-        exhausted: bool,
-        notes: str,
-        interrupted: bool,
-        decisions_run: int,
-        bdd_stats: BddStats | None,
-        lp_stats: LpStats | None = None,
-        supervision: SupervisionStats | None = None,
-        cancelled: bool = False,
-    ) -> MctResult:
-        """Assemble the :class:`MctResult` (shared serial/parallel tail)."""
+    def _collect(
+        self, session, handle, regime, m: int, tau: Fraction, window
+    ) -> _Verdict:
+        """Commit the session's verdict for one window."""
+        try:
+            outcome = session.result(handle)
+        except DeadlineExceeded:
+            raise _SweepStop(
+                "time limit reached", deadline=True, exhausted=True
+            ) from None
+        if isinstance(outcome, Quarantined):
+            # The session could not produce this window within the
+            # attempt budget: decide it here.  Same decide_window core,
+            # degraded throughput, identical verdict.
+            return self._decide_here(
+                regime, m, tau, window,
+                attempts=outcome.attempts, quarantined=True,
+            )
+        self._absorb(outcome)
+        error = outcome.get("error")
+        if error == "budget":
+            raise _SweepStop(_BUDGET_OUT, budget=True)
+        if error == "deadline":
+            raise _SweepStop(_DEADLINE_OUT, deadline=True, exhausted=True)
+        if error is not None:
+            raise AnalysisError(
+                "parallel sweep worker failed: "
+                f"{outcome.get('detail', error)}"
+            )
+        verdict = outcome["verdict"]
+        self._commit(
+            CandidateRecord(
+                tau,
+                verdict.status,
+                verdict.m,
+                outcome["elapsed"],
+                self.rungs[self.rung_idx].name,
+                outcome["ite_calls"],
+                attempts=handle.attempts,
+                lp_solves=outcome.get("lp_solves", 0),
+            )
+        )
+        return verdict
+
+    def _absorb(self, payload: dict) -> None:
+        """Keep the newest cumulative telemetry snapshot of each worker."""
+        snap = payload.get("worker")
+        if snap is None:
+            return
+        have = self.snapshots.get(snap["pid"])
+        if have is None or have[0] < snap["seq"]:
+            self.snapshots[snap["pid"]] = (
+                snap["seq"],
+                snap["stats"],
+                snap.get("lp"),
+                snap["decisions_run"],
+            )
+
+    def _finalize(self, failing, stop, cancelled: bool, session) -> MctResult:
+        """Assemble the :class:`MctResult` from how the walk ended."""
         machine = self.machine
-        if mct_ub is None:
+        if cancelled:
+            notes = "interrupted by operator; resume with the checkpoint"
+        else:
+            notes = "" if stop is None else stop.notes
+        budget_exceeded = stop is not None and stop.budget
+        deadline_exceeded = stop is not None and stop.deadline
+        interrupted = budget_exceeded or deadline_exceeded or cancelled
+        if failing is not None:
+            verdict, failing_window = failing
+            mct_ub = verdict.bound
+        else:
+            verdict = failing_window = None
             # Never failed: report the last *examined* breakpoint — the
             # machine is proven equivalent for every τ ≥ that value.
             passing = [r.tau for r in self.records if r.status != "fail"]
@@ -959,23 +1075,36 @@ class _Sweep:
                 if passing
                 else (machine.L if not budget_exceeded else None)
             )
-            if mct_ub is not None and not notes:
-                exhausted = True
-                notes = "no failing window found down to the sweep floor"
+        # Parent-side contexts hold in-process decisions (every window
+        # without a session, quarantined ones with it); merge them with
+        # the workers' cumulative snapshots.
+        bdd_stats = self._bdd_stats()
+        lp_stats = self._lp_stats()
+        decisions = sum(ctx.decisions_run for ctx in self.contexts.values())
+        for _, stats_dict, lp_dict, decided in self.snapshots.values():
+            bdd_stats = (bdd_stats or BddStats()).merge(
+                BddStats.from_dict(stats_dict)
+            )
+            decisions += decided
+            if lp_dict is not None and self.options.exact_feasibility:
+                lp_stats = (lp_stats or LpStats()).merge(
+                    LpStats.from_dict(lp_dict)
+                )
+        supervision = None if session is None else session.stats
         return MctResult(
             circuit_name=self.circuit.name,
             L=machine.L,
             mct_upper_bound=mct_ub,
-            failure_found=failure_found,
+            failure_found=failing is not None,
             failing_window=failing_window,
-            failing_sigmas=failing_sigmas,
-            failing_roots=failing_roots,
+            failing_sigmas=() if verdict is None else verdict.sigmas,
+            failing_roots=() if verdict is None else verdict.roots,
             candidates=tuple(self.records),
-            decisions_run=decisions_run,
+            decisions_run=decisions,
             elapsed_seconds=time.monotonic() - self.start,
             budget_exceeded=budget_exceeded,
             deadline_exceeded=deadline_exceeded,
-            exhausted=exhausted,
+            exhausted=stop is not None and stop.exhausted,
             notes=notes,
             rung=self.rungs[self.rung_idx].name,
             degradations=tuple(self.degradations),
@@ -991,338 +1120,6 @@ class _Sweep:
         )
 
     # ------------------------------------------------------------------
-    # The parallel sweep (speculative window decisions)
-    # ------------------------------------------------------------------
-    def _plan_events(self):
-        """Planned sweep events, independent of window verdicts.
-
-        Which windows need a decision — their regimes, unrolling depths
-        and window tops — is a pure function of the breakpoint stream;
-        a verdict only determines *whether the sweep continues*.  This
-        generator replays the serial loop's bookkeeping (resume skips,
-        candidate cap, age cap, same-regime skips, steady windows)
-        without deciding anything, so the parallel sweep can submit
-        decisions speculatively and still commit records in exactly the
-        serial order.  Events::
-
-            ("skip", tau)                     same regime: advance prev_tau
-            ("steady", tau, m)                steady window: record, no decision
-            ("decide", tau, window, regime, m) undecided window
-            ("stop", notes)                   sweep exhausted (cap/floor)
-        """
-        options = self.options
-        machine = self.machine
-        tau_floor = options.tau_floor
-        if tau_floor is None:
-            tau_floor = machine.L / options.max_age
-        steady = machine.steady_regime()
-        rung = self.rungs[self.rung_idx]
-        planned = len(self.records)
-        prev_tau = self.prev_tau
-        prev_regime = self.prev_regime
-        for tau in tau_breakpoints(machine.endpoint_values, tau_floor):
-            if self.resume_below is not None and tau >= self.resume_below:
-                continue  # already examined before the checkpoint
-            if planned >= options.max_candidates:
-                yield ("stop", "candidate cap reached")
-                return
-            regime = machine.regime(tau)
-            m = max(max(ages) for ages in regime.values())
-            if m > rung.max_age:
-                yield ("stop", f"age cap {rung.max_age} reached")
-                return
-            if regime == prev_regime:
-                yield ("skip", tau)
-                prev_tau = tau
-                continue
-            prev_regime = regime
-            if regime == steady:
-                yield ("steady", tau, m)
-                prev_tau = tau
-                planned += 1
-                continue
-            window_top = prev_tau if prev_tau is not None else machine.L
-            yield ("decide", tau, (tau, window_top), regime, m)
-            prev_tau = tau
-            planned += 1
-        event = self._floor_event(tau_floor, prev_tau, prev_regime, planned)
-        if event is not None:
-            yield event
-        yield ("stop", "breakpoint stream exhausted (τ floor)")
-
-    def _floor_event(self, tau_floor, prev_tau, prev_regime, planned):
-        """The synthetic final window ``[τ floor, prev_tau)``, or None.
-
-        :func:`~repro.mct.breakpoints.tau_breakpoints` yields only
-        values strictly above the floor, so an exhausted sweep used to
-        report the smallest *breakpoint* examined as its bound — a
-        delay-grid artifact: adding grid points (e.g. a setup guard
-        band) could shrink the reported bound of a strictly more
-        pessimistic machine.  Examining the floor itself pins the
-        exhausted-sweep bound to the grid-independent ``τ floor``.
-        Shared by the serial for-else and the parallel planner so both
-        paths stay event-for-event identical.
-        """
-        machine = self.machine
-        if prev_tau is None or tau_floor <= 0 or tau_floor >= prev_tau:
-            return None
-        if self.resume_below is not None and tau_floor >= self.resume_below:
-            return None
-        if planned >= self.options.max_candidates:
-            return None
-        regime = machine.regime(tau_floor)
-        m = max(max(ages) for ages in regime.values())
-        if m > self.rungs[self.rung_idx].max_age:
-            return None
-        if regime == prev_regime:
-            return None  # same machine as the last examined window
-        if regime == machine.steady_regime():
-            return ("steady", tau_floor, m)
-        return ("decide", tau_floor, (tau_floor, prev_tau), regime, m)
-
-    def _run_parallel(self) -> MctResult:
-        """Decide upcoming windows speculatively, commit in order.
-
-        Workers (pool processes or cluster hosts — whatever the
-        :class:`~repro.parallel.Transport` session provides) each own a
-        BDD manager and decide whole windows (decision + feasibility);
-        the parent keeps up to ``session.capacity`` windows in flight,
-        commits verdicts strictly in breakpoint order, and discards
-        speculative results past the first failing window, so the
-        bound, candidate sequence, and checkpoint match
-        :meth:`_run_serial` exactly.  Per-record
-        ``elapsed_seconds``/``ite_calls`` and the merged ``bdd_stats``
-        are measurements of the parallel execution (each worker warms
-        its own caches) and legitimately differ from a serial run's.
-        """
-        from collections import deque
-
-        from repro.parallel.transport import LocalTransport
-
-        mct_ub: Fraction | None = None
-        failure_found = False
-        failing_window = None
-        failing_sigmas: tuple = ()
-        failing_roots: tuple[str, ...] = ()
-        exhausted = False
-        budget_exceeded = False
-        deadline_exceeded = False
-        notes = ""
-        interrupted = False
-        cancelled = False
-        rung_name = self.rungs[self.rung_idx].name
-        #: pid -> (seq, BddStats dict, LpStats dict | None,
-        #: decisions_run): latest cumulative snapshot each worker
-        #: attached to a task result.
-        snapshots: dict[int, tuple[int, dict, dict | None, int]] = {}
-
-        def absorb(payload: dict) -> None:
-            snap = payload.get("worker")
-            if snap is None:
-                return
-            have = snapshots.get(snap["pid"])
-            if have is None or have[0] < snap["seq"]:
-                snapshots[snap["pid"]] = (
-                    snap["seq"],
-                    snap["stats"],
-                    snap.get("lp"),
-                    snap["decisions_run"],
-                )
-
-        transport = self.transport or LocalTransport(self.jobs)
-        session = transport.open_windows(
-            self.circuit,
-            self.machine.delays,
-            self.options,
-            budget=self.budget,
-            deadline=self.deadline,
-        )
-        plan = self._plan_events()
-        pending: deque = deque()
-        in_flight = 0
-        plan_done = False
-        try:
-            while True:
-                while not plan_done and in_flight < session.capacity:
-                    try:
-                        event = next(plan)
-                    except StopIteration:
-                        plan_done = True
-                        break
-                    if event[0] == "decide":
-                        _, tau, window, regime, m = event
-                        handle = session.submit(regime, window)
-                        pending.append(
-                            ("decide", tau, window, regime, m, handle)
-                        )
-                        in_flight += 1
-                    else:
-                        pending.append(event)
-                        if event[0] == "stop":
-                            plan_done = True
-                if not pending:
-                    break
-                event = pending.popleft()
-                kind = event[0]
-                if kind == "stop":
-                    exhausted, notes = True, event[1]
-                    break
-                self._check_cancelled()
-                if self.deadline is not None and self.deadline.expired():
-                    exhausted = deadline_exceeded = interrupted = True
-                    notes = "time limit reached"
-                    break
-                if kind == "skip":
-                    self.prev_tau = event[1]
-                    continue
-                if kind == "steady":
-                    _, tau, m = event
-                    self._commit(
-                        CandidateRecord(tau, "steady", m, 0.0, rung_name)
-                    )
-                    self.prev_tau = tau
-                    continue
-                _, tau, window, regime, m, handle = event
-                in_flight -= 1
-                try:
-                    outcome = session.result(handle)
-                except DeadlineExceeded:
-                    exhausted = deadline_exceeded = interrupted = True
-                    notes = "time limit reached"
-                    break
-                if isinstance(outcome, Quarantined):
-                    # The pool could not produce this window within the
-                    # attempt budget: decide it serially in-process.
-                    # Same decide_window core, parent-side context —
-                    # degraded throughput, identical verdict.
-                    window_start = time.monotonic()
-                    ite_before = self._ite_calls()
-                    lp_before = self._lp_solves()
-                    try:
-                        verdict = self._examine_at(
-                            self.rungs[self.rung_idx], regime, window
-                        )
-                    except ResourceBudgetExceeded:
-                        budget_exceeded = interrupted = True
-                        notes = (
-                            "work budget exhausted; "
-                            "last passing bound reported"
-                        )
-                        break
-                    except DeadlineExceeded:
-                        deadline_exceeded = exhausted = interrupted = True
-                        notes = (
-                            "time limit exceeded mid-window; "
-                            "last passing bound reported"
-                        )
-                        break
-                    self._commit(
-                        CandidateRecord(
-                            tau,
-                            verdict.status,
-                            verdict.m,
-                            time.monotonic() - window_start,
-                            rung_name,
-                            self._ite_calls() - ite_before,
-                            attempts=outcome.attempts,
-                            quarantined=True,
-                            lp_solves=self._lp_solves() - lp_before,
-                        )
-                    )
-                else:
-                    payload = outcome
-                    absorb(payload)
-                    error = payload.get("error")
-                    if error == "budget":
-                        budget_exceeded = interrupted = True
-                        notes = (
-                            "work budget exhausted; "
-                            "last passing bound reported"
-                        )
-                        break
-                    if error == "deadline":
-                        deadline_exceeded = exhausted = interrupted = True
-                        notes = (
-                            "time limit exceeded mid-window; "
-                            "last passing bound reported"
-                        )
-                        break
-                    if error is not None:
-                        raise AnalysisError(
-                            "parallel sweep worker failed: "
-                            f"{payload.get('detail', error)}"
-                        )
-                    verdict = payload["verdict"]
-                    self._commit(
-                        CandidateRecord(
-                            tau,
-                            verdict.status,
-                            verdict.m,
-                            payload["elapsed"],
-                            rung_name,
-                            payload["ite_calls"],
-                            attempts=handle.attempts,
-                            lp_solves=payload.get("lp_solves", 0),
-                        )
-                    )
-                if verdict.status != "fail":
-                    self.prev_tau = tau
-                    continue
-                mct_ub = verdict.bound
-                failure_found = True
-                failing_window = window
-                failing_sigmas = verdict.sigmas
-                failing_roots = verdict.roots
-                break
-        except KeyboardInterrupt:
-            # Operator Ctrl-C / SIGTERM: keep every committed record and
-            # attach a checkpoint — the sweep is always resumable.
-            cancelled = interrupted = True
-            notes = "interrupted by operator; resume with the checkpoint"
-        finally:
-            # Drain telemetry from any completed speculative tasks, then
-            # abandon the rest (their verdicts are intentionally unused).
-            for event in pending:
-                if event[0] != "decide":
-                    continue
-                payload = session.peek(event[5])
-                if payload is not None:
-                    absorb(payload)
-            session.shutdown()
-        # Parent-side contexts exist only for quarantined windows; merge
-        # them with the workers' cumulative snapshots.
-        merged = self._bdd_stats()
-        merged_lp = self._lp_stats()
-        decisions = sum(ctx.decisions_run for ctx in self.contexts.values())
-        if snapshots:
-            if merged is None:
-                merged = BddStats()
-            for _, stats_dict, lp_dict, decided in snapshots.values():
-                merged.merge(BddStats.from_dict(stats_dict))
-                decisions += decided
-                if lp_dict is not None and self.options.exact_feasibility:
-                    if merged_lp is None:
-                        merged_lp = LpStats()
-                    merged_lp.merge(LpStats.from_dict(lp_dict))
-        return self._finalize(
-            mct_ub=mct_ub,
-            failure_found=failure_found,
-            failing_window=failing_window,
-            failing_sigmas=failing_sigmas,
-            failing_roots=failing_roots,
-            budget_exceeded=budget_exceeded,
-            deadline_exceeded=deadline_exceeded,
-            exhausted=exhausted,
-            notes=notes,
-            interrupted=interrupted,
-            cancelled=cancelled,
-            decisions_run=decisions,
-            bdd_stats=merged,
-            lp_stats=merged_lp,
-            supervision=session.stats,
-        )
-
-    # ------------------------------------------------------------------
     # One window, with the degradation ladder
     # ------------------------------------------------------------------
     def _examine(self, regime, m: int, tau: Fraction, window) -> _Verdict:
@@ -1331,29 +1128,17 @@ class _Sweep:
             rung = self.rungs[self.rung_idx]
             if m > rung.max_age:
                 # Only reachable after an escalation to "reduced-age"
-                # (the main loop vetted m against the cap on entry).
-                raise _SweepStop(
-                    f"age cap {rung.max_age} reached "
-                    f"(degraded rung {rung.name})",
-                    budget=self._degraded_by == "budget",
-                    deadline=self._degraded_by == "deadline",
-                    exhausted=True,
-                )
+                # (the planner vetted m against the cap on entry).
+                raise self._age_cap_stop()
             try:
                 return self._examine_at(rung, regime, window)
             except (ResourceBudgetExceeded, DeadlineExceeded) as exc:
                 if not self._escalate(exc, tau):
                     if isinstance(exc, DeadlineExceeded):
                         raise _SweepStop(
-                            "time limit exceeded mid-window; "
-                            "last passing bound reported",
-                            deadline=True,
-                            exhausted=True,
+                            _DEADLINE_OUT, deadline=True, exhausted=True
                         ) from exc
-                    raise _SweepStop(
-                        "work budget exhausted; last passing bound reported",
-                        budget=True,
-                    ) from exc
+                    raise _SweepStop(_BUDGET_OUT, budget=True) from exc
 
     def _escalate(self, exc: Exception, tau: Fraction) -> bool:
         """Move to the next rung; False when the ladder is spent."""
@@ -1418,14 +1203,7 @@ def _exact_oracle(
         return None
 
 
-def _exact_sup(
-    oracle,
-    sigma,
-    window,
-    options: MctOptions,
-    deadline=None,
-    shard_dispatch=None,
-):
+def _exact_sup(oracle, sigma, window, options: MctOptions, deadline=None):
     """Exact τ(σ) over an age-option set; ``_RELAXED`` on fallback."""
     try:
         return oracle.sup_tau_options(
@@ -1433,7 +1211,6 @@ def _exact_sup(
             window,
             max_combinations=options.max_exact_combinations,
             deadline=deadline,
-            shard_dispatch=shard_dispatch,
         )
     except AnalysisError:
         return _RELAXED

@@ -30,10 +30,9 @@ is a branch-and-bound search rather than a blind loop:
   the best exact value already found, *no* remaining σ can, and the
   rest of the list is discarded in one step.  Pruning never changes
   the returned maximum — only how much work finds it.
-* **sharded solving**: an optional ``shard_dispatch`` callback hands
-  the ordered survivor list to :mod:`repro.parallel` in deterministic
-  shards with a max-merge (see
-  :class:`repro.parallel.windows.LpShardRunner`).
+
+The search runs in the process that decides the window; on the bench
+suite it leaves one LP solve per exact case.
 
 Work accounting lives in :class:`repro.mct.lp_stats.LpStats`; every
 ``sup_tau_options`` call preserves the identity ``solves +
@@ -62,11 +61,6 @@ from repro.timed.paths import TimedPath, enumerate_paths
 #: LP solver's feasibility tolerance (HiGHS defaults to 1e-7) or strict
 #: inequalities silently degrade to non-strict ones.
 EPSILON = 1e-6
-
-#: Below this many surviving combinations a shard dispatch costs more
-#: than it saves; the branch-and-bound loop then solves serially even
-#: when a dispatcher is offered.
-SHARD_MIN_SURVIVORS = 8
 
 #: Sentinel: the caller did not precompute the relaxed supremum.
 _UNSET = object()
@@ -296,7 +290,6 @@ class ExactFeasibility:
         window: TauRange | None = None,
         max_combinations: int = 256,
         deadline=None,
-        shard_dispatch=None,
     ) -> Fraction | None:
         """Max τ(σ) over the cartesian product of age options.
 
@@ -309,12 +302,6 @@ class ExactFeasibility:
         ``deadline`` is polled throughout — once per prescreened σ as
         well as before each LP solve — so a wall-clock limit holds even
         when thousands of σ's are skipped without solving.
-
-        ``shard_dispatch(leaves, survivors, window)`` optionally solves
-        a large survivor list in parallel shards; it must return one
-        ``(best, stats_dict_or_None)`` pair per shard (the max-merge
-        here is order-independent, so sharding cannot change the
-        result).
         """
         leaves = list(options)
         total = 1
@@ -337,40 +324,11 @@ class ExactFeasibility:
                 self.stats.prescreen_skips += 1
                 continue
             survivors.append((relaxed, combo))
+        # Visit survivors in descending relaxed-sup order: the bound
+        # prune then discards the whole tail at the first σ whose
+        # relaxed supremum cannot beat the best exact value.
         survivors.sort(key=_survivor_order)
-        if (
-            shard_dispatch is not None
-            and len(survivors) >= SHARD_MIN_SURVIVORS
-        ):
-            results = shard_dispatch(leaves, survivors, window)
-            self.stats.shard_dispatches += len(results)
-            best: Fraction | None = None
-            for shard_best, stats_dict in results:
-                if stats_dict is not None:
-                    self.stats.merge(LpStats.from_dict(stats_dict))
-                if shard_best is not None and (
-                    best is None or shard_best > best
-                ):
-                    best = shard_best
-            return best
-        return self.solve_batch(leaves, survivors, window, deadline)
-
-    def solve_batch(
-        self,
-        leaves: list[TimedLeaf],
-        survivors: list[tuple[Fraction | None, tuple[int, ...]]],
-        window: TauRange | None = None,
-        deadline=None,
-        best: Fraction | None = None,
-    ) -> Fraction | None:
-        """Solve one prescreened, descending-ordered survivor list.
-
-        The serial core of the branch-and-bound loop and the unit of
-        work a parallel shard executes.  ``survivors`` must be sorted
-        by :func:`_survivor_order` (each shard of an interleaved split
-        preserves that order); the bound prune then discards the whole
-        tail at the first σ whose relaxed supremum cannot beat ``best``.
-        """
+        best: Fraction | None = None
         for idx, (relaxed, combo) in enumerate(survivors):
             if best is not None and relaxed is not None and relaxed <= best:
                 # exact ≤ relaxed and the list is descending: nothing

@@ -41,8 +41,6 @@ class LpStats:
     #: Per-(path, age) constraint row pairs served from the skeleton
     #: cache instead of being rebuilt.
     skeleton_hits: int = 0
-    #: σ batches dispatched to parallel shard workers (0 on serial).
-    shard_dispatches: int = 0
     #: Wall-clock seconds spent inside LP solves.
     wall_seconds: float = 0.0
 
@@ -52,7 +50,6 @@ class LpStats:
         self.prescreen_skips += other.prescreen_skips
         self.bound_prunes += other.bound_prunes
         self.skeleton_hits += other.skeleton_hits
-        self.shard_dispatches += other.shard_dispatches
         self.wall_seconds += other.wall_seconds
         return self
 
@@ -79,7 +76,6 @@ class LpStats:
             "prescreen_skips": self.prescreen_skips,
             "bound_prunes": self.bound_prunes,
             "skeleton_hits": self.skeleton_hits,
-            "shard_dispatches": self.shard_dispatches,
             "wall_seconds": round(self.wall_seconds, 6),
         }
 

@@ -7,11 +7,12 @@ Two independent levers, both behind ``--jobs N``:
   and returns the rows in the serial order plus per-worker telemetry
   (:class:`WorkerStats`).
 * :mod:`repro.parallel.windows` decides the next ``N`` breakpoint
-  windows of a *single* sweep speculatively.  The engine
-  (:meth:`repro.mct.engine._Sweep._run_parallel`) commits verdicts
-  strictly in breakpoint order and discards speculation past the first
-  failing window, so the bound, candidate sequence, and checkpoint are
-  identical to the serial sweep's.
+  windows of a *single* sweep speculatively.  The engine's one sweep
+  loop (:meth:`repro.mct.engine._Sweep.run`) submits them, commits
+  verdicts strictly in breakpoint order and discards speculation past
+  the first failing window, so the bound, candidate sequence, and
+  checkpoint are identical to those of a sweep that decides every
+  window in its own process.
 
 Where those windows (or suite rows) actually execute is behind the
 :class:`Transport` abstraction (:mod:`repro.parallel.transport`):
@@ -19,9 +20,10 @@ Where those windows (or suite rows) actually execute is behind the
 (``jobs=N`` is sugar for one), and :class:`SocketTransport`
 (:mod:`repro.parallel.cluster`) shards the same tasks across remote
 ``repro-mct worker`` processes with heartbeat liveness detection,
-lease-based work stealing, and the same retry → quarantine → serial
-fallback ladder, so results stay byte-identical to serial no matter
-which subset of hosts survives.
+lease-based work stealing, and the same retry → quarantine ladder
+(a quarantined window is decided by the sweep loop in its own
+process), so results stay byte-identical to an in-process sweep no
+matter which subset of hosts survives.
 
 Resources cross the process boundary explicitly
 (:mod:`repro.parallel.pool`): a :class:`~repro.resilience.Deadline` is

@@ -30,19 +30,6 @@ def resolve_jobs(jobs: int | None) -> int:
     return max(1, jobs)
 
 
-def shard_interleaved(items: list, shards: int) -> list[list]:
-    """Deterministic round-robin split of an ordered work list.
-
-    Shard ``i`` gets ``items[i::shards]``, so a list sorted by
-    descending difficulty stays descending *within* every shard (the
-    exact-LP bound prune relies on that) and the load spreads evenly.
-    Empty shards are dropped; the split depends only on ``items`` and
-    ``shards``, never on timing.
-    """
-    shards = max(1, int(shards))
-    return [items[i::shards] for i in range(shards) if items[i::shards]]
-
-
 def deadline_payload(deadline: Deadline | None) -> DeadlinePayload | None:
     """The picklable wire form of a deadline (or ``None``).
 

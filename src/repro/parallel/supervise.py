@@ -259,18 +259,6 @@ class Supervisor:
                 self._tasks.remove(handle)
                 return payload
 
-    def map_ordered(self, fn, batches) -> list:
-        """Submit one task per argument tuple; collect in list order.
-
-        The batch counterpart of :meth:`submit`/:meth:`result` used by
-        the exact-LP shard runner: every batch is in flight at once,
-        results come back positionally, and each element is either the
-        task's payload or a :class:`Quarantined` marker the caller must
-        resolve itself.
-        """
-        handles = [self.submit(fn, *args) for args in batches]
-        return [self.result(handle) for handle in handles]
-
     def shutdown(self) -> None:
         """Stop the pool without waiting for abandoned speculation."""
         executor = self._executor

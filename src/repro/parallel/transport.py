@@ -1,10 +1,11 @@
 """Transport abstraction over the sweep's window-decision executors.
 
-The engine's planner/decider split (``_plan_events`` +
-``decide_window``) never cared *where* a window gets decided — it
-submits ``(regime, window)`` tasks and commits payloads strictly in
-breakpoint order.  This module names that contract so the execution
-substrate becomes pluggable:
+The engine's sweep loop (:meth:`repro.mct.engine._Sweep.run`) pulls
+planned windows from ``_plan_events`` and either decides each one in
+its own process with ``decide_window`` or submits ``(regime, window)``
+tasks to a transport session; either way it commits verdicts strictly
+in breakpoint order.  This module names the session contract so the
+execution substrate is pluggable:
 
 * :class:`LocalTransport` — the PR 3/5 path: a supervised
   :class:`~repro.parallel.windows.WindowDecider` process pool on this
@@ -20,14 +21,15 @@ promises the engine relies on for byte-identical-to-serial results:
    same verdict, so a retried, re-dispatched, or quarantined task can
    never change the answer;
 2. ``result`` returns the payload dict of the *given* handle (or a
-   :class:`~repro.parallel.supervise.Quarantined` marker — the caller
-   then decides serially in-process), never some other task's; the
-   payload carries the work telemetry of the decision (``ite_calls``,
-   ``lp_solves``, and the cumulative per-worker ``worker`` snapshot
-   with its ``stats``/``lp`` counter dicts);
+   :class:`~repro.parallel.supervise.Quarantined` marker — the sweep
+   loop then decides that window in its own process), never some
+   other task's; the payload carries the work telemetry of the
+   decision (``ite_calls``, ``lp_solves``, and the cumulative
+   per-worker ``worker`` snapshot with its ``stats``/``lp`` counter
+   dicts);
 3. transport identity is an execution detail: it is excluded from the
-   checkpoint fingerprint, so checkpoints move freely between serial,
-   pooled, and clustered runs.
+   checkpoint fingerprint, so checkpoints move freely between
+   in-process, pooled, and clustered runs.
 """
 
 from __future__ import annotations

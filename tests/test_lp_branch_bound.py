@@ -1,9 +1,9 @@
 """The exact-LP branch-and-bound fast path (perf tentpole).
 
-Contract under test: the prescreened, bound-pruned, optionally sharded
-``sup_tau_options`` returns *byte-identical* bounds to the blind
-cartesian-product loop it replaced — pruning and sharding change how
-much work finds the maximum, never the maximum itself — and every call
+Contract under test: the prescreened, bound-pruned ``sup_tau_options``
+returns *byte-identical* bounds to the blind cartesian-product loop it
+replaced — pruning changes how much work finds the maximum, never the
+maximum itself — and every call
 preserves the accounting identity ``solves + prescreen_skips +
 bound_prunes == enumerated combinations``.
 """
@@ -14,6 +14,7 @@ import dataclasses
 import itertools
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -31,13 +32,11 @@ from repro.mct.engine import (
     minimum_cycle_time,
 )
 from repro.mct.feasibility import point_sigma_sup_tau
-from repro.mct.lp_exact import SHARD_MIN_SURVIVORS, ExactFeasibility
+from repro.mct.lp_exact import ExactFeasibility
 from repro.mct.lp_stats import LpStats
-from repro.parallel.pool import shard_interleaved
-from repro.parallel.supervise import Quarantined
-from repro.parallel.windows import LpShardRunner
 from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.deadline import Deadline
+from repro.resilience.faults import inject_faults
 
 from tests.test_paths_and_exact_lp import shared_stem_circuit
 
@@ -263,124 +262,16 @@ class TestDifferential:
 
 
 # ----------------------------------------------------------------------
-# Tentpole: sharded solving
-# ----------------------------------------------------------------------
-class TestSharding:
-    def survivors(self, oracle, leaf_a, leaf_b, window):
-        options = {leaf_a: (1, 2, 3), leaf_b: (1, 2, 3)}
-        leaves = list(options)
-        survivors = []
-        for combo in itertools.product(*(options[tl] for tl in leaves)):
-            feasible, relaxed = point_sigma_sup_tau(
-                dict(zip(leaves, combo)), window
-            )
-            if feasible:
-                survivors.append((relaxed, combo))
-        from repro.mct.lp_exact import _survivor_order
-
-        survivors.sort(key=_survivor_order)
-        return leaves, survivors
-
-    def test_shard_interleaved_is_deterministic(self):
-        items = list(range(10))
-        assert shard_interleaved(items, 3) == [
-            [0, 3, 6, 9],
-            [1, 4, 7],
-            [2, 5, 8],
-        ]
-        assert shard_interleaved([], 3) == []
-        assert shard_interleaved(items, 1) == [items]
-
-    def test_dispatch_matches_serial_solve(self):
-        oracle, leaf_a, leaf_b = stem_oracle()
-        window = (Fraction(2), Fraction(8))
-        leaves, survivors = self.survivors(oracle, leaf_a, leaf_b, window)
-        assert survivors  # the comparison must exercise real work
-        serial_oracle, _, _ = stem_oracle()
-        serial = serial_oracle.solve_batch(leaves, survivors, window)
-        runner = LpShardRunner(oracle, shards=2)
-        try:
-            results = runner.dispatch(leaves, survivors, window)
-        finally:
-            runner.shutdown()
-        best = None
-        merged = LpStats()
-        for shard_best, stats_dict in results:
-            if stats_dict is not None:
-                merged.merge(LpStats.from_dict(stats_dict))
-            if shard_best is not None and (best is None or shard_best > best):
-                best = shard_best
-        assert best == serial
-        # Worker shards really ran and reported their counters.
-        assert merged.solves > 0
-
-    def test_quarantined_shard_falls_back_to_parent(self, monkeypatch):
-        oracle, leaf_a, leaf_b = stem_oracle()
-        window = (Fraction(2), Fraction(8))
-        leaves, survivors = self.survivors(oracle, leaf_a, leaf_b, window)
-        serial_oracle, _, _ = stem_oracle()
-        serial = serial_oracle.solve_batch(leaves, survivors, window)
-        runner = LpShardRunner(oracle, shards=2)
-        monkeypatch.setattr(
-            runner._supervisor,
-            "map_ordered",
-            lambda fn, batches: [Quarantined(3, "crash")] * len(batches),
-        )
-        try:
-            results = runner.dispatch(leaves, survivors, window)
-        finally:
-            runner.shutdown()
-        # Every shard was re-solved in the parent: stats=None pairs
-        # (the parent oracle charged itself), same merged maximum.
-        assert all(stats is None for _, stats in results)
-        best = max(
-            (b for b, _ in results if b is not None), default=None
-        )
-        assert best == serial
-        assert oracle.stats.solves > 0
-
-    def test_small_survivor_lists_never_dispatch(self):
-        oracle, leaf_a, leaf_b = stem_oracle()
-        calls = []
-
-        def spy(leaves, survivors, window):
-            calls.append(len(survivors))
-            return []
-
-        options = {leaf_a: (1,), leaf_b: (1,)}
-        window = (Fraction(5), Fraction(8))
-        oracle.sup_tau_options(options, window, shard_dispatch=spy)
-        assert calls == []  # 1 survivor < SHARD_MIN_SURVIVORS
-        assert oracle.stats.shard_dispatches == 0
-        assert 1 < SHARD_MIN_SURVIVORS
-
-    def test_engine_lp_shards_matches_serial(self):
-        circuit, delays = paper_example2()
-        delays = delays.widen(Fraction(9, 10))
-        serial = minimum_cycle_time(
-            circuit, delays, MctOptions(exact_feasibility=True)
-        )
-        sharded = minimum_cycle_time(
-            circuit, delays, MctOptions(exact_feasibility=True, lp_shards=3)
-        )
-        assert sharded.mct_upper_bound == serial.mct_upper_bound
-        assert [
-            (r.tau, r.status, r.m, r.rung) for r in sharded.candidates
-        ] == [(r.tau, r.status, r.m, r.rung) for r in serial.candidates]
-        assert sharded.failing_window == serial.failing_window
-
-
-# ----------------------------------------------------------------------
 # Telemetry plumbing: LpStats, results, checkpoints
 # ----------------------------------------------------------------------
 class TestLpStats:
     def test_merge_and_round_trip(self):
         a = LpStats(solves=2, prescreen_skips=3, wall_seconds=0.5)
         b = LpStats(solves=1, bound_prunes=4, skeleton_hits=7,
-                    shard_dispatches=2, wall_seconds=0.25)
+                    wall_seconds=0.25)
         a.merge(b)
         assert (a.solves, a.prescreen_skips, a.bound_prunes) == (3, 3, 4)
-        assert (a.skeleton_hits, a.shard_dispatches) == (7, 2)
+        assert a.skeleton_hits == 7
         assert a.wall_seconds == pytest.approx(0.75)
         assert LpStats.from_dict(a.as_dict()) == a
 
@@ -436,6 +327,39 @@ class TestLpStats:
         assert legacy.lp_stats is None
         assert all(r.lp_solves == 0 for r in legacy.records)
 
+    def test_checkpoint_with_retired_counter_merges_and_resumes(self):
+        """A checkpoint written while ``LpStats`` still counted shard
+        dispatches (``tests/fixtures/exact_checkpoint_v2.json``: an
+        exact sweep of ``random_fsm(2)`` at 0.5-widened delays, stopped
+        by a budget fault after two LP-decided windows) loads, merges
+        with a checkpoint of the same sweep written now, and resumes to
+        the uninterrupted bound."""
+        fixtures = Path(__file__).parent / "fixtures"
+        old = SweepCheckpoint.load(fixtures / "exact_checkpoint_v2.json")
+        assert "shard_dispatches" in old.lp_stats
+        assert LpStats.from_dict(old.lp_stats).solves == 16
+        circuit, delays = random_fsm(2)
+        delays = delays.widen(Fraction(1, 2))
+        options = MctOptions(exact_feasibility=True, work_budget=10**9)
+        baseline = minimum_cycle_time(circuit, delays, options)
+        with inject_faults(budget_at=1000):
+            partial = minimum_cycle_time(circuit, delays, options)
+        new = partial.checkpoint
+        assert new is not None
+        assert "shard_dispatches" not in new.lp_stats
+        assert new.last_tau > old.last_tau  # the fixture got further
+        for merged in (old.merge(new), new.merge(old)):
+            assert merged.last_tau == old.last_tau
+            assert merged.lp_stats["solves"] == 16
+            resumed = minimum_cycle_time(
+                circuit, delays, options, resume_from=merged
+            )
+            assert resumed.mct_upper_bound == baseline.mct_upper_bound
+            assert resumed.failing_window == baseline.failing_window
+            assert [
+                (r.tau, r.status, r.m, r.rung) for r in resumed.candidates
+            ] == [(r.tau, r.status, r.m, r.rung) for r in baseline.candidates]
+
     def test_checkpoint_merge_joins_lp_counters(self):
         ours = self.checkpoint()
         theirs = SweepCheckpoint.from_dict(ours.to_dict())
@@ -456,7 +380,6 @@ class TestKnobs:
             {"max_exact_paths": 0},
             {"max_exact_combinations": 0},
             {"max_exact_combinations": -3},
-            {"lp_shards": 0},
         ],
     )
     def test_non_positive_knobs_rejected(self, kwargs):
@@ -490,7 +413,6 @@ class TestKnobs:
                 exact_feasibility=True,
                 max_exact_paths=77,
                 max_exact_combinations=99,
-                lp_shards=4,
             )
         )
         assert base == tweaked
@@ -504,7 +426,6 @@ class TestKnobs:
         for flags in (
             ["--max-exact-paths", "0"],
             ["--max-exact-combos", "-1"],
-            ["--lp-shards", "0"],
         ):
             assert main(["analyze", str(path)] + flags) == 1
             assert "must be positive" in capsys.readouterr().err

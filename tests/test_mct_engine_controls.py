@@ -1,13 +1,16 @@
 """Unit tests for the sweep engine's control knobs and reporting."""
 
+import threading
 from fractions import Fraction
 
 import pytest
 
+from repro.benchgen import paper_example2
 from repro.benchgen.generators import hold_loop, toggle_loop
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, OptionsError
 from repro.mct import MctOptions, minimum_cycle_time
 from repro.mct.engine import CandidateRecord
+from repro.resilience.faults import inject_faults
 
 from tests.test_timed_expansion import fig2_circuit
 
@@ -107,12 +110,111 @@ class TestControls:
         statuses = {r.tau: r.status for r in result.candidates}
         assert statuses[Fraction(5)] == "steady"
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_age": 0},  # the default τ floor would divide by it
+            {"max_age": -1},  # would stop at once: "age cap -1 reached"
+            {"degraded_max_age": 0},
+            {"degraded_max_age": -2},
+            {"degradation_ladder": ("warp-speed",)},
+            {"degradation_ladder": ("relaxed", "reduced_age")},
+        ],
+    )
+    def test_out_of_range_sweep_options_rejected(self, kwargs):
+        # Rejected when the options are built, before any sweep runs.
+        with pytest.raises(OptionsError):
+            MctOptions(**kwargs)
+
+    def test_smallest_valid_ages_accepted(self):
+        circuit, delays = fig2_circuit()
+        options = MctOptions(
+            max_age=1,
+            tau_floor=Fraction(1, 20),
+            degraded_max_age=1,
+            degradation_ladder=("reduced-age",),
+        )
+        result = minimum_cycle_time(circuit, delays, options)
+        assert result.notes == "age cap 1 reached"
+
     def test_budget_none_vs_zero(self):
         circuit, delays = fig2_circuit()
         # work_budget=None is unlimited; 0 is falsy and also unlimited.
         a = minimum_cycle_time(circuit, delays, MctOptions(work_budget=None))
         b = minimum_cycle_time(circuit, delays, MctOptions(work_budget=0))
         assert a.mct_upper_bound == b.mct_upper_bound == Fraction(5, 2)
+
+
+class TestCheckOrder:
+    """One sweep loop, one order of checks at each breakpoint: candidate
+    cap, cancel, deadline, then the active rung's age cap.  Cancel and
+    deadline are also polled before the τ-floor window."""
+
+    @staticmethod
+    def cancel_after(n):
+        cancel = threading.Event()
+        committed = []
+
+        def progress(record):
+            committed.append(record)
+            if len(committed) == n:
+                cancel.set()
+
+        return progress, cancel
+
+    def test_cancel_before_floor_window_stops_there(self):
+        circuit, delays = paper_example2()
+        # Above the floor 15/4 the stream holds 5 (steady) and 4; the
+        # floor window [15/4, 4) would be decided next.
+        options = MctOptions(tau_floor=Fraction(15, 4))
+        progress, cancel = self.cancel_after(2)
+        result = minimum_cycle_time(
+            circuit, delays, options, progress=progress, cancel=cancel
+        )
+        assert result.cancelled
+        assert [r.tau for r in result.candidates] == [5, 4]
+        resumed = minimum_cycle_time(
+            circuit, delays, options, resume_from=result.checkpoint
+        )
+        assert resumed.notes == "breakpoint stream exhausted (τ floor)"
+        assert resumed.mct_upper_bound == Fraction(15, 4)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cancel_wins_over_age_cap(self, jobs):
+        # Example 2 commits 5, 4 and 5/2; the next window needs age 3.
+        circuit, delays = paper_example2()
+        options = MctOptions(max_age=2, tau_floor=Fraction(1, 20))
+        progress, cancel = self.cancel_after(3)
+        result = minimum_cycle_time(
+            circuit, delays, options,
+            jobs=jobs, progress=progress, cancel=cancel,
+        )
+        assert result.cancelled
+        assert len(result.candidates) == 3
+        resumed = minimum_cycle_time(
+            circuit, delays, options, resume_from=result.checkpoint
+        )
+        assert resumed.notes == "age cap 2 reached"
+
+    def test_floor_window_respects_degraded_age_cap(self):
+        # hold_loop(8) passes every window, and the floor 19/10 needs
+        # age 5.  A fault in the τ=4 window moves the sweep to the
+        # reduced-age rung (cap 4): the breakpoints above the floor fit
+        # under that cap, the floor window does not, so the sweep ends
+        # at the τ floor without deciding it.
+        circuit, delays = hold_loop(Fraction(8))
+        options = MctOptions(
+            tau_floor=Fraction(19, 10),
+            work_budget=10**9,
+            degradation_ladder=("reduced-age",),
+            degraded_max_age=4,
+        )
+        with inject_faults(budget_at=10):
+            result = minimum_cycle_time(circuit, delays, options)
+        assert result.rung == "reduced-age"
+        assert [r.tau for r in result.candidates] == [8, 4, Fraction(8, 3), 2]
+        assert result.notes == "breakpoint stream exhausted (τ floor)"
+        assert not result.interrupted
 
 
 class TestDegenerateCircuits:

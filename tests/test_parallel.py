@@ -277,6 +277,24 @@ class TestCliJobs:
         assert rc == 3  # the fault fired in-process: partial result
         assert "fault injection forces a serial sweep" in out
 
+    @pytest.mark.parametrize(
+        "flags", [["--jobs", "2"], ["--workers", "127.0.0.1:9"]]
+    )
+    def test_degrade_forces_serial(self, bench, capsys, flags):
+        # A ladder sweep never opens a pool or a fleet; the CLI says so
+        # instead of silently ignoring the flag.
+        from repro.cli import main
+
+        rc = main(["analyze", str(bench), "--degrade", "--stats", *flags])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert (
+            "note: the degradation ladder (--degrade) forces a serial "
+            "sweep; ignoring --jobs/--workers"
+        ) in out
+        assert "minimum cycle time: 11.5" in out
+        assert "supervision" not in out
+
 
 # ----------------------------------------------------------------------
 # Exit-code contract regression (satellite: partial result -> 3)

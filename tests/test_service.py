@@ -902,6 +902,19 @@ class TestHttpHygiene:
 
         run(scenario)
 
+    def test_out_of_range_option_gets_400(self):
+        # JobSpec validates through MctOptions, so max_age 0 (whose τ
+        # floor L / max_age divides by zero) never becomes a job.
+        body = json.dumps({**EXAMPLE2, "options": {"max_age": 0}}).encode()
+
+        async def scenario(service, host, port):
+            status, raw = await http(host, port, "POST", "/jobs", body)
+            assert status == 400
+            assert "max_age" in json.loads(raw)["error"]
+            assert service.manager.stats.jobs_failed == 0
+
+        run(scenario)
+
     def test_unknown_paths_and_methods(self):
         async def scenario(service, host, port):
             assert (await http(host, port, "GET", "/nope"))[0] == 404
