@@ -303,7 +303,11 @@ class ExactFeasibility:
         well as before each LP solve — so a wall-clock limit holds even
         when thousands of σ's are skipped without solving.
         """
-        leaves = list(options)
+        # A total leaf order, not the dict's: ties between equal relaxed
+        # suprema are broken by the combo tuple, and a hash-dependent
+        # leaf order would make the visiting order (and the LP count)
+        # follow PYTHONHASHSEED.
+        leaves = sorted(options)
         total = 1
         for tl in leaves:
             total *= len(options[tl])

@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -39,6 +43,8 @@ from repro.resilience.deadline import Deadline
 from repro.resilience.faults import inject_faults
 
 from tests.test_paths_and_exact_lp import shared_stem_circuit
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def blind_loop_max(oracle, options, window):
@@ -175,6 +181,36 @@ class TestBranchAndBound:
             oracle.sup_tau_options(options, self.WINDOW, max_combinations=8)
         assert oracle.stats.solves == 0
         assert oracle.stats.prescreen_skips == 0
+
+    def test_visiting_order_ignores_string_hashing(self):
+        """Ties between equal relaxed suprema are broken in a fixed leaf
+        order, so per-window LP counts do not follow ``PYTHONHASHSEED``
+        (the failing window of this sweep solved 75 or 74 LPs when the
+        leaves kept the option dict's hash-dependent order)."""
+        script = (
+            "import json\n"
+            "from fractions import Fraction\n"
+            "from repro.benchgen import random_fsm\n"
+            "from repro.mct import MctOptions, minimum_cycle_time\n"
+            "circuit, delays = random_fsm(2)\n"
+            "result = minimum_cycle_time(circuit, delays.widen(Fraction(1, 2)),"
+            " MctOptions(exact_feasibility=True))\n"
+            "print(json.dumps([[str(r.tau), r.lp_solves]"
+            " for r in result.candidates]))\n"
+        )
+        runs = []
+        for seed in ("0", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(SRC), env.get("PYTHONPATH")])
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            runs.append(json.loads(proc.stdout))
+        assert runs[0] == runs[1]
+        assert sum(solves for _, solves in runs[0]) > 0
 
 
 # ----------------------------------------------------------------------
