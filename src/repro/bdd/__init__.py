@@ -23,12 +23,7 @@ compare equal.
 """
 
 from repro.bdd.function import Function
-from repro.bdd.manager import (
-    KERNELS,
-    BddManager,
-    set_default_ite_normalization,
-    set_default_kernel,
-)
+from repro.bdd.manager import BddManager
 from repro.bdd.ordering import dfs_variable_order, interleave_orders
 from repro.bdd.reorder import order_size, reorder, sift_order
 from repro.bdd.stats import BddStats
@@ -38,13 +33,10 @@ __all__ = [
     "BddManager",
     "BddStats",
     "Function",
-    "KERNELS",
     "dfs_variable_order",
     "interleave_orders",
     "order_size",
     "reorder",
-    "set_default_ite_normalization",
-    "set_default_kernel",
     "sift_order",
     "transfer",
 ]

@@ -65,7 +65,7 @@ class Function:
         return self.node == self.manager._true_ref
 
     def is_constant(self) -> bool:
-        """True iff this is a constant (both kernels use refs <= 1)."""
+        """True iff this is a constant (the refs <= 1)."""
         return self.node <= 1
 
     # -- Boolean algebra (operator sugar) ------------------------------

@@ -1,47 +1,48 @@
-"""The BDD manager facade: kernel selection and the shared algebra.
+"""The BDD manager: one canonical node store and the Boolean algebra.
 
-Architecture
-------------
-:class:`BddManager` is now a *facade over two interchangeable kernels*:
+Representation
+--------------
+* The node table is three flat 64-bit integer columns
+  (``array('q')``): ``_var_col`` (variable level), ``_lo_col`` and
+  ``_hi_col`` (child *references*).  Index ``0`` is the single
+  terminal, the constant ONE.
+* A function is a **tagged reference** ``ref = (index << 1) | phase``:
+  the low bit says "complement this node's function".  The constants
+  are ``ONE = 0`` (terminal, plain) and ``ZERO = 1`` (terminal,
+  complemented), so the constants are exactly the refs ``<= 1``.
+* Canonical form is **high-edge-regular**: a stored node's high child
+  never carries the complement bit.  ``_mk_sem`` enforces this by
+  flipping both cofactors and complementing the returned reference, so
+  every Boolean function has exactly one representation and ``f == g``
+  is integer equality on refs.
+* NOT is one XOR (``ref ^ 1``): no NOT cache, no DAG copy, and a
+  function shares every node with its complement — the MCT window
+  decisions build their mismatch BDDs from exactly that XOR/XNOR/NOT
+  traffic.
+* The unique table and the ITE operation cache are keyed by **packed
+  integers** (shift-or of level/refs) instead of tuples: one dict probe
+  costs no tuple allocation and hashes a single int.
+* Standard complement-edge ITE canonicalization (Brace–Rudell–Bryant):
+  terminal rules first, then — when normalization is enabled —
+  operand substitution, commutation to the lowest-index test, a
+  regular (uncomplemented) test, and a regular THEN operand, with the
+  output complement carried in a flip bit.  Equivalent and
+  complemented forms of one subproblem share a single cache entry.
 
-* ``kernel="array"`` (the default) — :mod:`repro.bdd.array_kernel`:
-  flat integer columns (``array('q')``: var, lo, hi) with **complement
-  edges**.  A function is a *tagged* node reference ``(index << 1) |
-  phase``; negation is one XOR, a function and its complement share
-  every node, and the unique table and operation cache are keyed by
-  packed integers instead of tuples.
-* ``kernel="object"`` — :mod:`repro.bdd.object_kernel`: the historical
-  two-terminal store without complement edges, kept as a *cross-check
-  oracle*: differential tests run both kernels against each other, and
-  any analysis accepts ``kernel=`` to reproduce a result on the
-  alternate substrate.
+The derived algorithms — restrict, compose, quantification,
+``and_exists``, constrain, SAT queries, transfer, ordering search —
+read nodes only through ``_ref_level`` and ``_ref_cofactors``, which
+return *semantic* cofactors with any complement phase already pushed
+down, so they never see a tagged node, only tagged edges.
 
-Both kernels expose the same small primitive surface (`_ref_level`,
-`_ref_cofactors`, `_mk_sem`, `_not`, `_ite`, ...) over *semantically
-canonical* node references, so every derived algorithm — restrict,
-compose, quantification, ``and_exists``, constrain, SAT queries,
-transfer, ordering search — is written once, here, in kernel-neutral
-form.  The invariants the base class relies on:
-
-* references are non-negative ints; the two constants are the refs
-  ``<= 1`` (the object kernel uses FALSE=0/TRUE=1, the array kernel
-  ONE=0 and its complement edge 1);
-* references are canonical: two refs are equal iff they denote the
-  same Boolean function;
-* ``_ref_cofactors(u, level)`` returns the *semantic* (low, high)
-  cofactors, with any complement phase already pushed down.
-
-Shared engineering (both kernels):
+Engineering:
 
 * every traversal runs on an **explicit stack** — no Python recursion,
   no ``sys.setrecursionlimit`` mutation;
 * the ITE operation cache is **bounded** (``max_cache_size``) with
   *recency-aware* eviction: a cache hit moves the entry to the young
   end, and overflow drops the least-recently-used half — long-lived
-  hot triples survive churn (the insertion-order eviction of earlier
-  revisions evicted exactly the hottest entries first);
-* the object kernel's NOT cache is bounded under the same knob (it
-  used to grow without limit between GCs);
+  hot triples survive churn;
 * dead nodes are reclaimed by mark-and-sweep
   (:meth:`BddManager.collect_garbage`), with ``gc_threshold`` enabling
   automatic collection at public-operation boundaries;
@@ -62,6 +63,7 @@ and exposed as :attr:`BddManager.stats`.
 from __future__ import annotations
 
 import weakref
+from array import array
 from collections.abc import Iterable, Iterator, Mapping
 
 from repro.errors import BddError, Budget
@@ -72,65 +74,21 @@ from repro.bdd.stats import BddStats
 #: variable level so terminals sort below all variables in the order.
 TERMINAL_LEVEL = 1 << 60
 
-#: Object-kernel terminal refs (module-level for the object kernel and
-#: its tests; the array kernel's terminals are ONE=0 / ZERO=1).
-FALSE = 0
-TRUE = 1
+#: Constant references: the terminal node (index 0) in both phases.
+ONE = 0
+ZERO = 1
+
+#: Field width for packed unique-table / op-cache keys.  References and
+#: levels are far below 2**43 for any table this process could hold, so
+#: packed keys are collision-free (Python ints are arbitrary precision;
+#: a triple key is ~129 bits).
+_SHIFT = 43
 
 #: Default for managers constructed with ``normalize_ite=None``.  The
-#: benchmark harness flips this to measure the pre-normalization
-#: baseline in the same process (see ``benchmarks/perf_baseline.py``).
+#: decision engine builds its managers internally, so a test that
+#: measures the unnormalized cache discipline on a whole sweep flips
+#: this module attribute.
 _DEFAULT_NORMALIZE = True
-
-#: Default node-store kernel for ``BddManager(kernel=None)``.
-_DEFAULT_KERNEL = "array"
-
-#: Valid ``kernel=`` names (the registry itself lives in ``_kernel_class``
-#: to keep imports lazy and cycle-free).
-KERNELS = ("array", "object")
-
-
-def set_default_ite_normalization(enabled: bool) -> bool:
-    """Set the default ITE-normalization mode for *new* managers.
-
-    Returns the previous default so callers can restore it.  Existing
-    managers are unaffected.  Normalization never changes results —
-    only which operation-cache entries equivalent triples share — so
-    this knob exists purely to benchmark the cache discipline itself.
-    """
-    global _DEFAULT_NORMALIZE
-    previous = _DEFAULT_NORMALIZE
-    _DEFAULT_NORMALIZE = bool(enabled)
-    return previous
-
-
-def set_default_kernel(name: str) -> str:
-    """Set the node-store kernel for *new* ``BddManager()`` calls.
-
-    Returns the previous default so callers can restore it.  Both
-    kernels implement the same canonical ROBDD semantics; switching
-    never changes any analysis answer, only the representation (and
-    therefore speed/memory).  Existing managers are unaffected.
-    """
-    global _DEFAULT_KERNEL
-    if name not in KERNELS:
-        raise BddError(f"unknown BDD kernel {name!r}; choose from {KERNELS}")
-    previous = _DEFAULT_KERNEL
-    _DEFAULT_KERNEL = name
-    return previous
-
-
-def _kernel_class(name: str):
-    """Resolve a kernel name to its manager subclass (lazy imports)."""
-    if name == "array":
-        from repro.bdd.array_kernel import ArrayKernelManager
-
-        return ArrayKernelManager
-    if name == "object":
-        from repro.bdd.object_kernel import ObjectKernelManager
-
-        return ObjectKernelManager
-    raise BddError(f"unknown BDD kernel {name!r}; choose from {KERNELS}")
 
 
 class BddManager:
@@ -146,16 +104,11 @@ class BddManager:
         on every node creation (the manager's hot loop), so a
         wall-clock limit interrupts even one giant ``ite`` instead of
         waiting for the caller's next coarse-grained check.
-    kernel:
-        Node-store implementation: ``"array"`` (flat integer columns
-        with complement edges, the default) or ``"object"`` (the
-        historical two-terminal store, kept as a cross-check oracle).
-        ``None`` uses the module default (:func:`set_default_kernel`).
     normalize_ite:
         Apply standard ITE triple normalization before the operation
         cache (default: the module default, normally on).
     max_cache_size:
-        Bound on the operation caches; the least-recently-used half is
+        Bound on the operation cache; the least-recently-used half is
         evicted on overflow.  ``None`` disables the bound.
     gc_threshold:
         Run :meth:`collect_garbage` automatically once the node table
@@ -169,22 +122,14 @@ class BddManager:
         reordering.
     """
 
-    #: Overridden by each kernel subclass.
-    kernel_name = "abstract"
-    _false_ref = FALSE
-    _true_ref = TRUE
-
-    def __new__(cls, *args, kernel: str | None = None, **kwargs):
-        if cls is BddManager:
-            cls = _kernel_class(_DEFAULT_KERNEL if kernel is None else kernel)
-        return object.__new__(cls)
+    _false_ref = ZERO
+    _true_ref = ONE
 
     def __init__(
         self,
         budget: Budget | None = None,
         deadline=None,
         *,
-        kernel: str | None = None,
         normalize_ite: bool | None = None,
         max_cache_size: int | None = 1_000_000,
         gc_threshold: int | None = None,
@@ -205,7 +150,7 @@ class BddManager:
             raise BddError("sift_threshold must be positive or None")
         self._sift_threshold = sift_threshold
         self._in_sift = False
-        # Variable bookkeeping (shared by both kernels).
+        # Variable bookkeeping.
         self._var_level: dict[str, int] = {}
         self._level_var: list[str] = []
         self._var_node: dict[str, int] = {}
@@ -213,55 +158,65 @@ class BddManager:
         self._handles: list[weakref.ref] = []
         self._handle_prune_at = 1024
         self._stats = BddStats()
-        self._init_store()
+        # Column 0 is the terminal ONE; its children are self-loops that
+        # keep GC/compaction free of terminal special cases.
+        self._var_col = array("q", [TERMINAL_LEVEL])
+        self._lo_col = array("q", [ONE])
+        self._hi_col = array("q", [ONE])
+        self._unique: dict[int, int] = {}
+        self._ite_cache: dict[int, int] = {}
         self._last_gc_size = len(self)
         self._last_sift_size = len(self)
 
     # ------------------------------------------------------------------
-    # Kernel primitive surface (implemented by each kernel subclass)
+    # Store
     # ------------------------------------------------------------------
-    def _init_store(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def __len__(self) -> int:
+        """Current node-table size (the single terminal included)."""
+        return len(self._var_col)
 
-    def _mk_var(self, level: int) -> int:  # pragma: no cover - abstract
-        """Create (or find) the node of a fresh variable at ``level``."""
-        raise NotImplementedError
+    def _mk_raw(self, level: int, lo: int, hi: int) -> int:
+        """Find-or-create node ``(level, lo, hi)``; ``hi`` must be regular."""
+        key = ((level << _SHIFT) | lo) << _SHIFT | hi
+        idx = self._unique.get(key)
+        if idx is None:
+            if self._budget is not None:
+                self._budget.charge()
+            if self._deadline is not None:
+                self._deadline.check("bdd node creation")
+            idx = len(self._var_col)
+            self._var_col.append(level)
+            self._lo_col.append(lo)
+            self._hi_col.append(hi)
+            self._unique[key] = idx
+            self._stats.nodes_created += 1
+        return idx << 1
 
-    def _mk_sem(self, level: int, lo: int, hi: int) -> int:  # pragma: no cover
-        """Canonical node with *semantic* cofactors ``lo``/``hi``."""
-        raise NotImplementedError
+    def _mk_sem(self, level: int, lo: int, hi: int) -> int:
+        """Canonical reference for semantic cofactors ``lo``/``hi``."""
+        if lo == hi:
+            return lo
+        if hi & 1:
+            # High-edge-regular form: store the complemented node and
+            # return its complement — same function, one representation.
+            return self._mk_raw(level, lo ^ 1, hi ^ 1) | 1
+        return self._mk_raw(level, lo, hi)
 
-    def _not(self, u: int) -> int:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _ite(self, f: int, g: int, h: int) -> int:  # pragma: no cover
-        raise NotImplementedError
-
-    def _ref_level(self, u: int) -> int:  # pragma: no cover - abstract
+    def _ref_level(self, u: int) -> int:
         """The variable level ``u`` branches on (TERMINAL_LEVEL for consts)."""
-        raise NotImplementedError
+        return self._var_col[u >> 1]
 
-    def _ref_cofactors(self, u: int, level: int) -> tuple[int, int]:  # pragma: no cover
-        """Semantic (low, high) cofactors of ``u`` with respect to ``level``."""
-        raise NotImplementedError
+    def _ref_cofactors(self, u: int, level: int) -> tuple[int, int]:
+        """Semantic (low, high) cofactors of ``u`` w.r.t. ``level``.
 
-    def _ref_index(self, u: int) -> int:  # pragma: no cover - abstract
-        """The structural node index behind reference ``u``."""
-        raise NotImplementedError
-
-    def collect_garbage(self) -> int:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def clear_caches(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def __len__(self) -> int:  # pragma: no cover - abstract
-        """Current node-table size (terminals included)."""
-        raise NotImplementedError
-
-    def _adopt_store(self, other: "BddManager") -> None:  # pragma: no cover
-        """Replace this manager's node store with ``other``'s (sifting)."""
-        raise NotImplementedError
+        The node's complement phase is pushed into the children, so
+        callers never see a tagged node — only tagged edges.
+        """
+        idx = u >> 1
+        if self._var_col[idx] == level:
+            phase = u & 1
+            return self._lo_col[idx] ^ phase, self._hi_col[idx] ^ phase
+        return u, u
 
     # ------------------------------------------------------------------
     # Counters and handle registry
@@ -305,7 +260,7 @@ class BddManager:
             level = len(self._level_var)
             self._var_level[name] = level
             self._level_var.append(name)
-            self._var_node[name] = self._mk_var(level)
+            self._var_node[name] = self._mk_sem(level, ZERO, ONE)
         return Function(self, self._var_node[name])
 
     def add_vars(self, names: Iterable[str]) -> list[Function]:
@@ -353,7 +308,7 @@ class BddManager:
         return self.true if value else self.false
 
     def _is_const(self, u: int) -> bool:
-        """True for the two constant references (both kernels use <= 1)."""
+        """True for the two constant references (``ONE``/``ZERO``)."""
         return u <= 1
 
     def _check(self, f: Function) -> int:
@@ -363,20 +318,165 @@ class BddManager:
         return f.node
 
     # ------------------------------------------------------------------
-    # Shared cache discipline
+    # ITE — the core memoized operation (explicit stack)
     # ------------------------------------------------------------------
     def _evict_ite_cache(self) -> None:
         """Drop the least-recently-used half of the ITE cache.
 
-        Hits re-insert their entry at the young end (see the kernels'
-        ``_ite``), so plain insertion order *is* recency order and
-        dropping the oldest half evicts the coldest triples.
+        Hits re-insert their entry at the young end (see ``_ite``), so
+        plain insertion order *is* recency order and dropping the
+        oldest half evicts the coldest triples.
         """
         cache = self._ite_cache
         drop = max(1, len(cache) // 2)
         for key in list(cache.keys())[:drop]:
             del cache[key]
         self._stats.cache_evictions += 1
+
+    def _ite(self, f: int, g: int, h: int) -> int:
+        """Memoized if-then-else on tagged refs, explicit-stack form.
+
+        Frames are ``(False, f, g, h)`` — resolve a triple — or
+        ``(True, key, level, flip)`` — both cofactor results are on the
+        value stack; build the node, fill the cache with the canonical
+        result, and push it re-complemented by ``flip``.  LIFO ordering
+        means a subproblem's whole subtree completes before its sibling
+        starts, so the cache behaves exactly like the recursive form.
+        """
+        cache = self._ite_cache
+        stats = self._stats
+        var_col, lo_col, hi_col = self._var_col, self._lo_col, self._hi_col
+        normalize = self._normalize
+        max_cache = self._max_cache_size
+        tasks: list[tuple] = [(False, f, g, h)]
+        values: list[int] = []
+        while tasks:
+            frame = tasks.pop()
+            if frame[0]:
+                _, key, level, flip = frame
+                high = values.pop()
+                low = values.pop()
+                result = self._mk_sem(level, low, high)
+                if max_cache is not None and len(cache) >= max_cache:
+                    self._evict_ite_cache()
+                cache[key] = result
+                values.append(result ^ flip)
+                continue
+            _, f, g, h = frame
+            stats.ite_calls += 1
+            result = -1
+            probed = False
+            flip = 0
+            while True:
+                # Terminal shortcuts (always valid, never rewrites).
+                if f == ONE:
+                    result = g
+                elif f == ZERO:
+                    result = h
+                elif g == h:
+                    result = g
+                elif g == ONE and h == ZERO:
+                    result = f
+                elif g == ZERO and h == ONE:
+                    result = f ^ 1
+                else:
+                    # Non-terminal: this triple is one probe of the
+                    # cache layer (counted once, even if normalization
+                    # then rewrites it).
+                    if not probed:
+                        probed = True
+                        stats.cache_lookups += 1
+                    if normalize:
+                        # Operand substitution: a test shared with an
+                        # operand fixes that operand to a constant.
+                        changed = False
+                        if g == f:
+                            g = ONE
+                            changed = True
+                        elif g == f ^ 1:
+                            g = ZERO
+                            changed = True
+                        if h == f:
+                            h = ZERO
+                            changed = True
+                        elif h == f ^ 1:
+                            h = ONE
+                            changed = True
+                        if not changed:
+                            # Commute to the lowest-index test.  Each
+                            # accepted swap strictly decreases the test
+                            # index, so the loop terminates.
+                            fi = f >> 1
+                            if g == ONE and h > 1 and (h >> 1) < fi:
+                                f, h = h, f  # OR commutes
+                                changed = True
+                            elif h == ZERO and g > 1 and (g >> 1) < fi:
+                                f, g = g, f  # AND commutes
+                                changed = True
+                            elif h == ONE and g > 1 and (g >> 1) < fi:
+                                f, g = g ^ 1, f ^ 1  # implication flips
+                                changed = True
+                            elif g == ZERO and h > 1 and (h >> 1) < fi:
+                                f, h = h ^ 1, f ^ 1  # nor-style flip
+                                changed = True
+                            elif h == g ^ 1 and g > 1 and (g >> 1) < fi:
+                                f, g, h = g, f, f ^ 1  # XNOR commutes
+                                changed = True
+                        if not changed:
+                            # Phase canonicalization: regular test, then
+                            # regular THEN operand (complement carried
+                            # out through the flip bit).
+                            if f & 1:
+                                f, g, h = f ^ 1, h, g
+                                changed = True
+                            elif g & 1:
+                                g, h, flip = g ^ 1, h ^ 1, flip ^ 1
+                                changed = True
+                        if changed:
+                            continue  # a rewrite can expose a terminal
+                break
+            if result >= 0:
+                if probed:
+                    # Answered by a normalization rewrite: no expansion,
+                    # no recomputation — a hit of the cache layer.
+                    stats.cache_hits += 1
+                values.append(result ^ flip)
+                continue
+            key = ((f << _SHIFT) | g) << _SHIFT | h
+            cached = cache.get(key)
+            if cached is not None:
+                stats.cache_hits += 1
+                # Move-to-end: a hit makes the entry young again, so
+                # bounded-cache eviction drops cold triples first.
+                del cache[key]
+                cache[key] = cached
+                values.append(cached ^ flip)
+                continue
+            fi, gi, hi = f >> 1, g >> 1, h >> 1
+            level = var_col[fi]
+            if var_col[gi] < level:
+                level = var_col[gi]
+            if var_col[hi] < level:
+                level = var_col[hi]
+            if var_col[fi] == level:
+                c = f & 1
+                f0, f1 = lo_col[fi] ^ c, hi_col[fi] ^ c
+            else:
+                f0 = f1 = f
+            if var_col[gi] == level:
+                c = g & 1
+                g0, g1 = lo_col[gi] ^ c, hi_col[gi] ^ c
+            else:
+                g0 = g1 = g
+            if var_col[hi] == level:
+                c = h & 1
+                h0, h1 = lo_col[hi] ^ c, hi_col[hi] ^ c
+            else:
+                h0 = h1 = h
+            tasks.append((True, key, level, flip))
+            tasks.append((False, f1, g1, h1))
+            tasks.append((False, f0, g0, h0))
+        return values[-1]
 
     # ------------------------------------------------------------------
     # Public Boolean algebra (used by Function operators)
@@ -389,7 +489,7 @@ class BddManager:
     def apply_not(self, f: Function) -> Function:
         """Complement of ``f``."""
         self._maybe_gc()
-        return Function(self, self._not(self._check(f)))
+        return Function(self, self._check(f) ^ 1)
 
     def apply_and(self, f: Function, g: Function) -> Function:
         """Conjunction of ``f`` and ``g``."""
@@ -409,13 +509,13 @@ class BddManager:
         """Exclusive-or of ``f`` and ``g``."""
         self._maybe_gc()
         gn = self._check(g)
-        return Function(self, self._ite(self._check(f), self._not(gn), gn))
+        return Function(self, self._ite(self._check(f), gn ^ 1, gn))
 
     def apply_xnor(self, f: Function, g: Function) -> Function:
         """Equivalence (complement of xor)."""
         self._maybe_gc()
         gn = self._check(g)
-        return Function(self, self._ite(self._check(f), gn, self._not(gn)))
+        return Function(self, self._ite(self._check(f), gn, gn ^ 1))
 
     def apply_implies(self, f: Function, g: Function) -> Function:
         """Implication ``f -> g``."""
@@ -715,7 +815,7 @@ class BddManager:
             u = stack.pop()
             if self._is_const(u):
                 continue
-            idx = self._ref_index(u)
+            idx = u >> 1
             if idx in seen:
                 continue
             seen.add(idx)
@@ -857,10 +957,9 @@ class BddManager:
     def node_count(self, f: Function) -> int:
         """Number of structural nodes in ``f``'s DAG (terminals included).
 
-        With complement edges (the array kernel) a function and its
-        complement share every node and there is a single terminal, so
-        counts are smaller than the object kernel's for the same
-        function; within one kernel the count is the usual BDD size.
+        With complement edges a function and its complement share
+        every node and there is a single terminal, so a count is
+        smaller than the same function's two-terminal BDD size.
         """
         return self.dag_size([Function(self, self._check(f))])
 
@@ -875,7 +974,7 @@ class BddManager:
         stack = [self._check(f) for f in functions]
         while stack:
             u = stack.pop()
-            idx = self._ref_index(u)
+            idx = u >> 1
             if idx in seen:
                 continue
             seen.add(idx)
@@ -887,8 +986,74 @@ class BddManager:
         return len(seen)
 
     # ------------------------------------------------------------------
-    # Maintenance: GC trigger and dynamic sifting hooks
+    # Maintenance: cache hygiene, garbage collection, dynamic sifting
     # ------------------------------------------------------------------
+    def clear_caches(self) -> None:
+        """Drop the operation cache (keeps the node table and variables)."""
+        self._ite_cache.clear()
+
+    def collect_garbage(self) -> int:
+        """Mark-and-sweep dead nodes; returns how many were reclaimed.
+
+        Marking works on structural *indices* (a node is live if either
+        phase of it is reachable).  Survivors are compacted to the front
+        of the columns — children always precede parents, so a single
+        ascending pass remaps consistently — live handles and variable
+        refs are re-tagged onto their new indices, and the operation
+        cache is flushed (its packed keys name old indices).
+        """
+        stats = self.stats  # property access refreshes peak_nodes
+        var_col, lo_col, hi_col = self._var_col, self._lo_col, self._hi_col
+        size = len(var_col)
+        marks = bytearray(size)
+        marks[0] = 1
+        live_handles: list[Function] = []
+        roots: list[int] = [node >> 1 for node in self._var_node.values()]
+        for ref in self._handles:
+            handle = ref()
+            if handle is not None:
+                live_handles.append(handle)
+                roots.append(handle.node >> 1)
+        stack = roots
+        while stack:
+            idx = stack.pop()
+            if marks[idx]:
+                continue
+            marks[idx] = 1
+            stack.append(lo_col[idx] >> 1)
+            stack.append(hi_col[idx] >> 1)
+        remap = [0] * size
+        new_var = array("q")
+        new_lo = array("q")
+        new_hi = array("q")
+        for old in range(size):
+            if not marks[old]:
+                continue
+            remap[old] = len(new_var)
+            new_var.append(var_col[old])
+            lo, hi = lo_col[old], hi_col[old]
+            new_lo.append((remap[lo >> 1] << 1) | (lo & 1))
+            new_hi.append((remap[hi >> 1] << 1) | (hi & 1))
+        reclaimed = size - len(new_var)
+        self._var_col, self._lo_col, self._hi_col = new_var, new_lo, new_hi
+        self._unique = {
+            ((new_var[n] << _SHIFT) | new_lo[n]) << _SHIFT | new_hi[n]: n
+            for n in range(1, len(new_var))
+        }
+        self._ite_cache.clear()
+        self._var_node = {
+            name: (remap[node >> 1] << 1) | (node & 1)
+            for name, node in self._var_node.items()
+        }
+        for handle in live_handles:
+            handle.node = (remap[handle.node >> 1] << 1) | (handle.node & 1)
+        self._handles = [weakref.ref(handle) for handle in live_handles]
+        self._handle_prune_at = max(1024, 2 * len(self._handles))
+        self._last_gc_size = len(new_var)
+        stats.gc_runs += 1
+        stats.nodes_reclaimed += reclaimed
+        return reclaimed
+
     def _maybe_gc(self) -> None:
         """Run automatic maintenance if the table grew past a threshold.
 
@@ -959,7 +1124,7 @@ class BddManager:
             full_order = list(order) + [
                 name for name in self._level_var if name not in placed
             ]
-            scratch = type(self)(
+            scratch = BddManager(
                 budget=self._budget,
                 deadline=self._deadline,
                 normalize_ite=self._normalize,
@@ -968,7 +1133,11 @@ class BddManager:
             scratch.add_vars(full_order)
             moved = [transfer(h, scratch) for h in handles]
             # Adopt the scratch store and re-point the live handles.
-            self._adopt_store(scratch)
+            self._var_col = scratch._var_col
+            self._lo_col = scratch._lo_col
+            self._hi_col = scratch._hi_col
+            self._unique = scratch._unique
+            self._ite_cache.clear()
             self._var_level = dict(scratch._var_level)
             self._level_var = list(scratch._level_var)
             self._var_node = dict(scratch._var_node)

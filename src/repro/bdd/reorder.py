@@ -38,16 +38,13 @@ def reorder(
     order: Sequence[str],
     budget: Budget | None = None,
     deadline=None,
-    kernel: str | None = None,
 ) -> tuple[BddManager, list[Function]]:
     """Rebuild ``functions`` in a fresh manager using ``order``.
 
     Every support variable must appear in ``order``; extra names are
     declared but harmless.  ``budget``/``deadline`` are installed on
     the new manager, so the rebuild itself is charged and
-    interruptible.  The new manager uses the *source* manager's kernel
-    unless ``kernel`` overrides it — a reorder never silently switches
-    representations.
+    interruptible.
     """
     if not functions:
         raise BddError("nothing to reorder")
@@ -57,9 +54,7 @@ def reorder(
     missing = support - set(order)
     if missing:
         raise BddError(f"order misses variables {sorted(missing)}")
-    if kernel is None:
-        kernel = functions[0].manager.kernel_name
-    manager = BddManager(budget=budget, deadline=deadline, kernel=kernel)
+    manager = BddManager(budget=budget, deadline=deadline)
     manager.add_vars(order)
     return manager, [transfer(f, manager) for f in functions]
 
@@ -69,17 +64,14 @@ def order_size(
     order: Sequence[str],
     budget: Budget | None = None,
     deadline=None,
-    kernel: str | None = None,
 ) -> int:
     """Combined distinct-node count of the set under ``order``.
 
     Counted with :meth:`BddManager.dag_size` in the rebuilt manager, so
-    the number is representation-honest: under the array kernel shared
-    complement nodes count once and there is a single terminal.
+    the number is representation-honest: shared complement nodes count
+    once and there is a single terminal.
     """
-    manager, rebuilt = reorder(
-        functions, order, budget=budget, deadline=deadline, kernel=kernel
-    )
+    manager, rebuilt = reorder(functions, order, budget=budget, deadline=deadline)
     return manager.dag_size(rebuilt)
 
 

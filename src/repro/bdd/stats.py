@@ -8,8 +8,8 @@ integer increments, always on, and surfaced three ways:
 * ``manager.stats`` — live counters of one manager;
 * :attr:`repro.mct.engine.MctResult.bdd_stats` — the merged counters
   of every decision context a τ-sweep used;
-* ``repro-mct analyze --stats`` / ``BENCH_mct.json`` — the operator
-  and benchmark views.
+* ``repro-mct analyze --stats`` and the checkpoint ``bdd_stats``
+  object — the operator and persisted views.
 
 ``merge`` sums counters across managers (peaks are summed too: the
 aggregate is the combined table footprint, which is what a memory
@@ -44,10 +44,6 @@ class BddStats:
     cache_hits: int = 0
     #: Times the bounded ITE cache dropped its least-recently-used half.
     cache_evictions: int = 0
-    #: Times the bounded NOT cache (object kernel only; the array
-    #: kernel's complement edges need no NOT cache) dropped its oldest
-    #: half.
-    not_cache_evictions: int = 0
     #: Completed mark-and-sweep passes.
     gc_runs: int = 0
     #: Dead nodes reclaimed across all GC passes.
@@ -71,7 +67,6 @@ class BddStats:
         self.cache_lookups += other.cache_lookups
         self.cache_hits += other.cache_hits
         self.cache_evictions += other.cache_evictions
-        self.not_cache_evictions += other.not_cache_evictions
         self.gc_runs += other.gc_runs
         self.nodes_reclaimed += other.nodes_reclaimed
         self.sift_runs += other.sift_runs
@@ -90,7 +85,7 @@ class BddStats:
         return cls(**{k: int(v) for k, v in data.items() if k in fields})
 
     def as_dict(self) -> dict:
-        """JSON-ready view (the ``BENCH_mct.json`` ``bdd`` object)."""
+        """JSON-ready view (checkpoints, worker snapshots, table rows)."""
         return {
             "nodes_created": self.nodes_created,
             "peak_nodes": self.peak_nodes,
@@ -99,7 +94,6 @@ class BddStats:
             "cache_hits": self.cache_hits,
             "cache_hit_rate": round(self.cache_hit_rate, 6),
             "cache_evictions": self.cache_evictions,
-            "not_cache_evictions": self.not_cache_evictions,
             "gc_runs": self.gc_runs,
             "nodes_reclaimed": self.nodes_reclaimed,
             "sift_runs": self.sift_runs,

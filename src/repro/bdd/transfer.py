@@ -25,13 +25,11 @@ def transfer(
     structured BDDs do not hit the recursion limit.  Note that the
     *order* of variables in ``target`` may differ from the source
     manager; the rebuild goes through ``ite`` and stays canonical.
-    Source and target may use different kernels — the walk reads
-    semantic cofactors, so it is also the array/object bridge.
     """
     source = f.manager
     rename = dict(rename or {})
-    # Keys are source *references*: under a complement-edge kernel a
-    # node's two phases are distinct functions and memoize separately.
+    # Keys are source *references*: with complement edges a node's two
+    # phases are distinct functions and memoize separately.
     cache: dict[int, Function] = {
         source._false_ref: target.false,
         source._true_ref: target.true,

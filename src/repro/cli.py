@@ -269,7 +269,6 @@ def cmd_analyze(args) -> int:
             ),
             heartbeat_interval=args.heartbeat_interval,
             heartbeat_timeout=args.heartbeat_timeout,
-            bdd_kernel=args.bdd_kernel,
             bdd_sift_threshold=args.bdd_sift_threshold,
             exact_feasibility=args.exact,
             max_exact_paths=args.max_exact_paths,
@@ -800,11 +799,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reachability", action="store_true",
                    help="use reachable-state don't cares in the decision")
     p.add_argument("--budget", type=int, default=None, help="work budget")
-    p.add_argument("--bdd-kernel", choices=("array", "object"), default="array",
-                   help="BDD node-store kernel: 'array' (flat columns + "
-                        "complement edges, default) or 'object' (the "
-                        "historical store, kept as a cross-check oracle); "
-                        "both produce identical results")
     p.add_argument("--bdd-sift-threshold", type=int, default=None, metavar="N",
                    help="re-sift BDD variable orders dynamically once a "
                         "manager grows by N nodes (default: off)")

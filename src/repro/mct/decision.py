@@ -88,7 +88,6 @@ class DecisionContext:
         budget: Budget | None = None,
         max_failing_options: int = 256,
         deadline=None,
-        kernel: str | None = None,
         sift_threshold: int | None = None,
     ):
         self.machine = machine
@@ -97,7 +96,6 @@ class DecisionContext:
         self.manager = BddManager(
             budget=budget,
             deadline=deadline,
-            kernel=kernel,
             sift_threshold=sift_threshold,
         )
         self.expander = TimedExpander(

@@ -119,13 +119,6 @@ class MctOptions:
     #: part of the checkpoint fingerprint.
     heartbeat_interval: float = 0.5
     heartbeat_timeout: float = 2.5
-    #: BDD node-store kernel used by every decision context: ``"array"``
-    #: (flat columns + complement edges, the default) or ``"object"``
-    #: (the historical store, kept as a cross-check oracle).  Both
-    #: kernels are exact and produce identical sweeps, so this is a
-    #: representation knob like ``jobs``: not part of the checkpoint
-    #: fingerprint.
-    bdd_kernel: str = "array"
     #: Arm the BDD manager's dynamic sifting: re-sift the live functions
     #: once the node table grows by this many nodes (None = off, the
     #: default — sifting changes variable levels mid-sweep, which is
@@ -141,11 +134,6 @@ class MctOptions:
         if self.heartbeat_timeout < self.heartbeat_interval:
             raise OptionsError(
                 "heartbeat_timeout must be at least the heartbeat interval"
-            )
-        if self.bdd_kernel not in ("array", "object"):
-            raise OptionsError(
-                f"unknown bdd_kernel {self.bdd_kernel!r}; "
-                "choose 'array' or 'object'"
             )
         if self.bdd_sift_threshold is not None and self.bdd_sift_threshold < 1:
             raise OptionsError("bdd_sift_threshold must be positive or None")
@@ -735,7 +723,6 @@ class _Sweep:
                 budget=budget,
                 max_failing_options=self.options.max_failing_options,
                 deadline=self.deadline,
-                kernel=self.options.bdd_kernel,
                 sift_threshold=self.options.bdd_sift_threshold,
             )
             self.contexts[idx] = context

@@ -8,8 +8,8 @@ same three ways as :class:`repro.bdd.BddStats`:
 * ``oracle.stats`` — live counters of one oracle;
 * :attr:`repro.mct.engine.MctResult.lp_stats` — the merged counters of
   every decision context a τ-sweep used;
-* ``repro-mct analyze --stats`` / ``BENCH_mct.json`` — the operator
-  and benchmark views.
+* ``repro-mct analyze --stats`` and the checkpoint ``lp_stats`` object
+  — the operator and persisted views.
 
 The accounting identity enforced by the branch-and-bound loop is
 
@@ -17,8 +17,9 @@ The accounting identity enforced by the branch-and-bound loop is
 
 for every ``sup_tau_options`` call: each enumerated σ is solved,
 skipped by the interval prescreen, or pruned by the descending-order
-bound — never double-counted, never dropped.  The bench gate in
-``benchmarks/test_perf_baseline.py`` leans on exactly this.
+bound — never double-counted, never dropped.
+``tests/test_lp_branch_bound.py`` checks it on every call shape,
+including the 512- and 1024-combination ``interval_bank`` sweeps.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class LpStats:
         return cls(**kwargs)
 
     def as_dict(self) -> dict:
-        """JSON-ready view (the ``BENCH_mct.json`` ``lp`` object)."""
+        """JSON-ready view (checkpoints and worker snapshots)."""
         return {
             "solves": self.solves,
             "prescreen_skips": self.prescreen_skips,

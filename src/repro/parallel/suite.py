@@ -16,8 +16,8 @@ table.
 
 Per-worker telemetry comes back as :class:`WorkerStats`: task count,
 wall-clock spent, the merged BDD counters of that worker's rows, plus
-the supervision counters (retries charged, quarantined rows) — the
-``workers`` array of ``BENCH_mct.json`` schema 2.
+the supervision counters (retries charged, quarantined rows), returned
+beside the rows by :func:`run_suite_sharded`.
 """
 
 from __future__ import annotations

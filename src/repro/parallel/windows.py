@@ -109,7 +109,6 @@ def build_decider_state(circuit, delays, config) -> dict:
             budget=budget,
             max_failing_options=options.max_failing_options,
             deadline=deadline,
-            kernel=options.bdd_kernel,
             sift_threshold=options.bdd_sift_threshold,
         )
     except ResourceBudgetExceeded as exc:

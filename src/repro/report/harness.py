@@ -56,8 +56,8 @@ class TableRow:
     paper: dict | None = None  # the original row's published numbers
     mct_rung: str = "exact"  # degradation-ladder rung of the MCT bound
     #: BDD-engine counters of the MCT sweep (``BddStats.as_dict()``);
-    #: not rendered in the paper table, but carried for perf tooling
-    #: (``BENCH_mct.json``) and ``--stats`` output.
+    #: not rendered in the paper table, but carried for the golden
+    #: ``bdd_counters.txt`` and the sharded harness's per-worker totals.
     bdd_stats: dict | None = None
 
     def cells(self, with_cpu: bool = True) -> list[str]:

@@ -104,7 +104,6 @@ _OPTION_FIELDS = {
     "time_limit": float,
     "tau_floor": as_fraction,
     "degrade": bool,
-    "bdd_kernel": str,
     "bdd_sift_threshold": int,
 }
 

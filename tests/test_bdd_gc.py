@@ -8,7 +8,8 @@ Three concerns of the iterative BDD core:
 * **identity** — ITE normalization and the iterative rewrite are pure
   cache/scheduling changes: results must stay node-identical to the
   naive semantics (checked against brute-force evaluation and against
-  an unnormalized manager);
+  an unnormalized manager), while normalization raises the Example 2
+  sweep's cache hit rate;
 * **preservation** — mark-and-sweep GC may only delete dead nodes:
   every live handle must represent exactly the same function
   afterwards, and canonicity (same function ⇒ same node) must survive
@@ -19,16 +20,24 @@ from __future__ import annotations
 
 import itertools
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bdd import BddManager, set_default_ite_normalization
+from repro.bdd import BddManager
+from repro.benchgen import paper_example2
+from repro.mct import minimum_cycle_time
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
 
 VARS = ["a", "b", "c", "d", "e"]
+
+#: One node store with its terminal count (complement edges: both
+#: constants share one terminal); the single parameter keeps the tests'
+#: ``[array-1]`` ids stable.
+NODE_STORE = pytest.mark.parametrize("store,terminals", [("array", 1)])
 
 
 # ----------------------------------------------------------------------
@@ -121,9 +130,9 @@ class TestDeepChains:
         # effect; importing the package must not touch it anymore.
         assert sys.getrecursionlimit() < 20_000
 
-    @pytest.mark.parametrize("kernel,terminals", [("array", 1), ("object", 2)])
-    def test_deep_chain_conjunction_builds(self, kernel, terminals):
-        mgr = BddManager(kernel=kernel)
+    @NODE_STORE
+    def test_deep_chain_conjunction_builds(self, store, terminals):
+        mgr = BddManager()
         names = [f"v{i}" for i in range(self.DEPTH)]
         mgr.add_vars(names)
         # Build bottom-up: each step ANDs a variable *above* the
@@ -134,7 +143,7 @@ class TestDeepChains:
         assert f.node_count() == self.DEPTH + terminals
 
         # Full-depth traversals over the 25k-level chain.
-        g = ~f  # a DAG copy on the object kernel, one XOR on array
+        g = ~f  # one XOR: a function shares every node with its complement
         assert g.node_count() == self.DEPTH + terminals
         assert (~g) == f
 
@@ -152,9 +161,9 @@ class TestDeepChains:
         assert ex.node_count() == self.DEPTH - 1 + terminals
         assert f.sat_count(nvars=self.DEPTH) == 1
 
-    @pytest.mark.parametrize("kernel,terminals", [("array", 1), ("object", 2)])
-    def test_deep_chain_survives_gc(self, kernel, terminals):
-        mgr = BddManager(kernel=kernel)
+    @NODE_STORE
+    def test_deep_chain_survives_gc(self, store, terminals):
+        mgr = BddManager()
         names = [f"v{i}" for i in range(self.DEPTH)]
         mgr.add_vars(names)
         f = mgr.true
@@ -204,14 +213,26 @@ class TestIterativeIdentity:
         mgr.add_vars(VARS)
         assert build_bdd(mgr, ast) == build_bdd(mgr, ast)
 
-    def test_default_normalization_toggle(self):
-        previous = set_default_ite_normalization(False)
-        try:
-            assert BddManager()._normalize is False
-            assert BddManager(normalize_ite=True)._normalize is True
-        finally:
-            set_default_ite_normalization(previous)
-        assert BddManager()._normalize is previous
+    def test_normalization_ablation_on_example2(self, monkeypatch):
+        """The paper's Example 2 sweep, ITE normalization off then on.
+
+        The sweep builds its managers internally, so the test flips the
+        module default.  Normalization must raise the cache hit rate and
+        cost no extra ITE work, and both runs report the published
+        bound 5/2.
+        """
+        import repro.bdd.manager as manager_module
+
+        circuit, delays = paper_example2()
+        monkeypatch.setattr(manager_module, "_DEFAULT_NORMALIZE", False)
+        plain = minimum_cycle_time(circuit, delays)
+        monkeypatch.setattr(manager_module, "_DEFAULT_NORMALIZE", True)
+        normalized = minimum_cycle_time(circuit, delays)
+        assert plain.mct_upper_bound == normalized.mct_upper_bound == Fraction(5, 2)
+        off, on = plain.bdd_stats, normalized.bdd_stats
+        assert off.cache_lookups > 0
+        assert on.cache_hit_rate > off.cache_hit_rate
+        assert on.ite_calls <= off.ite_calls
 
 
 # ----------------------------------------------------------------------
@@ -267,9 +288,9 @@ class TestGarbageCollection:
         assert stats.gc_runs == 1
         assert stats.nodes_reclaimed == reclaimed
 
-    @pytest.mark.parametrize("kernel,terminals", [("array", 1), ("object", 2)])
-    def test_variables_survive_without_handles(self, kernel, terminals):
-        mgr = BddManager(kernel=kernel)
+    @NODE_STORE
+    def test_variables_survive_without_handles(self, store, terminals):
+        mgr = BddManager()
         mgr.add_vars(["a", "b"])
         mgr.collect_garbage()
         # Variable nodes are roots even with no live Function handles.

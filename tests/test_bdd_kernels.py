@@ -1,83 +1,28 @@
-"""Differential tests: array/complement-edge kernel vs object kernel.
+"""Node-store invariants: complement edges, ITE cache recency, sifting.
 
-The array kernel (flat integer columns, complement edges, packed int
-cache keys) must be observationally identical to the historical
-object kernel behind the :class:`~repro.bdd.Function` API: same truth
-tables, same ``sat_count``, same sweep bounds and candidate verdicts.
-These tests pin that equivalence on random formula DAGs (hypothesis)
-and on the paper's Example 2 plus a benchgen suite circuit, in serial
-and on the process pool.  The cache-discipline regressions for the
-NOT cache bound and the recency-aware ITE eviction live here too.
+The manager stores nodes in flat integer columns with complement
+edges.  These tests pin what that representation promises behind the
+:class:`~repro.bdd.Function` API — negation is a tag flip that shares
+every node, stored high edges are regular — plus the recency-aware
+eviction of the bounded ITE cache and a sweep whose bound survives
+forced mid-sweep sifting.  The truth-table oracle for the algebra
+itself lives in ``tests/test_bdd_properties.py``.
 """
 
-from fractions import Fraction
-
 import pytest
-from hypothesis import given, settings
 
-from repro.bdd import BddManager, transfer
-from repro.benchgen import build_case, paper_example2, suite_cases
+from repro.bdd import BddManager
+from repro.benchgen import paper_example2
 from repro.mct import MctOptions, minimum_cycle_time
 
-from tests.test_bdd_properties import (
-    VARS,
-    all_envs,
-    build_bdd,
-    eval_ast,
-    exprs,
-)
-
-
-def both_kernels(ast):
-    """Build the same AST in a fresh manager of each kernel."""
-    pairs = []
-    for kernel in ("array", "object"):
-        mgr = BddManager(kernel=kernel)
-        for name in VARS:
-            mgr.var(name)
-        pairs.append((mgr, build_bdd(mgr, ast)))
-    return pairs
-
-
-class TestDifferentialSemantics:
-    """Random formula DAGs evaluate identically under both kernels."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(ast=exprs())
-    def test_truth_tables_and_counts_match(self, ast):
-        (amgr, af), (omgr, of) = both_kernels(ast)
-        for env in all_envs():
-            expected = eval_ast(ast, env)
-            assert amgr.evaluate(af, env) == expected
-            assert omgr.evaluate(of, env) == expected
-        assert amgr.sat_count(af) == omgr.sat_count(of)
-        assert sorted(amgr.support(af)) == sorted(omgr.support(of))
-        assert af.is_zero() == of.is_zero()
-        assert af.is_one() == of.is_one()
-
-    @settings(max_examples=30, deadline=None)
-    @given(ast=exprs())
-    def test_cross_kernel_transfer_round_trip(self, ast):
-        (amgr, af), (omgr, of) = both_kernels(ast)
-        # Array -> object lands on the node the object kernel built
-        # itself (canonicity), and back again.
-        assert transfer(af, omgr).node == of.node
-        assert transfer(of, amgr).node == af.node
-
-    @settings(max_examples=30, deadline=None)
-    @given(ast=exprs())
-    def test_sat_iter_enumerations_agree(self, ast):
-        (amgr, af), (omgr, of) = both_kernels(ast)
-        a_sats = sorted(tuple(sorted(s.items())) for s in amgr.sat_iter(af))
-        o_sats = sorted(tuple(sorted(s.items())) for s in omgr.sat_iter(of))
-        assert a_sats == o_sats
+from tests.test_bdd_properties import VARS
 
 
 class TestComplementEdges:
-    """Negation is free and shares structure in the array kernel."""
+    """Negation is free and shares structure."""
 
     def test_not_is_tag_flip(self):
-        mgr = BddManager(kernel="array")
+        mgr = BddManager()
         a, b, c = mgr.var("a"), mgr.var("b"), mgr.var("c")
         f = (a & b) | c
         g = ~f
@@ -85,7 +30,7 @@ class TestComplementEdges:
         assert (~g).node == f.node
 
     def test_negation_allocates_no_nodes(self):
-        mgr = BddManager(kernel="array")
+        mgr = BddManager()
         f = (mgr.var("a") & mgr.var("b")) ^ mgr.var("c")
         before = len(mgr)
         g = ~f
@@ -93,12 +38,12 @@ class TestComplementEdges:
         assert mgr.dag_size([g]) == mgr.dag_size([f])
 
     def test_constants_are_complements(self):
-        mgr = BddManager(kernel="array")
+        mgr = BddManager()
         assert mgr.true.node == mgr.false.node ^ 1
 
     def test_high_edges_are_regular(self):
         """Canonical form: no stored node has a complemented high edge."""
-        mgr = BddManager(kernel="array")
+        mgr = BddManager()
         for name in VARS:
             mgr.var(name)
         f = (mgr.var("a") ^ mgr.var("b")) | (~mgr.var("c") & mgr.var("d"))
@@ -107,43 +52,17 @@ class TestComplementEdges:
         assert all(hi & 1 == 0 for hi in mgr._hi_col[1:])
 
 
-class TestNotCacheBound:
-    """The object kernel's NOT cache honours ``max_cache_size``."""
-
-    def test_not_cache_is_bounded_and_counts_evictions(self):
-        mgr = BddManager(kernel="object", max_cache_size=16)
-        names = [f"x{i}" for i in range(40)]
-        for name in names:
-            mgr.var(name)
-        f = mgr.false
-        for name in reversed(names):
-            f = mgr.var(name) | f
-            ~f  # populate the NOT cache (bidirectional entries)
-        # Entry-point eviction keeps the cache near the cap: one
-        # traversal can legitimately add many entries, but each new
-        # top-level NOT call trims back below max_cache_size first.
-        assert mgr.stats.not_cache_evictions > 0
-        assert len(mgr._not_cache) <= 16 + 2 * len(names)
-
-    def test_eviction_does_not_change_results(self):
-        def truth_table(mgr):
-            for name in VARS:
-                mgr.var(name)
-            f = (mgr.var("a") & mgr.var("b")) | (mgr.var("c") ^ mgr.var("d"))
-            g = ~f | mgr.var("e")
-            return [mgr.evaluate(~g, env) for env in all_envs()]
-
-        bounded = truth_table(BddManager(kernel="object", max_cache_size=8))
-        unbounded = truth_table(BddManager(kernel="object"))
-        assert bounded == unbounded
+#: One node store; the single parameter keeps the tests' ``[array]`` ids
+#: stable.
+NODE_STORE = pytest.mark.parametrize("store", ["array"])
 
 
 class TestIteCacheRecency:
     """ITE cache eviction is LRU: hits refresh an entry's position."""
 
-    @pytest.mark.parametrize("kernel", ["array", "object"])
-    def test_hit_moves_entry_to_end(self, kernel):
-        mgr = BddManager(kernel=kernel)
+    @NODE_STORE
+    def test_hit_moves_entry_to_end(self, store):
+        mgr = BddManager()
         a, b, c, d = (mgr.var(n) for n in "abcd")
         (a & b)  # seed one cacheable triple
         first = next(iter(mgr._ite_cache))
@@ -153,8 +72,8 @@ class TestIteCacheRecency:
         assert list(mgr._ite_cache)[-1] == first
         assert next(iter(mgr._ite_cache)) != first
 
-    @pytest.mark.parametrize("kernel", ["array", "object"])
-    def test_repeated_workload_hit_rate(self, kernel):
+    @NODE_STORE
+    def test_repeated_workload_hit_rate(self, store):
         """A hot working set survives eviction pressure under LRU.
 
         The workload re-runs one fixed conjunction trace between
@@ -164,7 +83,7 @@ class TestIteCacheRecency:
         the previous insertion-ordered eviction the warm-up-era hot
         entries sat in the oldest half and were flushed every burst.
         """
-        mgr = BddManager(kernel=kernel, max_cache_size=64)
+        mgr = BddManager(max_cache_size=64)
         hot = [mgr.var(f"h{i}") for i in range(6)]
         cold = [mgr.var(f"c{i}") for i in range(24)]
 
@@ -195,107 +114,21 @@ def _candidate_keys(result):
     """Verdict identity of a sweep, stripped of measurements.
 
     ``elapsed_seconds``/``ite_calls``/``attempts`` are measurements of
-    *how* a window was decided and legitimately differ across kernels
-    and worker placements; everything else must be byte-identical.
+    *how* a window was decided; everything else must be identical.
     """
     return [(c.tau, c.status, c.m, c.rung) for c in result.candidates]
 
 
-def _sweep(circuit, delays, kernel, *, jobs=1, **extra):
-    options = MctOptions(bdd_kernel=kernel, **extra)
-    return minimum_cycle_time(circuit, delays, options, jobs=jobs)
-
-
 class TestSweepIdentity:
-    """Both kernels produce byte-identical analysis verdicts."""
-
-    def test_example2_serial(self):
-        circuit, delays = paper_example2()
-        array = _sweep(circuit, delays, "array")
-        obj = _sweep(circuit, delays, "object")
-        assert array.mct_upper_bound == obj.mct_upper_bound == Fraction(5, 2)
-        assert array.failing_window == obj.failing_window
-        assert array.failing_roots == obj.failing_roots
-        assert array.L == obj.L
-        assert _candidate_keys(array) == _candidate_keys(obj)
-
-    def test_example2_parallel_pool(self):
-        circuit, delays = paper_example2()
-        serial = _sweep(circuit, delays, "array")
-        for kernel in ("array", "object"):
-            pooled = _sweep(circuit, delays, kernel, jobs=2)
-            assert pooled.mct_upper_bound == serial.mct_upper_bound
-            assert pooled.failing_window == serial.failing_window
-            assert _candidate_keys(pooled) == _candidate_keys(serial)
-
-    def test_example2_cluster(self):
-        """Both kernels land on the serial verdicts over a loopback
-        cluster (the ``--workers`` path: state pickled to socket
-        workers, results merged by the lease scheduler)."""
-        from tests.test_cluster import CLUSTER_OPTS, fleet
-
-        circuit, delays = paper_example2()
-        serial = _sweep(circuit, delays, "array")
-        for kernel in ("array", "object"):
-            from repro.parallel import WorkerServer
-
-            with fleet(WorkerServer(), WorkerServer()) as transport:
-                clustered = minimum_cycle_time(
-                    circuit,
-                    delays,
-                    MctOptions(bdd_kernel=kernel, **CLUSTER_OPTS),
-                    transport=transport,
-                )
-            assert clustered.mct_upper_bound == serial.mct_upper_bound
-            assert clustered.failing_window == serial.failing_window
-            assert _candidate_keys(clustered) == _candidate_keys(serial)
-
-    def test_suite_case_bounds_match(self):
-        case = next(c for c in suite_cases() if c.name == "g444")
-        circuit, delays = build_case(case)
-        array = _sweep(circuit, delays, "array")
-        obj = _sweep(circuit, delays, "object")
-        assert array.mct_upper_bound == obj.mct_upper_bound
-        assert array.failing_window == obj.failing_window
-        assert _candidate_keys(array) == _candidate_keys(obj)
-
     def test_sifting_mid_sweep_preserves_bound(self):
         """A tiny sift threshold forces reorders mid-sweep; the bound
         and verdict sequence must not move."""
         circuit, delays = paper_example2()
-        plain = _sweep(circuit, delays, "array")
-        sifted = _sweep(
-            circuit, delays, "array", bdd_sift_threshold=1
+        plain = minimum_cycle_time(circuit, delays)
+        sifted = minimum_cycle_time(
+            circuit, delays, MctOptions(bdd_sift_threshold=1)
         )
         assert sifted.mct_upper_bound == plain.mct_upper_bound
         assert sifted.failing_window == plain.failing_window
         assert _candidate_keys(sifted) == _candidate_keys(plain)
         assert sifted.bdd_stats.sift_runs > 0
-
-
-class TestKernelSelection:
-    def test_default_is_array(self):
-        assert BddManager().kernel_name == "array"
-
-    def test_explicit_object(self):
-        assert BddManager(kernel="object").kernel_name == "object"
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(Exception):
-            BddManager(kernel="quantum")
-
-    def test_options_validate_kernel(self):
-        from repro.errors import OptionsError
-
-        with pytest.raises(OptionsError):
-            MctOptions(bdd_kernel="quantum")
-        with pytest.raises(OptionsError):
-            MctOptions(bdd_sift_threshold=0)
-
-    def test_kernel_not_in_fingerprint(self):
-        """Representation knobs must not split checkpoint identity."""
-        from repro.mct.engine import _fingerprint
-
-        a = _fingerprint(MctOptions(bdd_kernel="array"))
-        b = _fingerprint(MctOptions(bdd_kernel="object"))
-        assert a == b

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.benchgen import paper_example2, random_fsm
+from repro.benchgen import interval_bank, paper_example2, random_fsm
 from repro.errors import AnalysisError, DeadlineExceeded, OptionsError
 from repro.logic import Interval
 from repro.mct.breakpoints import tau_breakpoints
@@ -181,6 +181,28 @@ class TestBranchAndBound:
             oracle.sup_tau_options(options, self.WINDOW, max_combinations=8)
         assert oracle.stats.solves == 0
         assert oracle.stats.prescreen_skips == 0
+
+    @pytest.mark.parametrize(
+        "holds,mix",
+        [(9, ("xor", "and", "or")), (10, ("or", "xor", "and"))],
+        ids=["ivbank9", "ivbank10"],
+    )
+    def test_interval_bank_sweeps_prune_most_combinations(self, holds, mix):
+        """Each ``interval_bank`` sweep funnels one failing option set of
+        ``2**holds`` age combinations (past the default 256 cap) into the
+        exact oracle; a blind loop would solve them all."""
+        circuit, delays = interval_bank(holds, mix=mix, name=f"ivbank{holds}")
+        result = minimum_cycle_time(
+            circuit,
+            delays,
+            MctOptions(exact_feasibility=True, max_exact_combinations=1024),
+        )
+        assert result.failure_found
+        stats = result.lp_stats
+        combos = 2**holds
+        assert stats.solves + stats.prescreen_skips + stats.bound_prunes == combos
+        assert stats.prescreen_skips + stats.bound_prunes > stats.solves
+        assert 2 * stats.solves <= combos
 
     def test_visiting_order_ignores_string_hashing(self):
         """Ties between equal relaxed suprema are broken in a fixed leaf

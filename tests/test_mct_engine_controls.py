@@ -119,6 +119,7 @@ class TestControls:
             {"degraded_max_age": -2},
             {"degradation_ladder": ("warp-speed",)},
             {"degradation_ladder": ("relaxed", "reduced_age")},
+            {"bdd_sift_threshold": 0},
         ],
     )
     def test_out_of_range_sweep_options_rejected(self, kwargs):

@@ -157,7 +157,7 @@ class TestJobSpec:
             {**EXAMPLE2, "delays": {"model": "fanout"}},
             {**EXAMPLE2, "unknown": 1},
             {**EXAMPLE2, "delays": {"widen": "zero/none"}},
-            {**EXAMPLE2, "options": {"bdd_kernel": "quantum"}},
+            {**EXAMPLE2, "options": {"bdd_sift_threshold": 0}},
             {**EXAMPLE2, "options": {"nope": 1}},
             {**EXAMPLE2, "options": {"max_age": "many"}},
         ],
