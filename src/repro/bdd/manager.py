@@ -31,7 +31,7 @@ Representation
 
 The derived algorithms — restrict, compose, quantification,
 ``and_exists``, constrain, SAT queries, transfer, ordering search —
-read nodes only through ``_ref_level`` and ``_ref_cofactors``, which
+walk the DAG through ``_ref_level`` and ``_ref_cofactors``, which
 return *semantic* cofactors with any complement phase already pushed
 down, so they never see a tagged node, only tagged edges.
 
