@@ -29,7 +29,12 @@ from repro.logic.delays import (
     typed_delays,
     unit_delays,
 )
-from repro.errors import AnalysisError, CheckpointError, OptionsError
+from repro.errors import (
+    AnalysisError,
+    CheckpointError,
+    CircuitError,
+    OptionsError,
+)
 from repro.netsec import (
     SECRET_ENV,
     TOKEN_ENV,
@@ -44,7 +49,7 @@ from repro.mct import (
     minimum_cycle_time,
     optimize_skew,
 )
-from repro.parallel import RetryPolicy, SocketTransport
+from repro.parallel import LocalTransport, RetryPolicy, SocketTransport
 from repro.resilience import SweepCheckpoint, inject_faults
 from repro.report import analyze_circuit, render_rows, run_suite
 from repro.report.tables import format_fraction
@@ -121,24 +126,52 @@ def _tls_client_context(cafile, certfile, keyfile, *, flag="--tls"):
     return build_client_context(cafile, certfile, keyfile)
 
 
-def _cluster_transport(args, *, secret=None, cafile=None, certfile=None,
-                       keyfile=None, flag="--tls"):
-    """The :class:`SocketTransport` of ``--workers``, or ``None``.
+def _check_execution_flags(args, task_timeout=None) -> None:
+    """The checks of the execution flags ``analyze``, ``table`` and
+    ``serve`` share; :class:`OptionsError` names the first bad flag."""
+    for flag, value in (
+        ("--jobs", args.jobs),
+        ("--max-retries", args.max_retries),
+    ):
+        if value < 0:
+            raise OptionsError(f"{flag} must be non-negative")
+    if task_timeout is not None and task_timeout <= 0:
+        raise OptionsError("--task-timeout must be positive")
+    if args.heartbeat_interval <= 0:
+        raise OptionsError("--heartbeat-interval must be positive")
+    if args.heartbeat_timeout < args.heartbeat_interval:
+        raise OptionsError(
+            "--heartbeat-timeout must be at least --heartbeat-interval"
+        )
+    if args.connect_timeout <= 0:
+        raise OptionsError("--connect-timeout must be positive")
 
-    ``--workers`` is repeatable and comma-splittable; bad addresses —
-    and bad security flag combinations — raise
-    :class:`~repro.errors.OptionsError` (the caller turns that into
-    the exit-1 message).  ``secret``/TLS material is resolved by the
-    caller because ``serve`` spells the worker-side flags differently
-    (``--worker-tls-*``) from ``analyze``/``table`` (``--tls-*``).
+
+def _transport(args, cafile, certfile, keyfile, *, flag="--tls",
+               task_timeout=None):
+    """Where ``--jobs``/``--workers`` run tasks, or ``None`` (in-process).
+
+    ``--workers`` (repeatable, comma-splittable) wins over ``--jobs``:
+    a :class:`SocketTransport`; otherwise ``--jobs N`` above 1 is a
+    :class:`LocalTransport`.  Either carries the retry policy of
+    ``--max-retries``/``--task-timeout``.  Bad flags, addresses and
+    security flag combinations raise
+    :class:`~repro.errors.OptionsError` (the caller turns that into the
+    exit-1 message).  The TLS material is passed in because ``serve``
+    spells the worker-side flags ``--worker-tls-*``, not ``--tls-*``.
     """
+    _check_execution_flags(args, task_timeout)
+    retry = RetryPolicy(
+        max_retries=args.max_retries, task_timeout=task_timeout
+    )
+    secret = load_secret(args.secret_file, SECRET_ENV)
     specs: list[str] = []
     for entry in args.workers or ():
         specs.extend(part for part in entry.split(",") if part.strip())
     if not specs:
         if cafile is not None or certfile is not None or keyfile is not None:
             raise OptionsError(f"{flag}-* flags need --workers")
-        return None
+        return LocalTransport(args.jobs, retry=retry) if args.jobs > 1 else None
     ssl_context = _tls_client_context(cafile, certfile, keyfile, flag=flag)
     try:
         return SocketTransport(
@@ -146,6 +179,7 @@ def _cluster_transport(args, *, secret=None, cafile=None, certfile=None,
             heartbeat_interval=args.heartbeat_interval,
             heartbeat_timeout=args.heartbeat_timeout,
             connect_timeout=args.connect_timeout,
+            retry=retry,
             secret=secret,
             ssl_context=ssl_context,
         )
@@ -155,11 +189,18 @@ def _cluster_transport(args, *, secret=None, cafile=None, certfile=None,
         raise OptionsError(f"--workers: {exc}") from None
 
 
+class _NetlistError(Exception):
+    """A netlist the CLI cannot load; :func:`main` prints it, exit 1."""
+
+
 def _load(args) -> tuple:
-    if str(args.bench).endswith(".blif"):
-        circuit = parse_blif_file(args.bench)
-    else:
-        circuit = parse_bench_file(args.bench)
+    blif = str(args.bench).endswith(".blif")
+    try:
+        circuit = (parse_blif_file if blif else parse_bench_file)(args.bench)
+        circuit.topological_order()  # a combinational cycle fails here
+    except (OSError, UnicodeDecodeError, CircuitError) as exc:
+        reason = getattr(exc, "strerror", None) or str(exc)
+        raise _NetlistError(f"{args.bench}: {reason}") from None
     delays = _DELAY_MODELS[args.delay_model](circuit)
     if args.widen is not None:
         delays = delays.widen(as_fraction(args.widen))
@@ -186,14 +227,10 @@ def cmd_analyze(args) -> int:
         ("--fail-budget-at", args.fail_budget_at),
         ("--fail-deadline-at", args.fail_deadline_at),
         ("--kill-worker-at", args.kill_worker_at),
-        ("--max-retries", args.max_retries),
     ):
         if value is not None and value < 0:
             print(f"error: {flag} must be non-negative", file=sys.stderr)
             return 1
-    if args.task_timeout is not None and args.task_timeout <= 0:
-        print("error: --task-timeout must be positive", file=sys.stderr)
-        return 1
     for flag, value in (
         ("--max-exact-paths", args.max_exact_paths),
         ("--max-exact-combos", args.max_exact_combos),
@@ -201,26 +238,10 @@ def cmd_analyze(args) -> int:
         if value < 1:
             print(f"error: {flag} must be positive", file=sys.stderr)
             return 1
-    if args.heartbeat_interval <= 0:
-        print("error: --heartbeat-interval must be positive", file=sys.stderr)
-        return 1
-    if args.heartbeat_timeout < args.heartbeat_interval:
-        print(
-            "error: --heartbeat-timeout must be at least "
-            "--heartbeat-interval",
-            file=sys.stderr,
-        )
-        return 1
-    if args.connect_timeout <= 0:
-        print("error: --connect-timeout must be positive", file=sys.stderr)
-        return 1
     try:
-        transport = _cluster_transport(
-            args,
-            secret=load_secret(args.secret_file, SECRET_ENV),
-            cafile=args.tls_ca,
-            certfile=args.tls_cert,
-            keyfile=args.tls_key,
+        transport = _transport(
+            args, args.tls_ca, args.tls_cert, args.tls_key,
+            task_timeout=args.task_timeout,
         )
     except OptionsError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -228,10 +249,6 @@ def cmd_analyze(args) -> int:
     faulted = (
         args.fail_budget_at is not None or args.fail_deadline_at is not None
     )
-    jobs = args.jobs
-    if jobs < 0:
-        print("error: --jobs must be non-negative", file=sys.stderr)
-        return 1
     # Fault hooks are process-global: a pool or cluster worker would
     # never see them, so the injected fault must run in this process.
     # A degradation ladder changes rungs between windows, so the sweep
@@ -243,12 +260,11 @@ def cmd_analyze(args) -> int:
         reason = "fault injection"
     elif args.degrade:
         reason = "the degradation ladder (--degrade)"
-    if (jobs > 1 or transport is not None) and reason is not None:
+    if transport is not None and reason is not None:
         print(
             f"note: {reason} forces a serial sweep; "
             "ignoring --jobs/--workers"
         )
-        jobs = 1
         transport = None
     # The fault flags exercise the resilience path deterministically
     # (used by the CI smoke job); they need a budget/deadline to fail.
@@ -263,12 +279,6 @@ def cmd_analyze(args) -> int:
             work_budget=work_budget,
             time_limit=time_limit,
             degradation_ladder=DEFAULT_LADDER if args.degrade else (),
-            retry_policy=RetryPolicy(
-                max_retries=args.max_retries,
-                task_timeout=args.task_timeout,
-            ),
-            heartbeat_interval=args.heartbeat_interval,
-            heartbeat_timeout=args.heartbeat_timeout,
             bdd_sift_threshold=args.bdd_sift_threshold,
             exact_feasibility=args.exact,
             max_exact_paths=args.max_exact_paths,
@@ -293,7 +303,6 @@ def cmd_analyze(args) -> int:
             delays,
             options,
             resume_from=resume_from,
-            jobs=jobs,
             transport=transport,
         )
 
@@ -386,38 +395,11 @@ def cmd_table(args) -> int:
         if not cases:
             print(f"no suite rows match {args.rows!r}", file=sys.stderr)
             return 1
-    if args.jobs < 0:
-        print("error: --jobs must be non-negative", file=sys.stderr)
-        return 1
-    for flag, value in (
-        ("--kill-worker-at", args.kill_worker_at),
-        ("--max-retries", args.max_retries),
-    ):
-        if value is not None and value < 0:
-            print(f"error: {flag} must be non-negative", file=sys.stderr)
-            return 1
-    if args.heartbeat_interval <= 0:
-        print("error: --heartbeat-interval must be positive", file=sys.stderr)
-        return 1
-    if args.heartbeat_timeout < args.heartbeat_interval:
-        print(
-            "error: --heartbeat-timeout must be at least "
-            "--heartbeat-interval",
-            file=sys.stderr,
-        )
-        return 1
-    if args.connect_timeout <= 0:
-        print("error: --connect-timeout must be positive", file=sys.stderr)
+    if args.kill_worker_at is not None and args.kill_worker_at < 0:
+        print("error: --kill-worker-at must be non-negative", file=sys.stderr)
         return 1
     try:
-        transport = _cluster_transport(
-            args,
-            secret=load_secret(args.secret_file, SECRET_ENV),
-            cafile=args.tls_ca,
-            certfile=args.tls_cert,
-            keyfile=args.tls_key,
-        )
-        retry = RetryPolicy(max_retries=args.max_retries)
+        transport = _transport(args, args.tls_ca, args.tls_cert, args.tls_key)
     except OptionsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -428,8 +410,6 @@ def cmd_table(args) -> int:
             cases,
             include_s27=not args.no_s27,
             widen=widen,
-            jobs=args.jobs,
-            retry=retry,
             transport=transport,
         )
 
@@ -678,34 +658,11 @@ def cmd_serve(args) -> int:
 
     from repro.service import JobManager, MctService, ResultCache
 
-    for flag, value in (
-        ("--max-inflight", args.max_inflight),
-        ("--heartbeat-interval", args.heartbeat_interval),
-    ):
-        if value <= 0:
-            print(f"error: {flag} must be positive", file=sys.stderr)
-            return 1
-    if args.heartbeat_timeout < args.heartbeat_interval:
-        print(
-            "error: --heartbeat-timeout must be at least "
-            "--heartbeat-interval",
-            file=sys.stderr,
-        )
-        return 1
-    if args.jobs < 0:
-        print("error: --jobs must be non-negative", file=sys.stderr)
-        return 1
-    if args.max_retries < 0:
-        print("error: --max-retries must be non-negative", file=sys.stderr)
-        return 1
-    if args.task_timeout is not None and args.task_timeout <= 0:
-        print("error: --task-timeout must be positive", file=sys.stderr)
+    if args.max_inflight <= 0:
+        print("error: --max-inflight must be positive", file=sys.stderr)
         return 1
     if not 0 <= args.port <= 65535:
         print("error: --port must be in [0, 65535]", file=sys.stderr)
-        return 1
-    if args.connect_timeout <= 0:
-        print("error: --connect-timeout must be positive", file=sys.stderr)
         return 1
     if args.job_ttl is not None and args.job_ttl <= 0:
         print("error: --job-ttl must be positive", file=sys.stderr)
@@ -716,9 +673,6 @@ def cmd_serve(args) -> int:
     if args.cache_max_bytes is not None and args.cache_max_bytes < 1:
         print("error: --cache-max-bytes must be positive", file=sys.stderr)
         return 1
-    worker_specs: list[str] = []
-    for entry in args.workers or ():
-        worker_specs.extend(p for p in entry.split(",") if p.strip())
     try:
         auth_token = load_secret(
             args.auth_token_file, TOKEN_ENV, what="token"
@@ -726,25 +680,17 @@ def cmd_serve(args) -> int:
         http_ssl = _tls_server_context(
             args.tls_cert, args.tls_key, args.tls_ca
         )
-        worker_secret = load_secret(args.secret_file, SECRET_ENV)
-        worker_ssl = _tls_client_context(
-            args.worker_tls_ca, args.worker_tls_cert, args.worker_tls_key,
-            flag="--worker-tls",
+        transport = _transport(
+            args, args.worker_tls_ca, args.worker_tls_cert,
+            args.worker_tls_key, flag="--worker-tls",
+            task_timeout=args.task_timeout,
         )
         manager = JobManager(
             cache=ResultCache(
                 args.cache_dir, max_bytes=args.cache_max_bytes
             ),
             max_inflight=args.max_inflight,
-            jobs=args.jobs,
-            worker_specs=tuple(worker_specs),
-            task_timeout=args.task_timeout,
-            max_retries=args.max_retries,
-            heartbeat_interval=args.heartbeat_interval,
-            heartbeat_timeout=args.heartbeat_timeout,
-            connect_timeout=args.connect_timeout,
-            worker_secret=worker_secret,
-            worker_ssl_context=worker_ssl,
+            transport=transport,
             job_ttl=args.job_ttl,
             max_jobs=args.max_jobs,
         )
@@ -997,7 +943,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _NetlistError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -42,7 +42,6 @@ from repro.mct.engine import (
     DegradationStep,
     MctOptions,
     MctResult,
-    RetryPolicy,
     minimum_cycle_time,
     options_fingerprint,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "DegradationStep",
     "MctOptions",
     "MctResult",
-    "RetryPolicy",
     "minimum_cycle_time",
     "options_fingerprint",
     "SkewResult",

@@ -54,7 +54,7 @@ from repro.mct.decision import DecisionContext
 from repro.mct.discretize import DiscretizedMachine, build_discretized_machine
 from repro.mct.feasibility import sigma_sup_tau
 from repro.mct.lp_stats import LpStats
-from repro.parallel.supervise import Quarantined, RetryPolicy, SupervisionStats
+from repro.parallel.supervise import Quarantined, SupervisionStats
 from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.deadline import Deadline
 
@@ -108,17 +108,6 @@ class MctOptions:
     degradation_ladder: tuple[str, ...] = ()
     #: The age cap applied by the "reduced-age" rung.
     degraded_max_age: int = 4
-    #: Supervision policy of the parallel pools (``jobs > 1``): per-task
-    #: attempt budget, wall timeout, and backoff schedule.  A resource
-    #: knob like ``work_budget``: not part of the checkpoint fingerprint.
-    retry_policy: RetryPolicy = RetryPolicy()
-    #: Cluster liveness cadence (socket transports only): the
-    #: coordinator pings every worker each ``heartbeat_interval``
-    #: seconds and declares one dead after ``heartbeat_timeout``
-    #: seconds of silence.  Execution knobs like ``retry_policy``: not
-    #: part of the checkpoint fingerprint.
-    heartbeat_interval: float = 0.5
-    heartbeat_timeout: float = 2.5
     #: Arm the BDD manager's dynamic sifting: re-sift the live functions
     #: once the node table grows by this many nodes (None = off, the
     #: default — sifting changes variable levels mid-sweep, which is
@@ -126,15 +115,9 @@ class MctOptions:
     bdd_sift_threshold: int | None = None
 
     def __post_init__(self):
-        # Validate execution knobs at construction time so a bad value
-        # fails with a clean OptionsError (CLI exit 1) here, not as a
-        # traceback from deep inside a pool or a cluster session.
-        if self.heartbeat_interval <= 0:
-            raise OptionsError("heartbeat_interval must be positive")
-        if self.heartbeat_timeout < self.heartbeat_interval:
-            raise OptionsError(
-                "heartbeat_timeout must be at least the heartbeat interval"
-            )
+        # Validate at construction time so a bad value fails with a
+        # clean OptionsError (CLI exit 1) here, not as a traceback from
+        # deep inside a sweep or a worker.
         if self.bdd_sift_threshold is not None and self.bdd_sift_threshold < 1:
             raise OptionsError("bdd_sift_threshold must be positive or None")
         if self.max_exact_paths < 1:
@@ -302,13 +285,15 @@ def minimum_cycle_time(
     ``degradation_ladder`` changes rungs between windows, so a ladder
     sweep always decides in this process.
 
-    ``transport`` swaps where those windows are decided: a
-    :class:`~repro.parallel.Transport` whose session decides them — the
-    local pool of ``jobs=N`` (:class:`~repro.parallel.LocalTransport`)
-    or remote socket workers (:class:`~repro.parallel.SocketTransport`).
-    Transport identity is an execution detail like ``jobs``: excluded
-    from the checkpoint fingerprint, so checkpoints move freely between
-    in-process, pooled, and clustered runs.
+    ``transport`` swaps where those windows are decided, and how: a
+    :class:`~repro.parallel.Transport` whose session decides them — a
+    local pool (``jobs=N`` is ``LocalTransport(N)`` with the default
+    :class:`~repro.parallel.RetryPolicy`) or remote socket workers
+    (:class:`~repro.parallel.SocketTransport`).  The transport carries
+    the retry policy and heartbeat cadence; like ``jobs`` it is an
+    execution detail, excluded from the checkpoint fingerprint, so
+    checkpoints move freely between in-process, pooled, and clustered
+    runs.
 
     ``progress`` is an optional callable invoked with each
     :class:`CandidateRecord` as it commits (wherever it was decided;
@@ -369,11 +354,11 @@ def _fingerprint(options: MctOptions) -> dict:
 
     ``work_budget`` and ``time_limit`` are deliberately absent: they
     describe *resources*, not the analysis, and resuming with more of
-    either is the normal use.  Execution-side options are excluded for
-    the same reason — ``retry_policy``, the heartbeat knobs, ``jobs``,
-    and the transport identity (local pool vs. socket cluster) never
-    enter the fingerprint, so a checkpoint written by
-    any execution configuration resumes under any other.  The exact-LP
+    either is the normal use.  Execution settings are not options at
+    all: ``jobs`` and the transport (local pool vs. socket cluster,
+    with its retry policy and heartbeat cadence) never enter the
+    fingerprint, so a checkpoint written by any execution
+    configuration resumes under any other.  The exact-LP
     caps (``max_exact_paths`` / ``max_exact_combinations``) are also
     resource ceilings, not analysis choices, and stay out for the same
     reason the work budget does.
@@ -776,7 +761,7 @@ class _Sweep:
                         break
                     handle = None
                     if event[0] == "decide" and session is not None:
-                        handle = session.submit(event[3], event[2])
+                        handle = session.submit((event[3], event[2]))
                         in_flight += 1
                     pending.append((event, handle))
                 event, handle = pending.popleft()

@@ -1,29 +1,29 @@
-"""Multi-process parallelism for the τ-sweep and the report harness.
+"""Multi-process execution for the τ-sweep and the report harness.
 
-Two independent levers, both behind ``--jobs N``:
+The engine's sweep decides each breakpoint window on its own, and each
+row of the suite table is an independent analysis, so both are pure
+tasks.  One executor contract runs them (:mod:`repro.parallel.transport`):
+a :class:`Transport` says where and how tasks run, and opens one
+session per sweep or table.
 
-* :mod:`repro.parallel.suite` shards the report harness across a
-  process pool — one circuit per task, one BDD manager per worker —
-  and returns the rows in the serial order plus per-worker telemetry
-  (:class:`WorkerStats`).
-* :mod:`repro.parallel.windows` decides the next ``N`` breakpoint
-  windows of a *single* sweep speculatively.  The engine's one sweep
-  loop (:meth:`repro.mct.engine._Sweep.run`) submits them, commits
-  verdicts strictly in breakpoint order and discards speculation past
-  the first failing window, so the bound, candidate sequence, and
-  checkpoint are identical to those of a sweep that decides every
-  window in its own process.
+* :class:`LocalTransport` — a supervised process pool on this host
+  (``jobs=N`` is sugar for ``LocalTransport(N)``);
+* :class:`SocketTransport` (:mod:`repro.parallel.cluster`) — remote
+  ``repro-mct worker`` processes, with heartbeat liveness detection
+  and lease-based work stealing.
 
-Where those windows (or suite rows) actually execute is behind the
-:class:`Transport` abstraction (:mod:`repro.parallel.transport`):
-:class:`LocalTransport` is the supervised process pool on this host
-(``jobs=N`` is sugar for one), and :class:`SocketTransport`
-(:mod:`repro.parallel.cluster`) shards the same tasks across remote
-``repro-mct worker`` processes with heartbeat liveness detection,
-lease-based work stealing, and the same retry → quarantine ladder
-(a quarantined window is decided by the sweep loop in its own
-process), so results stay byte-identical to an in-process sweep no
-matter which subset of hosts survives.
+Each carries its :class:`RetryPolicy` (the socket transport also its
+heartbeat cadence).  Both run the same task kinds from one table:
+``"windows"`` (:mod:`repro.parallel.windows`) decides the next
+breakpoint windows of *one* sweep speculatively — the engine's sweep
+loop (:meth:`repro.mct.engine._Sweep.run`) commits verdicts strictly
+in breakpoint order and discards speculation past the first failing
+window — and ``"suite"`` (:mod:`repro.parallel.suite`) measures one
+table row per task, returned in serial order with per-worker
+:class:`WorkerStats`.  Both run under the same retry → quarantine
+ladder (:mod:`repro.parallel.supervise`): a quarantined task is
+computed by the caller in its own process, so results stay
+byte-identical to an in-process run whichever workers survive.
 
 Resources cross the process boundary explicitly
 (:mod:`repro.parallel.pool`): a :class:`~repro.resilience.Deadline` is
@@ -62,7 +62,6 @@ from repro.parallel.transport import (
     Transport,
     TransportSession,
 )
-from repro.parallel.windows import WindowDecider
 
 __all__ = [
     "AuthenticationError",
@@ -77,7 +76,6 @@ __all__ = [
     "Supervisor",
     "Transport",
     "TransportSession",
-    "WindowDecider",
     "WorkerServer",
     "WorkerStats",
     "deadline_payload",

@@ -1,12 +1,13 @@
-"""Distributed sweep execution: socket workers + a fault-tolerant coordinator.
+"""The socket transport: remote workers + a fault-tolerant coordinator.
 
-``jobs=N`` tops out at one machine; this module lifts the supervised
-planner/decider split across hosts.  A ``repro-mct worker --listen``
-process serves decide tasks over TCP; a :class:`SocketTransport` on
-the coordinator shards one sweep's windows (or one suite's rows)
-across every registered worker.  The design goal is the ROADMAP's
-byte-identical-under-faults contract, so robustness is structural, not
-bolted on:
+A local pool tops out at one machine; :class:`SocketTransport` runs the
+same task kinds across hosts.  A ``repro-mct worker --listen`` process
+(:class:`WorkerServer`) serves tasks over TCP, configuring each
+connection from the kind table the local pool uses
+(:data:`~repro.parallel.transport.HANDLERS`); a :class:`ClusterSession`
+on the coordinator shards one sweep's windows, or one suite's rows,
+across every registered worker.  Answers must stay byte-identical
+under faults, so robustness is structural, not bolted on:
 
 * **length-prefixed JSON frames** carry the protocol; Python objects
   (regimes, verdicts, circuits) travel as base64 pickles inside the
@@ -74,7 +75,7 @@ from repro.parallel.supervise import (
     RetryPolicy,
     SupervisionStats,
 )
-from repro.parallel.transport import Transport, TransportSession
+from repro.parallel.transport import HANDLERS, Transport, TransportSession
 from repro.resilience.faults import heartbeat_drop_limit, host_kill_limit
 
 #: Bump when the wire protocol changes incompatibly.  ``/2`` added the
@@ -178,65 +179,27 @@ def parse_worker_address(
     return host, port
 
 
-# ----------------------------------------------------------------------
-# Task handlers (what a worker can be configured to do)
-# ----------------------------------------------------------------------
-def _windows_init(config: dict) -> dict:
-    """Build a window-decider state from a ``configure`` payload."""
-    from repro.parallel.windows import build_decider_state
+def _configure(kind: str, config: dict) -> dict:
+    """A socket worker session's state for one ``configure`` frame.
 
-    remaining = config.get("deadline_remaining")
-    wire_deadline = (
+    Runs the kind's init from :data:`~repro.parallel.transport.HANDLERS`
+    (the table pool processes use), after two socket-specific steps.
+    Each host has its own CLOCK_MONOTONIC, so the deadline travels as
+    the *remaining* allowance and restarts on this worker's clock (the
+    coordinator still enforces the true deadline on its side).  And the
+    coordinator keeps one telemetry entry per worker label, so the
+    label carries a session nonce: two sessions of one process (a
+    reconnect, an in-process loopback fleet) never share an entry.
+    """
+    remaining = config.pop("deadline_remaining", None)
+    config["deadline"] = (
         None if remaining is None else (max(0.0, remaining), time.monotonic())
     )
-    state = build_decider_state(
-        config["circuit"],
-        config["delays"],
-        {
-            "options": config["options"],
-            "budget_limit": config.get("budget_limit"),
-            # Each host has its own CLOCK_MONOTONIC, so the *remaining*
-            # allowance travels and restarts on the worker's clock; the
-            # coordinator still enforces the true deadline on its side.
-            "deadline": wire_deadline,
-        },
-    )
-    # The coordinator keeps one telemetry snapshot per label; the
-    # session nonce stops two sessions of one process (a reconnect, an
-    # in-process loopback fleet) from overwriting each other's counters.
+    state = HANDLERS[kind][0](config)
     state["label"] = (
         f"{socket.gethostname()}:{os.getpid()}:{os.urandom(4).hex()}"
     )
     return state
-
-
-def _windows_task(state: dict, payload) -> dict:
-    from repro.parallel.windows import decide_in_state
-
-    regime, window = payload
-    return decide_in_state(state, regime, window)
-
-
-def _suite_init(config: dict) -> dict:
-    return {
-        "widen": config.get("widen"),
-        "degrade": bool(config.get("degrade", False)),
-        "label": f"{socket.gethostname()}:{os.getpid()}",
-    }
-
-
-def _suite_task(state: dict, case) -> dict:
-    from repro.parallel.suite import _measure_case
-
-    row, _pid, wall = _measure_case(case, state["widen"], state["degrade"])
-    return {"row": row, "pid": state["label"], "wall": wall}
-
-
-#: kind → (init(config_dict) -> state, task(state, payload) -> dict).
-HANDLERS = {
-    "windows": (_windows_init, _windows_task),
-    "suite": (_suite_init, _suite_task),
-}
 
 
 # ----------------------------------------------------------------------
@@ -507,8 +470,9 @@ class WorkerServer:
                 return
             try:
                 if message["type"] == "configure":
-                    init_fn, task_fn = HANDLERS[message["kind"]]
-                    state = init_fn(_load(message["config"]))
+                    kind = message["kind"]
+                    task_fn = HANDLERS[kind][1]
+                    state = _configure(kind, _load(message["config"]))
                     reply({"type": "configured"})
                     if self.drop_heartbeats_after == 0:
                         # drop=0: deterministically silent from the
@@ -643,14 +607,8 @@ class ClusterSession(TransportSession):
         self._secret = secret
         self._ssl_context = ssl_context
         self.policy = policy or RetryPolicy()
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.heartbeat_timeout = float(heartbeat_timeout)
-        if self.heartbeat_interval <= 0:
-            raise OptionsError("heartbeat_interval must be positive")
-        if self.heartbeat_timeout < self.heartbeat_interval:
-            raise OptionsError(
-                "heartbeat_timeout must be at least the heartbeat interval"
-            )
+        self.heartbeat_interval = heartbeat_interval
+        self.heartbeat_timeout = heartbeat_timeout
         self.deadline = deadline
         self.stats = SupervisionStats()
         self._schedule = BackoffSchedule(self.policy)
@@ -812,9 +770,7 @@ class ClusterSession(TransportSession):
         return [w for w in self._workers if w.alive]
 
     # -- TransportSession interface ------------------------------------
-    def submit(self, *payload):
-        payload = payload[0] if len(payload) == 1 else payload
-        task = None
+    def submit(self, payload):
         with self._lock:
             task = _ClusterTask(self._next_id, _dump(payload))
             self._next_id += 1
@@ -1001,13 +957,15 @@ class ClusterSession(TransportSession):
 
 
 class SocketTransport(Transport):
-    """Window decisions (and suite rows) on remote socket workers.
+    """Window decisions and suite rows on remote socket workers.
 
-    Configuration only: addresses are parsed eagerly (so a typo fails
-    at option-parsing time), but nothing connects until a sweep opens a
-    session.  Heartbeat cadence and the retry ladder come from the
-    analysis options at open time, keeping one validation point
-    (:class:`~repro.mct.MctOptions`).
+    Configuration only: addresses and settings are checked eagerly (so
+    a typo fails at option-parsing time), but nothing connects until a
+    sweep or table opens a session.  ``retry`` is the lease ladder's
+    attempt budget, task timeout and backoff (default
+    ``RetryPolicy()``); the coordinator pings every worker each
+    ``heartbeat_interval`` seconds and declares one dead after
+    ``heartbeat_timeout`` seconds of silence.
     """
 
     name = "socket"
@@ -1019,6 +977,7 @@ class SocketTransport(Transport):
         connect_timeout: float = 10.0,
         heartbeat_interval: float = 0.5,
         heartbeat_timeout: float = 2.5,
+        retry: RetryPolicy | None = None,
         secret: bytes | None = None,
         ssl_context: ssl.SSLContext | None = None,
     ):
@@ -1029,16 +988,34 @@ class SocketTransport(Transport):
         self.connect_timeout = float(connect_timeout)
         if self.connect_timeout <= 0:
             raise OptionsError("connect_timeout must be positive")
-        # Suite sessions have no MctOptions to carry the cadence, so
-        # the transport holds a default; window sessions always use the
-        # analysis options' knobs instead.
         self.heartbeat_interval = float(heartbeat_interval)
         self.heartbeat_timeout = float(heartbeat_timeout)
+        if self.heartbeat_interval <= 0:
+            raise OptionsError("heartbeat_interval must be positive")
+        if self.heartbeat_timeout < self.heartbeat_interval:
+            raise OptionsError(
+                "heartbeat_timeout must be at least the heartbeat interval"
+            )
+        self.retry = retry
         # Deployment configuration, like the transport itself: neither
         # enters the options fingerprint, so checkpoints and cached
         # results are portable across plaintext and TLS/auth fleets.
         self.secret = secret
         self.ssl_context = ssl_context
+
+    def _open(self, kind: str, config: dict, deadline=None) -> ClusterSession:
+        return ClusterSession(
+            self.addresses,
+            kind,
+            config,
+            policy=self.retry,
+            heartbeat_interval=self.heartbeat_interval,
+            heartbeat_timeout=self.heartbeat_timeout,
+            deadline=deadline,
+            connect_timeout=self.connect_timeout,
+            secret=self.secret,
+            ssl_context=self.ssl_context,
+        )
 
     def open_windows(
         self,
@@ -1058,34 +1035,7 @@ class SocketTransport(Transport):
                 None if deadline is None else max(0.0, deadline.remaining())
             ),
         }
-        return ClusterSession(
-            self.addresses,
-            "windows",
-            config,
-            policy=options.retry_policy,
-            heartbeat_interval=options.heartbeat_interval,
-            heartbeat_timeout=options.heartbeat_timeout,
-            deadline=deadline,
-            connect_timeout=self.connect_timeout,
-            secret=self.secret,
-            ssl_context=self.ssl_context,
-        )
+        return self._open("windows", config, deadline)
 
-    def open_suite(
-        self,
-        *,
-        widen=None,
-        degrade: bool = False,
-        retry: RetryPolicy | None = None,
-    ) -> ClusterSession:
-        return ClusterSession(
-            self.addresses,
-            "suite",
-            {"widen": widen, "degrade": degrade},
-            policy=retry,
-            heartbeat_interval=self.heartbeat_interval,
-            heartbeat_timeout=self.heartbeat_timeout,
-            connect_timeout=self.connect_timeout,
-            secret=self.secret,
-            ssl_context=self.ssl_context,
-        )
+    def open_suite(self, *, widen=None, degrade: bool = False) -> ClusterSession:
+        return self._open("suite", {"widen": widen, "degrade": degrade})

@@ -1,18 +1,16 @@
-"""Sharded report harness: one suite circuit per pool task.
+"""Suite rows: the ``"suite"`` task kind, and the sharded report harness.
 
 Suite rows are fully independent analyses, so the harness shards
-trivially: each task builds and measures one circuit with the same
-:func:`repro.report.harness.run_case` / ``analyze_circuit`` path the
-serial harness uses, in its own process with its own BDD manager.
-Tasks are submitted and collected in submission order, so the returned
-rows are in exactly the serial order regardless of which worker
-finished first.
-
-The pool runs under a :class:`~repro.parallel.supervise.Supervisor`: a
-worker death rebuilds the pool and resubmits the uncollected rows, and
-a row whose attempt budget runs out is quarantined — measured serially
-in the parent process — so a sharded run always produces the full
-table.
+trivially: each task (:func:`measure_row`) builds and measures one
+circuit with the same :func:`repro.report.harness.run_case` /
+``analyze_circuit`` path the serial harness uses, on a worker with its
+own BDD manager — a local pool process or a socket worker, whichever
+the transport (:mod:`repro.parallel.transport`) provides.
+:func:`run_suite_sharded` submits every row to one session and collects
+them in submission order, so the rows come back in exactly the serial
+order regardless of which worker finished first.  A row the session
+quarantines (its attempt budget ran out) is measured serially in the
+parent, so a sharded run always produces the full table.
 
 Per-worker telemetry comes back as :class:`WorkerStats`: task count,
 wall-clock spent, the merged BDD counters of that worker's rows, plus
@@ -25,21 +23,21 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from repro.bdd import BddStats
+from repro.errors import AnalysisError
 from repro.parallel.pool import resolve_jobs
-from repro.parallel.supervise import Quarantined, RetryPolicy, Supervisor
-from repro.resilience.faults import maybe_kill_worker, worker_kill_limit
+from repro.parallel.supervise import Quarantined
 
 
 @dataclasses.dataclass
 class WorkerStats:
-    """What one pool process contributed to a sharded suite run.
+    """What one worker contributed to a sharded suite run.
 
-    ``pid`` is the worker identity: the OS pid for local pool
-    processes, a ``host:pid`` string label for cluster workers.
+    ``pid`` is the worker label: the OS pid for local pool processes
+    (and the parent's quarantine entry), a ``host:pid:session`` string
+    for socket worker sessions.
     """
 
     pid: int | str
@@ -66,25 +64,11 @@ class WorkerStats:
         }
 
 
-#: Per-process harness configuration (set by :func:`_suite_init`).
-_CONFIG: dict = {}
-
-
-def _suite_init(widen, degrade, kill_at=None) -> None:
-    from repro.parallel.windows import _reset_sigterm
-
-    _reset_sigterm()
-    _CONFIG["widen"] = widen
-    _CONFIG["degrade"] = degrade
-    _CONFIG["seq"] = 0
-    _CONFIG["kill_at"] = kill_at
-
-
 def _measure_case(case, widen, degrade) -> tuple:
     """Measure one row (``case=None`` is the introductory s27 row).
 
-    Shared by the pool task and the parent-side quarantine fallback;
-    returns ``(row, pid, wall_seconds)``.
+    Shared by the ``"suite"`` task and the parent-side quarantine
+    fallback; returns ``(row, wall_seconds)``.
     """
     from repro.benchgen.circuits import s27
     from repro.report.harness import analyze_circuit, run_case
@@ -97,15 +81,18 @@ def _measure_case(case, widen, degrade) -> tuple:
         row = analyze_circuit(circuit, delays, degrade=degrade)
     else:
         row = run_case(case, widen=widen, degrade=degrade)
-    return row, os.getpid(), time.monotonic() - started
+    return row, time.monotonic() - started
 
 
-def _suite_task(case) -> tuple:
-    _CONFIG["seq"] += 1
-    # Deterministic crash injection (see repro.resilience.faults): die
-    # on this process's Nth task, before any work happens.
-    maybe_kill_worker(_CONFIG["seq"], _CONFIG.get("kill_at"))
-    return _measure_case(case, _CONFIG["widen"], _CONFIG["degrade"])
+def suite_state(config: dict) -> dict:
+    """A ``"suite"`` worker's state: the harness's ``widen``/``degrade``."""
+    return {"widen": config["widen"], "degrade": bool(config["degrade"])}
+
+
+def measure_row(state: dict, case) -> dict:
+    """One ``"suite"`` task: ``{"row", "pid", "wall"}`` for one case."""
+    row, wall = _measure_case(case, state["widen"], state["degrade"])
+    return {"row": row, "pid": state["label"], "wall": wall}
 
 
 def run_suite_sharded(
@@ -114,88 +101,43 @@ def run_suite_sharded(
     widen: Fraction | None = Fraction(9, 10),
     degrade: bool = False,
     jobs: int = 2,
-    retry: RetryPolicy | None = None,
     transport=None,
 ) -> tuple[list, list[WorkerStats]]:
-    """The suite table, measured on ``jobs`` supervised worker processes.
+    """The suite table, measured one row per task on a transport.
 
     Returns ``(rows, worker_stats)`` with rows in the serial
-    :func:`repro.report.harness.run_suite` order.  ``jobs <= 1`` runs
-    the serial harness in-process and reports no workers.  ``retry``
-    tunes the supervisor (crash recovery / quarantine); rows the pool
-    cannot deliver are measured serially in the parent, so the table is
-    always complete and identical to the serial harness's.
-
-    ``transport`` (a :class:`~repro.parallel.cluster.SocketTransport`)
-    measures the rows on remote cluster workers instead of a local
-    pool, with the same recovery ladder: a dead host's leased rows are
-    re-dispatched to the survivors, and rows out of attempts are
-    measured serially in the parent.
+    :func:`repro.report.harness.run_suite` order.  ``transport`` says
+    where the rows run (a :class:`~repro.parallel.LocalTransport` or a
+    :class:`~repro.parallel.SocketTransport`, each with its own retry
+    policy); without one, ``jobs > 1`` is ``LocalTransport(jobs)`` and
+    ``jobs <= 1`` runs the serial harness in-process and reports no
+    workers.  Rows the transport cannot deliver are measured serially
+    in the parent, so the table is always complete and identical to
+    the serial harness's.
     """
     from repro.benchgen.suite import suite_cases
     from repro.report.harness import run_suite
 
-    jobs = resolve_jobs(jobs)
-    if transport is None and jobs <= 1:
-        rows = run_suite(
-            cases=cases, include_s27=include_s27, widen=widen, degrade=degrade
-        )
-        return rows, []
+    if transport is None:
+        jobs = resolve_jobs(jobs)
+        if jobs <= 1:
+            rows = run_suite(
+                cases=cases,
+                include_s27=include_s27,
+                widen=widen,
+                degrade=degrade,
+            )
+            return rows, []
+        from repro.parallel.transport import LocalTransport
+
+        transport = LocalTransport(jobs)
     if cases is None:
         cases = suite_cases()
     tasks: list = []
     if include_s27:
         tasks.append(None)
     tasks.extend(cases)
-    if transport is not None:
-        return _run_suite_cluster(tasks, widen, degrade, retry, transport)
-    supervisor = Supervisor(
-        lambda: ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_suite_init,
-            initargs=(widen, degrade, worker_kill_limit()),
-        ),
-        policy=retry,
-    )
-    rows: list = []
-    stats: dict[int, WorkerStats] = {}
-    try:
-        handles = [supervisor.submit(_suite_task, task) for task in tasks]
-        for task, handle in zip(tasks, handles):
-            outcome = supervisor.result(handle)
-            if isinstance(outcome, Quarantined):
-                # The pool kept losing this row: measure it here, in
-                # the parent, and attribute it to the parent's entry.
-                row, pid, wall = _measure_case(task, widen, degrade)
-                worker = stats.setdefault(pid, WorkerStats(pid=pid))
-                worker.quarantined += 1
-            else:
-                row, pid, wall = outcome
-                worker = stats.setdefault(pid, WorkerStats(pid=pid))
-                worker.retries += handle.attempts - 1
-            rows.append(row)
-            worker.tasks += 1
-            worker.wall_seconds += wall
-            if row.bdd_stats is not None:
-                worker.bdd.merge(BddStats.from_dict(row.bdd_stats))
-    finally:
-        supervisor.shutdown()
-    return rows, sorted(stats.values(), key=lambda w: str(w.pid))
-
-
-def _run_suite_cluster(
-    tasks, widen, degrade, retry, transport
-) -> tuple[list, list[WorkerStats]]:
-    """The suite table measured on remote cluster workers.
-
-    Rows come back as ``{"row", "pid", "wall"}`` payload dicts (the
-    worker label is a ``host:pid`` string); submission/collection
-    order preserves the serial row order exactly as the pool path
-    does.
-    """
-    from repro.errors import AnalysisError
-
-    session = transport.open_suite(widen=widen, degrade=degrade, retry=retry)
+    session = transport.open_suite(widen=widen, degrade=degrade)
     rows: list = []
     stats: dict = {}
     try:
@@ -203,17 +145,17 @@ def _run_suite_cluster(
         for task, handle in zip(tasks, handles):
             outcome = session.result(handle)
             if isinstance(outcome, Quarantined):
-                # Every host that held this row died (or it ran out of
-                # attempts): measure it here, in the coordinator.
-                row, pid, wall = _measure_case(task, widen, degrade)
+                # The transport kept losing this row: measure it here,
+                # in the parent, and attribute it to the parent's entry.
+                row, wall = _measure_case(task, widen, degrade)
+                pid = os.getpid()
                 worker = stats.setdefault(pid, WorkerStats(pid=pid))
                 worker.quarantined += 1
             else:
-                error = outcome.get("error")
-                if error is not None:
+                if "error" in outcome:
                     raise AnalysisError(
-                        "cluster suite worker failed: "
-                        f"{outcome.get('detail', error)}"
+                        "suite worker failed: "
+                        f"{outcome.get('detail', outcome['error'])}"
                     )
                 row, pid, wall = (
                     outcome["row"], outcome["pid"], outcome["wall"]

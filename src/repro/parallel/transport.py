@@ -1,32 +1,36 @@
-"""Transport abstraction over the sweep's window-decision executors.
+"""The executor contract: where and how a sweep's windows and a suite's rows run.
 
-The engine's sweep loop (:meth:`repro.mct.engine._Sweep.run`) pulls
-planned windows from ``_plan_events`` and either decides each one in
-its own process with ``decide_window`` or submits ``(regime, window)``
-tasks to a transport session; either way it commits verdicts strictly
-in breakpoint order.  This module names the session contract so the
-execution substrate is pluggable:
+A :class:`Transport` is configuration — worker count or addresses, the
+:class:`~repro.parallel.supervise.RetryPolicy`, and for sockets the
+heartbeat cadence.  It opens one :class:`TransportSession` per sweep
+(:meth:`Transport.open_windows`) or per suite table
+(:meth:`Transport.open_suite`):
 
-* :class:`LocalTransport` — the PR 3/5 path: a supervised
-  :class:`~repro.parallel.windows.WindowDecider` process pool on this
-  machine (``jobs=N`` is sugar for one :class:`LocalTransport`);
+* :class:`LocalTransport` — a supervised process pool on this machine
+  (``jobs=N`` is sugar for ``LocalTransport(N)``);
 * :class:`~repro.parallel.cluster.SocketTransport` — remote
   ``repro-mct worker`` processes over TCP with heartbeat liveness and
   lease reclamation (see :mod:`repro.parallel.cluster`).
 
-Both yield a :class:`TransportSession` honouring the same three
-promises the engine relies on for byte-identical-to-serial results:
+Both run the same task kinds from one table, :data:`HANDLERS`: kind →
+``(init(config) -> state, task(state, payload) -> dict)``.  A pool
+process runs ``init`` once in its initializer; a socket worker runs it
+on ``configure``.  ``"windows"`` decides ``(regime, window)`` payloads
+(:mod:`repro.parallel.windows`), ``"suite"`` measures one table row
+per payload (:mod:`repro.parallel.suite`).
 
-1. tasks are pure: the same ``(regime, window)`` always produces the
-   same verdict, so a retried, re-dispatched, or quarantined task can
-   never change the answer;
+Every session honours the three promises the callers rely on for
+byte-identical-to-serial results:
+
+1. tasks are pure: the same payload always produces the same answer,
+   so a retried, re-dispatched, or quarantined task can never change
+   it;
 2. ``result`` returns the payload dict of the *given* handle (or a
-   :class:`~repro.parallel.supervise.Quarantined` marker — the sweep
-   loop then decides that window in its own process), never some
-   other task's; the payload carries the work telemetry of the
-   decision (``ite_calls``, ``lp_solves``, and the cumulative
-   per-worker ``worker`` snapshot with its ``stats``/``lp`` counter
-   dicts);
+   :class:`~repro.parallel.supervise.Quarantined` marker — the caller
+   then computes that task in its own process), never some other
+   task's; each dict carries the label of the worker that produced it
+   (its pid locally, ``host:pid:session`` on a socket worker) beside
+   its telemetry;
 3. transport identity is an execution detail: it is excluded from the
    checkpoint fingerprint, so checkpoints move freely between
    in-process, pooled, and clustered runs.
@@ -35,15 +39,31 @@ promises the engine relies on for byte-identical-to-serial results:
 from __future__ import annotations
 
 import abc
+import contextlib
+import os
+import signal
+from concurrent.futures import ProcessPoolExecutor
 
 from repro.errors import Budget
-from repro.parallel.pool import resolve_jobs
-from repro.parallel.supervise import SupervisionStats
-from repro.parallel.windows import WindowDecider
+from repro.parallel.pool import (
+    deadline_payload,
+    resolve_jobs,
+    worker_budget_limit,
+)
+from repro.parallel.suite import measure_row, suite_state
+from repro.parallel.supervise import RetryPolicy, SupervisionStats, Supervisor
+from repro.parallel.windows import build_decider_state, decide_in_state
+from repro.resilience.faults import maybe_kill_worker, worker_kill_limit
+
+#: kind → (init(config) -> state, task(state, payload) -> dict).
+HANDLERS = {
+    "windows": (build_decider_state, decide_in_state),
+    "suite": (suite_state, measure_row),
+}
 
 
 class TransportSession(abc.ABC):
-    """One opened sweep's executor: submit windows, collect payloads."""
+    """One opened executor: submit task payloads, collect result dicts."""
 
     #: How many tasks the caller should keep in flight (the engine's
     #: speculation depth); fixed at open time.
@@ -54,8 +74,8 @@ class TransportSession(abc.ABC):
     stats: SupervisionStats
 
     @abc.abstractmethod
-    def submit(self, regime, window):
-        """Queue one window decision; returns a handle with ``attempts``."""
+    def submit(self, payload):
+        """Queue one task; returns a handle with ``attempts``."""
 
     @abc.abstractmethod
     def result(self, handle):
@@ -78,11 +98,10 @@ class TransportSession(abc.ABC):
 
 
 class Transport(abc.ABC):
-    """Factory for :class:`TransportSession`\\ s, one per sweep.
+    """Factory for :class:`TransportSession`\\ s, one per sweep or table.
 
-    A transport is configuration (worker count, cluster addresses);
-    the expensive state — pools, sockets, per-worker machines — is
-    built by :meth:`open_windows`, which receives the sweep's own
+    The expensive state — pools, sockets, per-worker machines — is
+    built by the ``open_*`` methods, which receive the run's own
     resources (budget, deadline) at the last minute.
     """
 
@@ -103,50 +122,112 @@ class Transport(abc.ABC):
     ) -> TransportSession:
         """A session deciding breakpoint windows of one τ-sweep."""
 
+    @abc.abstractmethod
+    def open_suite(self, *, widen=None, degrade: bool = False) -> TransportSession:
+        """A session measuring suite rows (``None`` is the s27 row)."""
+
+
+# ----------------------------------------------------------------------
+# The local pool
+# ----------------------------------------------------------------------
+#: Per-process state of a pool worker, set by :func:`_pool_init`.
+_POOL: dict = {}
+
+
+def _reset_sigterm() -> None:
+    """Restore the default SIGTERM action in a pool worker.
+
+    Workers fork after the CLI converts SIGTERM to KeyboardInterrupt
+    for the *operator's* benefit; inheriting that handler would make
+    the supervisor's own ``terminate()`` during a pool rebuild print a
+    spurious interrupt from the dying worker.
+    """
+    with contextlib.suppress(ValueError, OSError):
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def _pool_init(kind: str, config: dict, kill_at: int | None) -> None:
+    """Pool-process initializer: build this worker's ``kind`` state once."""
+    _reset_sigterm()
+    init, task = HANDLERS[kind]
+    state = init(config)
+    state["label"] = os.getpid()
+    _POOL.clear()
+    _POOL.update(state=state, task=task, kill_at=kill_at, tasks=0)
+
+
+def _pool_task(payload) -> dict:
+    """One pool task: crash injection, then the kind's task function."""
+    _POOL["tasks"] += 1
+    state = _POOL["state"]
+    if "init_error" not in state:
+        # Deterministic crash injection: die on this process's Nth
+        # task, before any work happens, exactly like an OOM kill.  A
+        # worker whose init failed answers with its init error instead.
+        maybe_kill_worker(_POOL["tasks"], _POOL["kill_at"])
+    return _POOL["task"](state, payload)
+
 
 class _LocalSession(TransportSession):
-    """A :class:`WindowDecider` pool behind the session interface."""
+    """``jobs`` supervised pool processes running one task kind.
 
-    def __init__(self, decider: WindowDecider):
-        self._decider = decider
-        self.capacity = decider.jobs
+    The pool spawns on the first :meth:`submit`, so a sweep that never
+    reaches an undecided window pays nothing.  Crash recovery, per-task
+    timeouts, retries and quarantine live in the
+    :class:`~repro.parallel.supervise.Supervisor`.
+    """
 
-    @property
-    def stats(self) -> SupervisionStats:
-        return self._decider.stats
+    def __init__(
+        self,
+        jobs: int,
+        kind: str,
+        config: dict,
+        *,
+        policy: RetryPolicy | None = None,
+        deadline=None,
+    ):
+        self.capacity = jobs
+        initargs = (kind, config, worker_kill_limit())
+        self._supervisor = Supervisor(
+            lambda: ProcessPoolExecutor(
+                max_workers=jobs, initializer=_pool_init, initargs=initargs
+            ),
+            policy=policy,
+            deadline=deadline,
+        )
+        self.stats = self._supervisor.stats
 
-    def submit(self, regime, window):
-        return self._decider.submit(regime, window)
+    def submit(self, payload):
+        return self._supervisor.submit(_pool_task, payload)
 
     def result(self, handle):
-        return self._decider.result(handle)
+        return self._supervisor.result(handle)
 
     def peek(self, handle):
         future = handle.future
         if future is None or not future.done() or future.cancelled():
             return None
         try:
-            payload = future.result(timeout=0)
+            return future.result(timeout=0)
         except Exception:
             return None
-        return payload if isinstance(payload, dict) else None
 
     def shutdown(self) -> None:
-        self._decider.shutdown()
+        self._supervisor.shutdown()
 
 
 class LocalTransport(Transport):
-    """Window decisions on a supervised process pool on this host.
+    """Tasks on a supervised process pool of ``jobs`` processes here.
 
-    This is exactly the ``jobs=N`` path of PR 3/5 — crash detection,
-    per-task timeouts, bounded retries, and quarantine all live in the
-    wrapped :class:`~repro.parallel.supervise.Supervisor`.
+    ``retry`` tunes the pool's crash recovery (default
+    ``RetryPolicy()``): attempt budget, per-task timeout, backoff.
     """
 
     name = "local"
 
-    def __init__(self, jobs: int):
+    def __init__(self, jobs: int, *, retry: RetryPolicy | None = None):
         self.jobs = resolve_jobs(jobs)
+        self.retry = retry
 
     def open_windows(
         self,
@@ -157,14 +238,17 @@ class LocalTransport(Transport):
         budget: Budget | None = None,
         deadline=None,
     ) -> TransportSession:
+        config = {
+            "circuit": circuit,
+            "delays": delays,
+            "options": options,
+            "budget_limit": worker_budget_limit(budget, self.jobs),
+            "deadline": deadline_payload(deadline),
+        }
         return _LocalSession(
-            WindowDecider(
-                circuit,
-                delays,
-                options,
-                jobs=self.jobs,
-                budget=budget,
-                deadline=deadline,
-                policy=options.retry_policy,
-            )
+            self.jobs, "windows", config, policy=self.retry, deadline=deadline
         )
+
+    def open_suite(self, *, widen=None, degrade: bool = False) -> TransportSession:
+        config = {"widen": widen, "degrade": degrade}
+        return _LocalSession(self.jobs, "suite", config, policy=self.retry)

@@ -1,12 +1,14 @@
-"""Speculative breakpoint-window decisions on a process pool.
+"""Window decisions: the ``"windows"`` task kind of every transport.
 
 The engine's planner (:meth:`repro.mct.engine._Sweep._plan_events`)
 knows which windows need deciding without knowing any verdict, so a
-:class:`WindowDecider` can run Decision Algorithm 6.1 on the next few
-windows concurrently while the sweep loop commits results in
-breakpoint order.  Each pool process builds its own discretized
-machine and :class:`~repro.mct.decision.DecisionContext` once (the
-initializer), then answers ``(regime, window)`` tasks with the same
+transport session (:mod:`repro.parallel.transport`) can run Decision
+Algorithm 6.1 on the next few windows concurrently while the sweep loop
+commits results in breakpoint order.  Each worker — a local pool
+process or a socket worker session — builds its own discretized
+machine and :class:`~repro.mct.decision.DecisionContext` once
+(:func:`build_decider_state`), then answers ``(regime, window)`` tasks
+(:func:`decide_in_state`) with the same
 :func:`repro.mct.engine.decide_window` core the sweep uses when it
 decides a window in its own process.
 
@@ -15,73 +17,43 @@ through :mod:`pickle`, so workers never raise across the boundary:
 every task resolves to a payload dict — ``{"verdict", "elapsed",
 "ite_calls", "lp_solves", "worker"}`` on success, ``{"error":
 "budget" | "deadline" | ..., "detail"}`` on exhaustion or failure.
-The ``worker`` entry is a cumulative telemetry snapshot (pid,
-sequence number, merged :class:`~repro.bdd.BddStats` dict, an
-exact-LP :class:`~repro.mct.lp_stats.LpStats` dict, decisions run);
-the parent keeps the latest snapshot per pid and merges them into the
-result's ``bdd_stats`` / ``lp_stats``.
-
-The pool runs under a :class:`~repro.parallel.supervise.Supervisor`:
-a worker death no longer aborts the sweep — the pool is rebuilt, the
-uncommitted windows resubmitted, and a window that keeps losing its
-worker is quarantined for the sweep loop to decide in its own process.
+The ``worker`` entry is a cumulative telemetry snapshot (worker label,
+sequence number, merged :class:`~repro.bdd.BddStats` dict, an exact-LP
+:class:`~repro.mct.lp_stats.LpStats` dict, decisions run); the parent
+keeps the latest snapshot per label and merges them into the result's
+``bdd_stats`` / ``lp_stats``.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from repro.errors import (
     Budget,
     DeadlineExceeded,
     ResourceBudgetExceeded,
 )
-from repro.parallel.pool import (
-    deadline_payload,
-    resolve_jobs,
-    restore_deadline,
-    worker_budget_limit,
-)
-from repro.parallel.supervise import RetryPolicy, Supervisor, TaskHandle
-from repro.resilience.faults import maybe_kill_worker, worker_kill_limit
-
-#: Per-process worker state, populated by :func:`_worker_init`.
-_STATE: dict = {}
-
-
-def _reset_sigterm() -> None:
-    """Restore the default SIGTERM action in a pool worker.
-
-    Workers fork after the CLI converts SIGTERM to KeyboardInterrupt
-    for the *operator's* benefit; inheriting that handler would make
-    the supervisor's own ``terminate()`` during a pool rebuild print a
-    spurious interrupt from the dying worker.
-    """
-    import contextlib
-    import signal
-
-    with contextlib.suppress(ValueError, OSError):
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+from repro.parallel.pool import restore_deadline
 
 #: Sentinel: the exact-feasibility oracle has not been built yet.
 _UNBUILT = object()
 
 
-def build_decider_state(circuit, delays, config) -> dict:
-    """Build one worker's analysis state as a plain dict.
+def build_decider_state(config: dict) -> dict:
+    """Build one worker's analysis state from its session config.
 
-    Shared by the pool initializer below and the socket worker
-    (:mod:`repro.parallel.cluster`).  Failures are recorded under
-    ``"init_error"`` instead of raised: an initializer exception would
-    break a whole pool (and tear down a remote session), whereas a
-    marker lets every task report the error as an ordinary payload.
+    ``config`` holds the ``circuit``, ``delays`` and ``options`` of the
+    sweep, the worker's ``budget_limit`` and the ``deadline`` wire form.
+    Failures are recorded under ``"init_error"`` instead of raised: an
+    initializer exception would break a whole pool (and tear down a
+    remote session), whereas a marker lets every task report the error
+    as an ordinary payload.
     """
     from repro.mct.decision import DecisionContext
     from repro.mct.discretize import build_discretized_machine
 
     state: dict = {"seq": 0}
+    circuit = config["circuit"]
     options = config["options"]
     try:
         deadline = restore_deadline(config["deadline"])
@@ -92,7 +64,7 @@ def build_decider_state(circuit, delays, config) -> dict:
             else None
         )
         machine = build_discretized_machine(
-            circuit, delays, budget=budget, deadline=deadline
+            circuit, config["delays"], budget=budget, deadline=deadline
         )
         reachable = None
         if options.use_reachability:
@@ -128,14 +100,6 @@ def build_decider_state(circuit, delays, config) -> dict:
     return state
 
 
-def _worker_init(circuit, delays, config) -> None:
-    """Pool-process initializer (once per process, into ``_STATE``)."""
-    _reset_sigterm()
-    _STATE.clear()
-    _STATE.update(build_decider_state(circuit, delays, config))
-    _STATE["kill_at"] = config.get("kill_at")
-
-
 def _oracle_factory_for(state: dict):
     """Lazy exact-feasibility oracle bound to one worker state.
 
@@ -157,15 +121,10 @@ def _oracle_factory_for(state: dict):
 
 
 def _snapshot(state: dict) -> dict:
-    """Cumulative telemetry of this worker (process or remote host).
-
-    ``pid`` doubles as the snapshot identity; cluster workers override
-    it with a ``host:pid:session`` label so two hosts, or two sessions
-    of one process, can never collide.
-    """
+    """Cumulative telemetry of this worker, under its label as ``pid``."""
     context = state["context"]
     return {
-        "pid": state.get("label", os.getpid()),
+        "pid": state["label"],
         "seq": state["seq"],
         "stats": context.bdd_stats.as_dict(),
         "lp": context.lp_stats.as_dict(),
@@ -173,8 +132,8 @@ def _snapshot(state: dict) -> dict:
     }
 
 
-def decide_in_state(state: dict, regime, window) -> dict:
-    """Decide one window; always returns a payload dict (never raises).
+def decide_in_state(state: dict, payload) -> dict:
+    """Decide one ``(regime, window)``; always returns a payload dict.
 
     The regime's :class:`~repro.mct.discretize.TimedLeaf` keys compare
     by value, so the parent's regime addresses this worker's own
@@ -185,6 +144,7 @@ def decide_in_state(state: dict, regime, window) -> dict:
     if error is not None:
         kind, detail = error
         return {"error": kind, "detail": detail}
+    regime, window = payload
     state["seq"] += 1
     context = state["context"]
     options = state["options"]
@@ -223,81 +183,8 @@ def decide_in_state(state: dict, regime, window) -> dict:
     }
 
 
-def _decide_task(regime, window) -> dict:
-    """One pool task: crash injection plus the shared decide core."""
-    if "init_error" not in _STATE:
-        # Deterministic crash injection: die on this process's Nth
-        # task, before any work happens, exactly like an OOM kill.
-        maybe_kill_worker(_STATE["seq"] + 1, _STATE.get("kill_at"))
-    return decide_in_state(_STATE, regime, window)
-
-
 def decide_window(*args, **kwargs):
     """Indirection so workers import the engine lazily (no cycle)."""
     from repro.mct.engine import decide_window as _impl
 
     return _impl(*args, **kwargs)
-
-
-class WindowDecider:
-    """A supervised pool of window-deciding workers for one sweep.
-
-    The constructor only records the configuration; the pool processes
-    spawn on the first :meth:`submit`, so a sweep that never reaches an
-    undecided window pays nothing.  Crash recovery, per-task timeouts,
-    retries and quarantine live in the wrapped
-    :class:`~repro.parallel.supervise.Supervisor`; :meth:`result`
-    returns either a payload dict or a
-    :class:`~repro.parallel.supervise.Quarantined` marker the sweep
-    loop resolves by deciding the window in its own process.
-    """
-
-    def __init__(
-        self,
-        circuit,
-        delays,
-        options,
-        *,
-        jobs: int,
-        budget: Budget | None = None,
-        deadline=None,
-        policy: RetryPolicy | None = None,
-    ):
-        self.jobs = resolve_jobs(jobs)
-        self._initargs = (
-            circuit,
-            delays,
-            {
-                "options": options,
-                "budget_limit": worker_budget_limit(budget, self.jobs),
-                "deadline": deadline_payload(deadline),
-                "kill_at": worker_kill_limit(),
-            },
-        )
-        self._supervisor = Supervisor(
-            self._spawn, policy=policy, deadline=deadline
-        )
-
-    def _spawn(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.jobs,
-            initializer=_worker_init,
-            initargs=self._initargs,
-        )
-
-    @property
-    def stats(self):
-        """The supervisor's :class:`SupervisionStats` (live object)."""
-        return self._supervisor.stats
-
-    def submit(self, regime, window) -> TaskHandle:
-        """Queue one window decision; returns its supervised handle."""
-        return self._supervisor.submit(_decide_task, regime, window)
-
-    def result(self, handle: TaskHandle):
-        """The committed task's payload, or a ``Quarantined`` marker."""
-        return self._supervisor.result(handle)
-
-    def shutdown(self) -> None:
-        """Stop the pool without waiting for abandoned speculation."""
-        self._supervisor.shutdown()

@@ -198,18 +198,16 @@ def run_suite(
     widen: Fraction | None = Fraction(9, 10),
     degrade: bool = False,
     jobs: int = 1,
-    retry=None,
     transport=None,
 ) -> list[TableRow]:
     """Measure the whole table (the benchmark harness entry point).
 
-    ``jobs > 1`` shards the circuits across a supervised process pool
-    (:func:`repro.parallel.run_suite_sharded`); the rows come back in
-    this function's serial order either way.  ``retry`` is an optional
-    :class:`~repro.parallel.RetryPolicy` tuning the pool's crash
-    recovery; ignored on the serial path.  ``transport`` (a
-    :class:`~repro.parallel.SocketTransport`) shards the rows across
-    remote cluster workers instead of a local pool.
+    ``transport`` (a :class:`~repro.parallel.LocalTransport` or
+    :class:`~repro.parallel.SocketTransport`, with its retry policy)
+    shards the circuits one per task
+    (:func:`repro.parallel.run_suite_sharded`); ``jobs > 1`` is
+    ``LocalTransport(jobs)``.  The rows come back in this function's
+    serial order either way.
     """
     if jobs > 1 or transport is not None:
         from repro.parallel.suite import run_suite_sharded
@@ -220,7 +218,6 @@ def run_suite(
             widen=widen,
             degrade=degrade,
             jobs=jobs,
-            retry=retry,
             transport=transport,
         )
         return rows

@@ -14,11 +14,10 @@ The format is plain JSON: exact rationals are serialized as
 without precision loss.  A fingerprint of the analysis options guards
 against resuming under a different configuration, which would silently
 change the meaning of the replayed records.  The fingerprint covers
-*analysis* options only: resource and execution knobs — work budget,
-time limit, ``jobs``, ``retry_policy``, heartbeat cadence, transport
-identity (local pool vs. socket cluster) — are deliberately excluded,
-so a checkpoint written under any execution configuration resumes
-under any other.
+*analysis* options only: resources (work budget, time limit) and
+execution settings (``jobs``, the transport with its retry policy and
+heartbeat cadence) are deliberately excluded, so a checkpoint written
+under any execution configuration resumes under any other.
 
 Schema v2 (this build) adds optional ``bdd_stats``/``supervision``
 telemetry and the ``schema`` tag; v1 files from earlier builds load

@@ -10,8 +10,8 @@ sweep), and every spec reduces to a canonical content address
 the engine's analysis-option fingerprint.
 
 The :class:`JobManager` runs specs on the existing engine machinery —
-``minimum_cycle_time`` with the daemon's ``--jobs`` pool or
-``--workers`` cluster transport — with three properties the endpoints
+``minimum_cycle_time`` on the daemon's transport (the ``--jobs`` pool
+or the ``--workers`` cluster) — with three properties the endpoints
 rely on:
 
 * **single-flight**: submissions with the key of an in-flight sweep
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import asyncio
 import collections
-import dataclasses
 import json
 import threading
 import time
@@ -64,7 +63,6 @@ from repro.mct import (
     minimum_cycle_time,
     options_fingerprint,
 )
-from repro.mct.engine import RetryPolicy
 from repro.report.tables import format_fraction
 from repro.resilience import SweepCheckpoint
 from repro.service.cache import ResultCache, content_hash, job_key
@@ -413,15 +411,7 @@ class JobManager:
         cache: ResultCache | None = None,
         stats: ServiceStats | None = None,
         max_inflight: int = 2,
-        jobs: int = 1,
-        worker_specs: tuple[str, ...] = (),
-        task_timeout: float | None = None,
-        max_retries: int = 2,
-        heartbeat_interval: float = 0.5,
-        heartbeat_timeout: float = 2.5,
-        connect_timeout: float = 10.0,
-        worker_secret: bytes | None = None,
-        worker_ssl_context=None,
+        transport=None,
         job_ttl: float | None = None,
         max_jobs: int | None = None,
     ):
@@ -433,16 +423,10 @@ class JobManager:
             raise OptionsError("max_jobs must be positive or None")
         self.cache = cache or ResultCache()
         self.stats = stats or ServiceStats()
-        self.jobs = jobs
-        self.worker_specs = tuple(worker_specs)
-        self.retry_policy = RetryPolicy(
-            max_retries=max_retries, task_timeout=task_timeout
-        )
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
-        self.connect_timeout = connect_timeout
-        self.worker_secret = worker_secret
-        self.worker_ssl_context = worker_ssl_context
+        #: Where every sweep decides its windows (``None``: in the
+        #: sweep's own thread).  The operator's, never the submitter's:
+        #: the client describes an analysis, the operator owns the fleet.
+        self.transport = transport
         self.job_ttl = job_ttl
         self.max_jobs = max_jobs
         self._jobs: dict[str, Job] = {}
@@ -612,36 +596,12 @@ class JobManager:
                 self._record_event(job, self._terminal_event(job))
 
     def _sweep(self, spec: JobSpec, on_record, cancel_event, resume_from=None):
-        # Execution knobs are the daemon's, never the submitter's: the
-        # client describes an analysis, the operator owns the fleet.
-        options = dataclasses.replace(
-            spec.options,
-            retry_policy=self.retry_policy,
-            heartbeat_interval=self.heartbeat_interval,
-            heartbeat_timeout=self.heartbeat_timeout,
-        )
-        transport = None
-        if self.worker_specs:
-            # Imported lazily: the daemon is usable without the cluster
-            # stack, and a fresh transport per sweep keeps worker
-            # connection state job-scoped.
-            from repro.parallel import SocketTransport
-
-            transport = SocketTransport(
-                self.worker_specs,
-                connect_timeout=self.connect_timeout,
-                heartbeat_interval=self.heartbeat_interval,
-                heartbeat_timeout=self.heartbeat_timeout,
-                secret=self.worker_secret,
-                ssl_context=self.worker_ssl_context,
-            )
         return minimum_cycle_time(
             spec.circuit,
             spec.delays,
-            options,
+            spec.options,
             resume_from=resume_from,
-            jobs=self.jobs,
-            transport=transport,
+            transport=self.transport,
             progress=on_record,
             cancel=cancel_event,
         )

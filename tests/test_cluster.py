@@ -36,11 +36,9 @@ from repro.resilience import inject_faults
 #: Fast-converging policy for tests: real backoff shape, tiny sleeps.
 FAST = RetryPolicy(max_retries=2, backoff_base=0.001, backoff_cap=0.005)
 
-#: Analysis options every cluster test uses: tight heartbeat cadence so
-#: partition detection happens in milliseconds, fast retry ladder.
-CLUSTER_OPTS = dict(
-    retry_policy=FAST, heartbeat_interval=0.05, heartbeat_timeout=0.2
-)
+#: Transport settings every cluster test uses: tight heartbeat cadence
+#: so partition detection happens in milliseconds, fast retry ladder.
+CLUSTER = dict(retry=FAST, heartbeat_interval=0.05, heartbeat_timeout=0.2)
 
 
 def candidate_keys(result):
@@ -68,9 +66,7 @@ def assert_equivalent(serial, disturbed):
 def fleet(*servers, **transport_kwargs):
     """Start in-process loopback workers, yield a transport over them."""
     started = [server.start() for server in servers]
-    kwargs = dict(
-        connect_timeout=2.0, heartbeat_interval=0.05, heartbeat_timeout=0.2
-    )
+    kwargs = dict(connect_timeout=2.0, **CLUSTER)
     kwargs.update(transport_kwargs)
     try:
         yield SocketTransport(
@@ -111,11 +107,13 @@ class TestValidation:
 
     def test_heartbeat_knobs_validated_at_construction(self):
         with pytest.raises(OptionsError):
-            MctOptions(heartbeat_interval=0.0)
+            SocketTransport(["h:1"], heartbeat_interval=0.0)
         with pytest.raises(OptionsError):
-            MctOptions(heartbeat_interval=-1.0)
+            SocketTransport(["h:1"], heartbeat_interval=-1.0)
         with pytest.raises(OptionsError):
-            MctOptions(heartbeat_interval=0.5, heartbeat_timeout=0.1)
+            SocketTransport(
+                ["h:1"], heartbeat_interval=0.5, heartbeat_timeout=0.1
+            )
 
     def test_options_error_is_both_kinds(self):
         # CLI handlers catch AnalysisError; legacy tests catch
@@ -123,7 +121,7 @@ class TestValidation:
         assert issubclass(OptionsError, AnalysisError)
         assert issubclass(OptionsError, ValueError)
         with pytest.raises(ValueError):
-            MctOptions(heartbeat_interval=0.0)
+            SocketTransport(["h:1"], heartbeat_interval=0.0)
 
     def test_transport_rejects_bad_addresses_eagerly(self):
         with pytest.raises(OptionsError):
@@ -142,7 +140,7 @@ class TestValidation:
         )
         with pytest.raises(AnalysisError, match="no cluster workers"):
             minimum_cycle_time(
-                circuit, delays, MctOptions(**CLUSTER_OPTS),
+                circuit, delays, MctOptions(),
                 transport=transport,
             )
 
@@ -165,7 +163,7 @@ class TestClusterSweep:
         circuit, delays = widened
         with fleet(WorkerServer(), WorkerServer(), WorkerServer()) as tp:
             result = minimum_cycle_time(
-                circuit, delays, MctOptions(**CLUSTER_OPTS), transport=tp
+                circuit, delays, MctOptions(), transport=tp
             )
         assert_equivalent(serial, result)
         assert result.supervision is not None
@@ -174,16 +172,39 @@ class TestClusterSweep:
         assert all(r.attempts == 1 for r in result.candidates)
         assert not any(r.quarantined for r in result.candidates)
 
-    def test_sessions_of_one_process_keep_separate_telemetry(self, widened):
-        # The coordinator keeps one counter snapshot per worker label;
+    @pytest.mark.parametrize("kind", ["windows", "suite"])
+    def test_sessions_of_one_process_keep_separate_telemetry(
+        self, widened, kind
+    ):
+        # The coordinator keeps one telemetry entry per worker label;
         # two sessions in one process (this loopback fleet) must not
-        # share a label, or one's LP/BDD counters overwrite the other's.
-        from repro.parallel.cluster import _windows_init
+        # share a label, or one's counters overwrite (windows) or merge
+        # into (suite rows) the other's.
+        from repro.mct.discretize import build_discretized_machine
 
         circuit, delays = widened
-        config = {"circuit": circuit, "delays": delays, "options": MctOptions()}
-        first, second = _windows_init(config), _windows_init(config)
-        assert first["label"] != second["label"]
+        if kind == "windows":
+            machine = build_discretized_machine(circuit, delays)
+            tau = machine.L / 2
+            task = (machine.regime(tau), (tau, machine.L))
+        else:
+            task = None  # the s27 row
+        labels = []
+        with fleet(WorkerServer()) as tp:
+            for _ in range(2):
+                if kind == "windows":
+                    session = tp.open_windows(circuit, delays, MctOptions())
+                else:
+                    session = tp.open_suite()
+                try:
+                    payload = session.result(session.submit(task))
+                finally:
+                    session.shutdown()
+                labels.append(
+                    payload["worker"]["pid"] if kind == "windows"
+                    else payload["pid"]
+                )
+        assert labels[0] != labels[1]
 
     def test_host_kill_reclaims_leases(self, widened, serial):
         # One worker dies after its first decide; its leased window is
@@ -191,7 +212,7 @@ class TestClusterSweep:
         circuit, delays = widened
         with fleet(WorkerServer(), WorkerServer(kill_at=1)) as tp:
             result = minimum_cycle_time(
-                circuit, delays, MctOptions(**CLUSTER_OPTS), transport=tp
+                circuit, delays, MctOptions(), transport=tp
             )
         assert_equivalent(serial, result)
         sup = result.supervision
@@ -206,7 +227,7 @@ class TestClusterSweep:
         circuit, delays = widened
         with fleet(WorkerServer(), WorkerServer(drop_heartbeats_after=0)) as tp:
             result = minimum_cycle_time(
-                circuit, delays, MctOptions(**CLUSTER_OPTS), transport=tp
+                circuit, delays, MctOptions(), transport=tp
             )
         assert_equivalent(serial, result)
         sup = result.supervision
@@ -225,7 +246,7 @@ class TestClusterSweep:
             WorkerServer(drop_heartbeats_after=0),
         ) as tp:
             result = minimum_cycle_time(
-                circuit, delays, MctOptions(**CLUSTER_OPTS), transport=tp
+                circuit, delays, MctOptions(), transport=tp
             )
         assert_equivalent(serial, result)
         sup = result.supervision
@@ -244,7 +265,7 @@ class TestClusterSweep:
             WorkerServer(drop_heartbeats_after=0),
         ) as tp:
             result = minimum_cycle_time(
-                circuit, delays, MctOptions(**CLUSTER_OPTS), transport=tp
+                circuit, delays, MctOptions(), transport=tp
             )
         assert_equivalent(serial, result)
         sup = result.supervision
@@ -257,7 +278,7 @@ class TestClusterSweep:
         circuit, delays = widened
         with fleet(WorkerServer(kill_at=1), WorkerServer(kill_at=1)) as tp:
             result = minimum_cycle_time(
-                circuit, delays, MctOptions(**CLUSTER_OPTS), transport=tp
+                circuit, delays, MctOptions(), transport=tp
             )
         assert_equivalent(serial, result)
         assert result.supervision.workers_lost == 2
@@ -275,11 +296,10 @@ class TestClusterSweep:
             tp = SocketTransport(
                 ["%s:%d" % server.address, dead],
                 connect_timeout=0.5,
-                heartbeat_interval=0.05,
-                heartbeat_timeout=0.2,
+                **CLUSTER,
             )
             result = minimum_cycle_time(
-                circuit, delays, MctOptions(**CLUSTER_OPTS), transport=tp
+                circuit, delays, MctOptions(), transport=tp
             )
         finally:
             server.stop()
@@ -293,7 +313,7 @@ class TestClusterSweep:
         circuit, delays = widened
         with fleet(WorkerServer()) as tp:
             result = minimum_cycle_time(
-                circuit, delays, MctOptions(**CLUSTER_OPTS), transport=tp
+                circuit, delays, MctOptions(), transport=tp
             )
         sup = result.supervision
         assert sup.unreachable_workers == []
@@ -325,7 +345,7 @@ class TestClusterSweep:
             resumed = minimum_cycle_time(
                 circuit,
                 delays,
-                MctOptions(**CLUSTER_OPTS),
+                MctOptions(),
                 resume_from=partial.checkpoint,
                 transport=tp,
             )
@@ -353,7 +373,7 @@ class TestClusterSecurity:
             secret=b"s3cret",
         ) as tp:
             result = minimum_cycle_time(
-                circuit, delays, MctOptions(**CLUSTER_OPTS), transport=tp
+                circuit, delays, MctOptions(), transport=tp
             )
         assert_equivalent(serial, result)
         sup = result.supervision
@@ -373,7 +393,7 @@ class TestClusterSecurity:
         ) as tp:
             bad = "%s:%d" % tp.addresses[1]
             result = minimum_cycle_time(
-                circuit, delays, MctOptions(**CLUSTER_OPTS), transport=tp
+                circuit, delays, MctOptions(), transport=tp
             )
         assert_equivalent(serial, result)
         sup = result.supervision
@@ -391,7 +411,7 @@ class TestClusterSecurity:
         with fleet(WorkerServer(secret=b"WRONG"), secret=b"s3cret") as tp:
             with pytest.raises(AnalysisError, match="no cluster workers"):
                 minimum_cycle_time(
-                    circuit, delays, MctOptions(**CLUSTER_OPTS), transport=tp
+                    circuit, delays, MctOptions(), transport=tp
                 )
 
     def test_secretless_client_refused_by_secret_worker(self, widened):
@@ -399,7 +419,7 @@ class TestClusterSecurity:
         with fleet(WorkerServer(secret=b"s3cret")) as tp:
             with pytest.raises(AnalysisError, match="no cluster workers"):
                 minimum_cycle_time(
-                    circuit, delays, MctOptions(**CLUSTER_OPTS), transport=tp
+                    circuit, delays, MctOptions(), transport=tp
                 )
 
     def test_secret_client_refuses_secretless_worker(self, widened):
@@ -409,7 +429,7 @@ class TestClusterSecurity:
         with fleet(WorkerServer(), secret=b"s3cret") as tp:
             with pytest.raises(AnalysisError, match="no cluster workers"):
                 minimum_cycle_time(
-                    circuit, delays, MctOptions(**CLUSTER_OPTS), transport=tp
+                    circuit, delays, MctOptions(), transport=tp
                 )
 
     def test_worker_survives_auth_probe(self, widened, serial):
@@ -421,15 +441,17 @@ class TestClusterSecurity:
             address = "%s:%d" % server.address
             with pytest.raises(AnalysisError, match="no cluster workers"):
                 minimum_cycle_time(
-                    circuit, delays, MctOptions(**CLUSTER_OPTS),
+                    circuit, delays, MctOptions(),
                     transport=SocketTransport(
-                        [address], connect_timeout=2.0, secret=b"WRONG"
+                        [address], connect_timeout=2.0, secret=b"WRONG",
+                        **CLUSTER,
                     ),
                 )
             result = minimum_cycle_time(
-                circuit, delays, MctOptions(**CLUSTER_OPTS),
+                circuit, delays, MctOptions(),
                 transport=SocketTransport(
-                    [address], connect_timeout=2.0, secret=b"s3cret"
+                    [address], connect_timeout=2.0, secret=b"s3cret",
+                    **CLUSTER,
                 ),
             )
         finally:
@@ -454,7 +476,7 @@ class TestClusterSecurity:
             ssl_context=build_client_context(tls_certs["ca"]),
         ) as tp:
             result = minimum_cycle_time(
-                circuit, delays, MctOptions(**CLUSTER_OPTS), transport=tp
+                circuit, delays, MctOptions(), transport=tp
             )
         assert_equivalent(serial, result)
 
@@ -473,7 +495,7 @@ class TestClusterSecurity:
             ssl_context=build_client_context(tls_certs["ca"]),
         ) as tp:
             result = minimum_cycle_time(
-                circuit, delays, MctOptions(**CLUSTER_OPTS), transport=tp
+                circuit, delays, MctOptions(), transport=tp
             )
         assert_equivalent(serial, result)
         assert result.supervision.auth_failures == 0
@@ -508,7 +530,7 @@ class TestClusterSecurity:
         ) as tp:
             with pytest.raises(AnalysisError, match="no cluster workers"):
                 minimum_cycle_time(
-                    circuit, delays, MctOptions(**CLUSTER_OPTS), transport=tp
+                    circuit, delays, MctOptions(), transport=tp
                 )
 
     def test_half_open_worker_bounded_by_connect_timeout(self, widened,
@@ -528,12 +550,11 @@ class TestClusterSecurity:
                 ["%s:%d" % server.address,
                  "127.0.0.1:%d" % silent.getsockname()[1]],
                 connect_timeout=0.5,
-                heartbeat_interval=0.05,
-                heartbeat_timeout=0.2,
+                **CLUSTER,
             )
             began = _time.monotonic()
             result = minimum_cycle_time(
-                circuit, delays, MctOptions(**CLUSTER_OPTS), transport=tp
+                circuit, delays, MctOptions(), transport=tp
             )
             elapsed = _time.monotonic() - began
         finally:
@@ -572,7 +593,7 @@ class TestClusterSuite:
         serial = run_suite(cases=cases, include_s27=False)
         with fleet(WorkerServer(), WorkerServer()) as tp:
             rows, workers = run_suite_sharded(
-                cases=cases, include_s27=False, retry=FAST, transport=tp
+                cases=cases, include_s27=False, transport=tp
             )
         assert [self.row_key(r) for r in rows] == [
             self.row_key(r) for r in serial
@@ -589,7 +610,7 @@ class TestClusterSuite:
         serial = run_suite(cases=cases, include_s27=False)
         with fleet(WorkerServer(), WorkerServer(kill_at=1)) as tp:
             rows, workers = run_suite_sharded(
-                cases=cases, include_s27=False, retry=FAST, transport=tp
+                cases=cases, include_s27=False, transport=tp
             )
         assert [self.row_key(r) for r in rows] == [
             self.row_key(r) for r in serial

@@ -539,14 +539,14 @@ class TestParallelIdentity:
     def test_cluster_matches_serial(self, widened, serial):
         from repro.parallel import WorkerServer
 
-        from tests.test_cluster import CLUSTER_OPTS, fleet
+        from tests.test_cluster import fleet
 
         circuit, delays = widened
         with fleet(WorkerServer(), WorkerServer()) as transport:
             clustered = minimum_cycle_time(
                 circuit,
                 delays,
-                MctOptions(exact_feasibility=True, **CLUSTER_OPTS),
+                MctOptions(exact_feasibility=True),
                 transport=transport,
             )
         self.assert_same(serial, clustered)

@@ -77,7 +77,42 @@ class TestHarness:
         assert row.paper["mct"] == row.mct
 
 
+#: Netlists no command can load: file name and content (``None``: no
+#: file at all, ``"dir"``: a directory, bytes: not UTF-8).
+BAD_NETLISTS = {
+    "missing": ("missing.bench", None),
+    "directory": ("dir.bench", "dir"),
+    "binary": ("bin.bench", b"\x00\x93\xff\xfe" * 16),
+    "undriven": ("undriven.bench", "INPUT(a)\nOUTPUT(z)\nz = AND(a, q)\n"),
+    "cycle": ("cycle.bench", "INPUT(a)\nOUTPUT(z)\nz = AND(a, z)\n"),
+    "truncated": ("trunc.bench", "INPUT(a)\nOUTPUT(\n"),
+    "blif-cube": (
+        "cube.blif", ".model m\n.inputs a\n.outputs z\n.names a z\n2 1\n.end\n"
+    ),
+}
+
+
 class TestCli:
+    @pytest.mark.parametrize("kind", sorted(BAD_NETLISTS))
+    def test_unloadable_netlist_is_a_clean_error(self, tmp_path, capsys, kind):
+        name, content = BAD_NETLISTS[kind]
+        path = tmp_path / name
+        if content == "dir":
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        for command in (
+            ["analyze"], ["exact"], ["report"], ["skew"], ["level"],
+            ["simulate", "--tau", "5"],
+        ):
+            code = main([*command, str(path)])
+            err = capsys.readouterr().err
+            assert code == 1, command
+            assert f"error: {path}: " in err, command
+            assert "Traceback" not in err, command
+
     def test_example2_command(self, capsys):
         assert main(["example2"]) == 0
         out = capsys.readouterr().out

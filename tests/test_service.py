@@ -1007,6 +1007,12 @@ class TestServeCli:
         assert main(["serve", "--tls-ca", "ca.pem"]) == 1
         assert "--tls-cert" in capsys.readouterr().err
 
+    def test_worker_tls_flags_need_workers(self, capsys):
+        # Without --workers there is no fleet to dial: the daemon exits
+        # 1 with the message analyze/table give for --tls-*.
+        assert main(["serve", "--worker-tls-ca", "ca.pem"]) == 1
+        assert "--worker-tls-* flags need --workers" in capsys.readouterr().err
+
     def test_rejects_broken_secret_sources(self, tmp_path, capsys):
         assert main([
             "serve", "--auth-token-file", str(tmp_path / "missing"),

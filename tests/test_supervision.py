@@ -24,6 +24,7 @@ from repro.benchgen.suite import suite_cases
 from repro.errors import AnalysisError, CheckpointError, DeadlineExceeded
 from repro.mct import MctOptions, minimum_cycle_time
 from repro.parallel import (
+    LocalTransport,
     Quarantined,
     RetryPolicy,
     Supervisor,
@@ -178,11 +179,12 @@ class TestSupervisor:
             assert supervisor.stats.retries == 0
         finally:
             # shutdown(wait=False) leaves the sleeper running; reclaim
-            # it so interpreter exit does not wait out the sleep.
-            executor = supervisor._executor
+            # it so interpreter exit does not wait out the sleep.  The
+            # executor drops its process table on shutdown, so take
+            # the processes first.
+            processes = list(supervisor._executor._processes.values())
             supervisor.shutdown()
-            processes = getattr(executor, "_processes", None) or {}
-            for process in list(processes.values()):
+            for process in processes:
                 process.terminate()
 
     def test_backoff_schedule_is_seeded(self):
@@ -251,7 +253,7 @@ class TestSweepCrashRecovery:
         circuit, delays = widened
         with inject_faults(kill_worker_at=kill_at):
             disturbed = minimum_cycle_time(
-                circuit, delays, MctOptions(retry_policy=FAST), jobs=2
+                circuit, delays, transport=LocalTransport(2, retry=FAST)
             )
         assert_equivalent(serial, disturbed)
         assert disturbed.supervision is not None
@@ -264,7 +266,7 @@ class TestSweepCrashRecovery:
         circuit, delays = widened
         with inject_faults(kill_worker_at=1):
             disturbed = minimum_cycle_time(
-                circuit, delays, MctOptions(retry_policy=NO_RETRY), jobs=2
+                circuit, delays, transport=LocalTransport(2, retry=NO_RETRY)
             )
         assert_equivalent(serial, disturbed)
         decided = [r for r in disturbed.candidates if r.status != "steady"]
@@ -296,9 +298,8 @@ class TestSweepCrashRecovery:
             resumed = minimum_cycle_time(
                 circuit,
                 delays,
-                MctOptions(retry_policy=NO_RETRY),
                 resume_from=partial.checkpoint,
-                jobs=2,
+                transport=LocalTransport(2, retry=NO_RETRY),
             )
         assert resumed.mct_upper_bound == baseline.mct_upper_bound
         assert candidate_keys(resumed) == candidate_keys(baseline)
@@ -359,12 +360,12 @@ class TestOperatorInterrupt:
         assert candidate_keys(resumed) == candidate_keys(baseline)
 
     def test_parallel_interrupt_checkpoints_and_resumes(self, monkeypatch):
-        from repro.parallel import windows
+        from repro.parallel import transport
 
         circuit, delays = paper_example2()
         delays = delays.widen(Fraction(9, 10))
         baseline = minimum_cycle_time(circuit, delays)
-        real = windows.WindowDecider.result
+        real = transport._LocalSession.result
         calls = {"n": 0}
 
         def interrupt_on_second(self, handle):
@@ -373,7 +374,9 @@ class TestOperatorInterrupt:
                 raise KeyboardInterrupt
             return real(self, handle)
 
-        monkeypatch.setattr(windows.WindowDecider, "result", interrupt_on_second)
+        monkeypatch.setattr(
+            transport._LocalSession, "result", interrupt_on_second
+        )
         result = minimum_cycle_time(circuit, delays, jobs=2)
         monkeypatch.undo()
         assert result.cancelled
@@ -487,7 +490,9 @@ class TestSuiteSupervision:
         serial = run_suite(cases=cases, include_s27=False)
         with inject_faults(kill_worker_at=1):
             rows, workers = run_suite_sharded(
-                cases=cases, include_s27=False, jobs=2, retry=NO_RETRY
+                cases=cases,
+                include_s27=False,
+                transport=LocalTransport(2, retry=NO_RETRY),
             )
         assert [self.row_key(r) for r in rows] == [
             self.row_key(r) for r in serial
@@ -507,7 +512,9 @@ class TestSuiteSupervision:
         # the supervisor rebuilds and the rows still come out serial.
         with inject_faults(kill_worker_at=2):
             rows, workers = run_suite_sharded(
-                cases=cases, include_s27=True, jobs=2, retry=FAST
+                cases=cases,
+                include_s27=True,
+                transport=LocalTransport(2, retry=FAST),
             )
         assert [self.row_key(r) for r in rows] == [
             self.row_key(r) for r in serial
