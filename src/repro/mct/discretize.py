@@ -138,8 +138,11 @@ def build_discretized_machine(
 
     Raises :class:`AnalysisError` when a register-to-register path has
     total delay 0 (a zero-delay feedback loop has no well-defined
-    sampling semantics; the paper assumes positive loop delays).
+    sampling semantics; the paper assumes positive loop delays), and
+    :class:`~repro.errors.CircuitError` on a combinational cycle,
+    before any cone is compiled: a cone walk around a cycle never ends.
     """
+    circuit.topological_order()
     setup = delays.setup
     state_roots = [latch.data for latch in circuit.latches.values()]
     output_roots = list(circuit.outputs)

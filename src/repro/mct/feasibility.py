@@ -157,12 +157,13 @@ def point_sigma_sup_tau(
 ) -> tuple[bool, Fraction | None]:
     """Relaxed feasibility and supremum of one fully specified σ.
 
-    The prescreen primitive of the exact-LP branch and bound
-    (:mod:`repro.mct.lp_exact`): ``sigma`` assigns a *single* age per
-    leaf, and the return value distinguishes "infeasible" from
-    "unbounded above" — ``(False, None)`` when no τ works,
-    ``(True, sup)`` otherwise with ``sup=None`` meaning the feasible
-    set has no finite top (only possible without a window cap).
+    :meth:`repro.mct.lp_exact.ExactFeasibility.sup_tau` runs it when
+    the caller passes no precomputed supremum.  ``sigma`` assigns a
+    *single* age per leaf, and the return value distinguishes
+    "infeasible" from "unbounded above" — ``(False, None)`` when no τ
+    works, ``(True, sup)`` otherwise with ``sup=None`` meaning the
+    feasible set has no finite top (only possible without a window
+    cap).
     """
     tau_set = feasible_tau_range(
         {tl: (age,) for tl, age in sigma.items()}, window, deadline=deadline

@@ -18,32 +18,42 @@ enumeration is budget-capped, so this is an opt-in refinement for
 small circuits (``MctOptions(exact_feasibility=True)``).
 
 ``sup_tau_options`` — the max over a cartesian product of age options —
-is a branch-and-bound search rather than a blind loop:
+is a branch and bound that never builds the product:
 
-* **interval prescreen**: each σ is first checked against the relaxed
-  per-leaf model.  A relaxed-infeasible σ cannot be LP-feasible (the
-  LP's variable bounds confine every path total to its leaf interval),
-  so its LP is skipped outright.
-* **bound pruning**: surviving σ's are visited in descending order of
-  their relaxed supremum.  Because the exact τ(σ) never exceeds the
-  relaxed one, the first time the next σ's relaxed supremum cannot beat
-  the best exact value already found, *no* remaining σ can, and the
-  rest of the list is discarded in one step.  Pruning never changes
-  the returned maximum — only how much work finds it.
+* **per-leaf τ-ranges**: for a fully specified σ the relaxed τ-set is a
+  single half-open range, the window intersected with every leaf's
+  ``[k_lo/a, k_hi/(a-1))`` (Def. 4).  Each leaf's per-age range is
+  clipped to the window once.  An age whose clipped range is empty
+  appears in no relaxed-feasible σ, and a relaxed-infeasible σ cannot
+  be LP-feasible (the LP's variable bounds confine every path total to
+  its leaf interval), so its LP is never solved.
+* **threshold classes**: a σ's relaxed supremum is the smallest top ``H``
+  of its ranges.  Grouping the σ's by ``H`` gives classes whose sizes
+  have a closed form (a product over the leaves), so the
+  relaxed-infeasible remainder is counted, not walked.
+* **bound pruning**: classes are visited unbounded first, then by
+  descending ``H``, and each class's σ's are generated lazily in
+  ascending age order.  Because the exact τ(σ) never exceeds the
+  relaxed one, the first time ``H`` cannot beat the best exact value
+  already found, *no* remaining σ can, and the rest are discarded in
+  one step.  Pruning never changes the returned maximum — only how much
+  work finds it.
 
-The search runs in the process that decides the window; on the bench
-suite it leaves one LP solve per exact case.
+The search costs leaves × ages per visited σ plus one pass over the
+classes, not the size of the product; it runs in the process that
+decides the window, and on the bench suite it leaves one LP solve per
+exact case.
 
 Work accounting lives in :class:`repro.mct.lp_stats.LpStats`; every
 ``sup_tau_options`` call preserves the identity ``solves +
-prescreen_skips + bound_prunes == enumerated combinations``.  A
+prescreen_skips + bound_prunes == combinations in the product``.  A
 "solve" is one σ's LP — its ε-strict feasibility phase plus the ε = 0
 supremum phase count as a single unit of charged work.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import time
 from fractions import Fraction
 
@@ -53,7 +63,12 @@ from scipy.optimize import linprog
 from repro.errors import AnalysisError
 from repro.logic.delays import Interval
 from repro.mct.discretize import DiscretizedMachine, TimedLeaf
-from repro.mct.feasibility import TauRange, point_sigma_sup_tau
+from repro.mct.feasibility import (
+    TauRange,
+    age_tau_range,
+    intersect_sets,
+    point_sigma_sup_tau,
+)
 from repro.mct.lp_stats import LpStats
 from repro.timed.paths import TimedPath, enumerate_paths
 
@@ -64,19 +79,6 @@ EPSILON = 1e-6
 
 #: Sentinel: the caller did not precompute the relaxed supremum.
 _UNSET = object()
-
-
-def _survivor_order(entry):
-    """Sort key: descending relaxed supremum, then the combo tuple.
-
-    An unbounded relaxed supremum (``None``) sorts first — nothing can
-    dominate it — and the age tuple breaks ties so the visiting order
-    is a pure function of the survivor set.
-    """
-    relaxed, combo = entry
-    if relaxed is None:
-        return (0, 0, combo)
-    return (1, -relaxed, combo)
 
 
 class ExactFeasibility:
@@ -295,13 +297,13 @@ class ExactFeasibility:
 
         The decision procedure reports *option sets* (a partial choice
         assignment); the exact bound is the max over the full σ's they
-        cover, found by branch and bound (see the module docstring).
-        Returns ``None`` for "all infeasible"; raises
-        :class:`AnalysisError` when the product exceeds the cap (the
-        caller should fall back to the relaxed bound).  A cooperative
-        ``deadline`` is polled throughout — once per prescreened σ as
-        well as before each LP solve — so a wall-clock limit holds even
-        when thousands of σ's are skipped without solving.
+        cover, found by branch and bound over threshold classes (see
+        the module docstring).  Returns ``None`` for "all infeasible";
+        raises :class:`AnalysisError` when the product exceeds the cap
+        (the caller should fall back to the relaxed bound) or a leaf
+        lists an age twice.  A cooperative ``deadline`` is polled
+        before each LP solve; the work between two solves is bounded
+        by the leaves × ages, never by the product.
         """
         # A total leaf order, not the dict's: ties between equal relaxed
         # suprema are broken by the combo tuple, and a hash-dependent
@@ -315,33 +317,139 @@ class ExactFeasibility:
                 raise AnalysisError(
                     f"{total} combinations exceed the exact-LP cap"
                 )
-        # Interval prescreen: drop relaxed-infeasible σ's without an LP
-        # and record each survivor's relaxed supremum for the ordering.
-        survivors: list[tuple[Fraction | None, tuple[int, ...]]] = []
-        for combo in itertools.product(*(options[tl] for tl in leaves)):
-            if deadline is not None:
-                deadline.check("exact LP prescreen")
-            feasible, relaxed = point_sigma_sup_tau(
-                dict(zip(leaves, combo)), window
-            )
-            if not feasible:
-                self.stats.prescreen_skips += 1
-                continue
-            survivors.append((relaxed, combo))
-        # Visit survivors in descending relaxed-sup order: the bound
-        # prune then discards the whole tail at the first σ whose
-        # relaxed supremum cannot beat the best exact value.
-        survivors.sort(key=_survivor_order)
+        for tl in leaves:
+            if len(set(options[tl])) != len(options[tl]):
+                raise AnalysisError(f"duplicate ages {options[tl]} for {tl}")
+        classes = _threshold_classes(
+            [_age_ranges(tl.total, options[tl], window) for tl in leaves],
+            window[1] if window is not None else None,
+        )
+        survivors = sum(count for _, count, _ in classes)
+        self.stats.prescreen_skips += total - survivors
         best: Fraction | None = None
-        for idx, (relaxed, combo) in enumerate(survivors):
-            if best is not None and relaxed is not None and relaxed <= best:
-                # exact ≤ relaxed and the list is descending: nothing
-                # past this point can improve the maximum.
-                self.stats.bound_prunes += len(survivors) - idx
-                break
-            if deadline is not None:
-                deadline.check("exact LP")
-            value = self.sup_tau(dict(zip(leaves, combo)), window, relaxed)
-            if value is not None and (best is None or value > best):
-                best = value
+        visited = 0
+        for top, _, members in classes:
+            for combo in members:
+                if best is not None and top is not None and top <= best:
+                    # exact ≤ relaxed and the classes descend: nothing
+                    # from here on can improve the maximum.
+                    self.stats.bound_prunes += survivors - visited
+                    return best
+                if deadline is not None:
+                    deadline.check("exact LP")
+                visited += 1
+                value = self.sup_tau(dict(zip(leaves, combo)), window, top)
+                if value is not None and (best is None or value > best):
+                    best = value
         return best
+
+
+def _age_ranges(
+    total: Interval, ages: tuple[int, ...], window: TauRange | None
+) -> list[tuple[int, TauRange]]:
+    """One leaf's ages, ascending, with their τ-ranges clipped to the window.
+
+    An age whose range misses the window is dropped: no σ that uses it
+    is relaxed-feasible.
+    """
+    universe = [window] if window is not None else [(Fraction(0), None)]
+    out = []
+    for age in sorted(ages):
+        tau_range = age_tau_range(total, age)
+        clipped = (
+            intersect_sets(universe, [tau_range])
+            if tau_range is not None
+            else []
+        )
+        if clipped:
+            out.append((age, clipped[0]))
+    return out
+
+
+def _threshold_classes(
+    ranges: list[list[tuple[int, TauRange]]], window_top: Fraction | None
+) -> list:
+    """Group the relaxed-feasible σ's by their relaxed supremum.
+
+    ``ranges[i]`` is leaf ``i``'s :func:`_age_ranges`.  A σ's relaxed
+    τ-set is ``[max lo, min hi)`` over its ranges, so its supremum is
+    the smallest top ``H`` and it is feasible iff every range has
+    ``lo < H``.  The σ's of class ``H`` are therefore those whose every
+    age is *allowed* (``lo < H ≤ hi``) and at least one *hits* ``H``
+    (``hi == H``): ``Π |allowed| − Π |allowed ∖ hit|`` of them.  The
+    window's top is one term of every σ's minimum, so its class needs
+    no leaf to hit it.
+
+    Returns ``(H, count, members)`` for every non-empty class, the
+    unbounded class (``H = None``) first and the rest by descending
+    ``H``; ``members`` lazily yields the class's age tuples in
+    ascending order.
+    """
+    tops = {hi for leaf in ranges for _, (_, hi) in leaf}
+    tops.add(window_top)
+    order = [None] if None in tops else []
+    order += sorted((top for top in tops if top is not None), reverse=True)
+    classes = []
+    for top in order:
+        allowed = [
+            [
+                (age, hi == top)
+                for age, (lo, hi) in leaf
+                if _allows(lo, hi, top)
+            ]
+            for leaf in ranges
+        ]
+        hit = top == window_top
+        count = math.prod(len(ages) for ages in allowed)
+        if not hit:
+            count -= math.prod(
+                sum(1 for _, hits in ages if not hits) for ages in allowed
+            )
+        if count:
+            classes.append((top, count, _class_members(allowed, hit)))
+    return classes
+
+
+def _allows(lo: Fraction, hi: Fraction | None, top: Fraction | None) -> bool:
+    """``lo < top ≤ hi``, with ``None`` as +∞."""
+    if top is None:
+        return hi is None
+    return lo < top and (hi is None or top <= hi)
+
+
+def _class_members(allowed: list[list[tuple[int, bool]]], hit: bool):
+    """Age tuples of one threshold class, ascending, built lazily.
+
+    ``allowed[i]`` lists leaf ``i``'s allowed ages (ascending), each
+    with whether it hits the class top; a tuple belongs to the class
+    when ``hit`` holds or one of its ages hits.  A branch is entered
+    only while it, or a leaf after it, can still hit, so every entered
+    branch yields and each tuple costs at most leaves × ages.
+    """
+    n = len(allowed)
+    # can_hit[i]: some leaf from i on has an age that hits the top.
+    can_hit = [False] * (n + 1)
+    for i in reversed(range(n)):
+        can_hit[i] = can_hit[i + 1] or any(hits for _, hits in allowed[i])
+    combo = [0] * n
+    prefix_hit = [hit] + [False] * n
+    cursor = [0] * n
+    depth = 0
+    while depth >= 0:
+        if depth == n:
+            yield tuple(combo)
+            depth -= 1
+            continue
+        ages = allowed[depth]
+        while cursor[depth] < len(ages):
+            age, hits = ages[cursor[depth]]
+            cursor[depth] += 1
+            now = prefix_hit[depth] or hits
+            if now or can_hit[depth + 1]:
+                combo[depth] = age
+                prefix_hit[depth + 1] = now
+                depth += 1
+                break
+        else:
+            cursor[depth] = 0
+            depth -= 1

@@ -1,8 +1,8 @@
 """Work counters for the exact-LP branch-and-bound fast path.
 
 Every :class:`~repro.mct.lp_exact.ExactFeasibility` oracle owns one
-mutable :class:`LpStats` and updates it from the σ-enumeration hot
-path.  The counters are cheap increments, always on, and surfaced the
+mutable :class:`LpStats` and updates it from the threshold-class
+search.  The counters are cheap increments, always on, and surfaced the
 same three ways as :class:`repro.bdd.BddStats`:
 
 * ``oracle.stats`` — live counters of one oracle;
@@ -15,11 +15,13 @@ The accounting identity enforced by the branch-and-bound loop is
 
     ``solves + prescreen_skips + bound_prunes == combinations``
 
-for every ``sup_tau_options`` call: each enumerated σ is solved,
-skipped by the interval prescreen, or pruned by the descending-order
-bound — never double-counted, never dropped.
+for every ``sup_tau_options`` call, where ``combinations`` is the
+number of combinations in the product: each σ of the product is
+solved, counted as relaxed-infeasible, or pruned by the
+descending-order bound — never double-counted, never dropped.
 ``tests/test_lp_branch_bound.py`` checks it on every call shape,
-including the 512- and 1024-combination ``interval_bank`` sweeps.
+including the 512- and 1024-combination ``interval_bank`` sweeps and
+a 2**20-combination product that is counted without being walked.
 """
 
 from __future__ import annotations
@@ -33,11 +35,13 @@ class LpStats:
 
     #: Linear programs actually handed to the solver.
     solves: int = 0
-    #: σ's skipped because the relaxed per-leaf τ-set was empty or its
-    #: supremum could not beat the best exact τ already found.
+    #: σ's never solved because their relaxed τ-set (the window
+    #: intersected with every leaf's per-age range) is empty; counted in
+    #: closed form, not visited.
     prescreen_skips: int = 0
-    #: σ's discarded wholesale once the descending relaxed-sup order
-    #: guaranteed no remaining combination can improve the maximum.
+    #: Relaxed-feasible σ's discarded wholesale once the descending
+    #: relaxed-sup order guaranteed no remaining combination can
+    #: improve the maximum.
     bound_prunes: int = 0
     #: Per-(path, age) constraint row pairs served from the skeleton
     #: cache instead of being rebuilt.

@@ -36,7 +36,7 @@ import contextlib
 import dataclasses
 import random
 import time
-from concurrent.futures import BrokenExecutor
+from concurrent.futures import BrokenExecutor, Future
 
 from repro.errors import DeadlineExceeded, OptionsError
 
@@ -306,7 +306,10 @@ class Supervisor:
 
         Futures that already completed keep their results; everything
         else — pending, cancelled, or failed with the pool — is
-        resubmitted to the fresh executor in submission order.
+        resubmitted to the fresh executor in submission order.  When
+        the fresh pool breaks before that loop ends, each task it
+        refused gets a future failed with the same error, so the next
+        :meth:`result` on it charges a crash like any other.
         """
         executor = self._executor
         self._executor = None
@@ -325,7 +328,11 @@ class Supervisor:
             if future is not None and future.done() and not future.cancelled():
                 if future.exception() is None:
                     continue  # completed before the pool broke
-            task.future = fresh.submit(task.fn, *task.args)
+            try:
+                task.future = fresh.submit(task.fn, *task.args)
+            except BrokenExecutor as exc:
+                task.future = Future()
+                task.future.set_exception(exc)
 
     def _backoff(self) -> None:
         sleep = self._schedule.next_sleep()

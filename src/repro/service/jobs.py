@@ -233,6 +233,9 @@ class JobSpec:
             else:
                 parse = parse_bench if self.kind == "bench" else parse_blif
                 circuit = parse(self.source, name=f"submitted-{self.kind}")
+                # A combinational cycle is refused here, not by a sweep
+                # whose cone walk would grow without bound.
+                circuit.topological_order()
                 delays = _DELAY_MODELS[self.delay_model](circuit)
         except OptionsError:
             raise

@@ -5,6 +5,13 @@ from fractions import Fraction
 import pytest
 
 from repro import errors
+from repro.fsm import exact_minimum_cycle_time
+from repro.logic import parse_bench, unit_delays
+from repro.mct import minimum_cycle_time
+from repro.mct.discretize import build_discretized_machine
+
+#: ``z`` feeds itself through a gate: no latch breaks the loop.
+CYCLIC_BENCH = "INPUT(a)\nOUTPUT(z)\nz = AND(a, z)\n"
 
 
 class TestHierarchy:
@@ -113,3 +120,28 @@ class TestBudget:
             parent.child(1.5)
         # a tiny fraction still yields a usable budget of at least 1
         assert parent.child(0.001).limit == 1
+
+
+class TestCombinationalCycle:
+    """A combinational cycle is refused before any cone is compiled: a
+    cone walk around the loop never ends and its memory grows without
+    bound."""
+
+    @pytest.fixture
+    def cyclic(self):
+        circuit = parse_bench(CYCLIC_BENCH, name="cycle")
+        return circuit, unit_delays(circuit)
+
+    def test_discretization_raises(self, cyclic):
+        with pytest.raises(
+            errors.CircuitError, match="combinational cycle through 'z'"
+        ):
+            build_discretized_machine(*cyclic)
+
+    def test_minimum_cycle_time_raises(self, cyclic):
+        with pytest.raises(errors.CircuitError, match="combinational cycle"):
+            minimum_cycle_time(*cyclic)
+
+    def test_exact_minimum_cycle_time_raises(self, cyclic):
+        with pytest.raises(errors.CircuitError, match="combinational cycle"):
+            exact_minimum_cycle_time(*cyclic)

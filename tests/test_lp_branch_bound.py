@@ -1,11 +1,12 @@
-"""The exact-LP branch-and-bound fast path (perf tentpole).
+"""The exact-LP branch-and-bound fast path.
 
-Contract under test: the prescreened, bound-pruned ``sup_tau_options``
-returns *byte-identical* bounds to the blind cartesian-product loop it
-replaced — pruning changes how much work finds the maximum, never the
-maximum itself — and every call
-preserves the accounting identity ``solves + prescreen_skips +
-bound_prunes == enumerated combinations``.
+Contract under test: the threshold-class ``sup_tau_options`` returns
+*byte-identical* bounds to the blind cartesian-product loop, and visits
+the same σ's in the same order, with the same counters, as the
+prescreen walk it replaced (:func:`reference_sup_tau_options`) —
+pruning changes how much work finds the maximum, never the maximum
+itself — and every call preserves the accounting identity ``solves +
+prescreen_skips + bound_prunes == combinations in the product``.
 """
 
 from __future__ import annotations
@@ -56,6 +57,88 @@ def blind_loop_max(oracle, options, window):
         if value is not None and (best is None or value > best):
             best = value
     return best
+
+
+def _survivor_order(entry):
+    relaxed, combo = entry
+    if relaxed is None:
+        return (0, 0, combo)
+    return (1, -relaxed, combo)
+
+
+def reference_sup_tau_options(
+    oracle, options, window=None, max_combinations=256, deadline=None
+):
+    """The prescreen walk ``sup_tau_options`` used before threshold
+    classes: every σ of the product through ``point_sigma_sup_tau``,
+    the survivors sorted by descending relaxed supremum, then solved
+    until the bound prunes the tail.  Kept as the oracle of the
+    differential tests."""
+    leaves = sorted(options)
+    total = 1
+    for tl in leaves:
+        total *= len(options[tl])
+        if total > max_combinations:
+            raise AnalysisError(
+                f"{total} combinations exceed the exact-LP cap"
+            )
+    survivors = []
+    for combo in itertools.product(*(options[tl] for tl in leaves)):
+        if deadline is not None:
+            deadline.check("exact LP prescreen")
+        feasible, relaxed = point_sigma_sup_tau(
+            dict(zip(leaves, combo)), window
+        )
+        if not feasible:
+            oracle.stats.prescreen_skips += 1
+            continue
+        survivors.append((relaxed, combo))
+    survivors.sort(key=_survivor_order)
+    best = None
+    for idx, (relaxed, combo) in enumerate(survivors):
+        if best is not None and relaxed is not None and relaxed <= best:
+            oracle.stats.bound_prunes += len(survivors) - idx
+            break
+        if deadline is not None:
+            deadline.check("exact LP")
+        value = oracle.sup_tau(dict(zip(leaves, combo)), window, relaxed)
+        if value is not None and (best is None or value > best):
+            best = value
+    return best
+
+
+class ScriptedOracle(ExactFeasibility):
+    """``sup_tau_options`` over a scripted LP: no machine, no solver.
+
+    Each σ's "exact" value is a fixed function of ``salt`` and its age
+    tuple: infeasible, the relaxed supremum itself (which lets the bound
+    prune fire), or a tenth below it.  Every call is recorded.
+    """
+
+    def __init__(self, salt: int = 0):
+        self.stats = LpStats()
+        self.salt = salt
+        self.visits = []
+
+    def sup_tau(self, sigma, window=None, relaxed=None):
+        combo = tuple(sigma.values())
+        self.visits.append((combo, relaxed))
+        self.stats.solves += 1
+        pick = hash((self.salt, combo)) % 3
+        if pick == 0:
+            return None
+        top = relaxed if relaxed is not None else Fraction(1000)
+        return top if pick == 1 else top * Fraction(9, 10)
+
+
+class CountingDeadline:
+    """A deadline that never expires and records every poll."""
+
+    def __init__(self):
+        self.polls = []
+
+    def check(self, where: str = "") -> None:
+        self.polls.append(where)
 
 
 def stem_oracle():
@@ -164,7 +247,7 @@ class TestBranchAndBound:
         assert oracle.stats.skeleton_hits > before
         assert oracle.stats.solves == 2
 
-    def test_deadline_polled_during_prescreen(self):
+    def test_deadline_polled_before_first_lp(self):
         oracle, leaf_a, leaf_b = stem_oracle()
         deadline = Deadline(1e-9, stride=1)
         time.sleep(0.002)
@@ -317,6 +400,138 @@ class TestDifferential:
                 feasible, relaxed = point_sigma_sup_tau(sigma, (lo, hi))
                 assert feasible
                 assert relaxed is None or exact <= relaxed
+
+
+# ----------------------------------------------------------------------
+# Threshold classes against the prescreen walk they replaced
+# ----------------------------------------------------------------------
+@st.composite
+def option_sets(draw):
+    """0-5 leaves over half-unit intervals, 1-4 distinct ages each, in
+    drawn (not sorted) order; equal tops across leaves are common."""
+    options = {}
+    for i in range(draw(st.integers(min_value=0, max_value=5))):
+        lo = draw(st.integers(min_value=0, max_value=8))
+        width = draw(st.integers(min_value=0, max_value=6))
+        leaf = TimedLeaf(
+            f"l{i}", Interval.of(Fraction(lo, 2), Fraction(lo + width, 2))
+        )
+        ages = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=4),
+                min_size=1, max_size=4, unique=True,
+            )
+        )
+        options[leaf] = tuple(ages)
+    return options
+
+
+@st.composite
+def windows(draw):
+    """``None``, an unbounded window, or ``[lo, hi)`` (possibly empty)."""
+    if draw(st.booleans()):
+        return None
+    lo = Fraction(draw(st.integers(min_value=0, max_value=20)), 4)
+    if draw(st.booleans()):
+        return (lo, None)
+    return (lo, lo + Fraction(draw(st.integers(min_value=0, max_value=12)), 4))
+
+
+class TestThresholdClasses:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        options=option_sets(),
+        window=windows(),
+        salt=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_matches_prescreen_walk(self, options, window, salt):
+        """Same value, same σ's in the same order with the same relaxed
+        suprema, same counters — and the identity holds."""
+        walked, classed = ScriptedOracle(salt), ScriptedOracle(salt)
+        walk_polls, class_polls = CountingDeadline(), CountingDeadline()
+        expected = reference_sup_tau_options(
+            walked, options, window, 10**6, walk_polls
+        )
+        got = classed.sup_tau_options(options, window, 10**6, class_polls)
+        assert got == expected
+        assert classed.visits == walked.visits
+        assert classed.stats == walked.stats
+        total = 1
+        for ages in options.values():
+            total *= len(ages)
+        stats = classed.stats
+        assert stats.solves + stats.prescreen_skips + stats.bound_prunes == total
+        # One poll before each LP, and the walk's LP polls are the same.
+        assert class_polls.polls == ["exact LP"] * stats.solves
+        assert walk_polls.polls.count("exact LP") == stats.solves
+
+    @pytest.mark.parametrize(
+        "window",
+        [None, (Fraction(2), Fraction(8)), (Fraction(2), Fraction(5, 2)),
+         (Fraction(5), Fraction(8)), (Fraction(3), None)],
+        ids=["none", "wide", "tight", "high", "unbounded"],
+    )
+    def test_real_lp_matches_prescreen_walk(self, window):
+        walked, leaf_a, leaf_b = stem_oracle()
+        classed, _, _ = stem_oracle()
+        options = {leaf_a: (3, 1, 2), leaf_b: (2, 1)}
+        expected = reference_sup_tau_options(walked, options, window)
+        assert classed.sup_tau_options(options, window) == expected
+        for name in (
+            "solves", "prescreen_skips", "bound_prunes", "skeleton_hits"
+        ):
+            assert getattr(classed.stats, name) == getattr(walked.stats, name)
+
+    def test_duplicate_ages_raise_before_any_work(self):
+        """An option set that lists an age twice is malformed (the
+        decision procedure never builds one); it is refused like an
+        over-cap product, so the caller keeps the relaxed bound."""
+        oracle = ScriptedOracle()
+        leaf_a = TimedLeaf("a", Interval.of(4, 5))
+        leaf_b = TimedLeaf("b", Interval.of(2, 3))
+        with pytest.raises(AnalysisError, match="duplicate ages"):
+            oracle.sup_tau_options(
+                {leaf_a: (1, 2, 1), leaf_b: (1,)}, (Fraction(1), Fraction(8))
+            )
+        assert oracle.stats == LpStats()
+        assert oracle.visits == []
+
+    def test_cost_does_not_follow_the_product(self, monkeypatch):
+        """2**20 combinations are counted, not walked: the per-σ
+        relaxed check is never called, yet every combination is
+        accounted for."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return point_sigma_sup_tau(*args, **kwargs)
+
+        monkeypatch.setattr("repro.mct.lp_exact.point_sigma_sup_tau", counting)
+        monkeypatch.setattr(
+            "repro.mct.feasibility.point_sigma_sup_tau", counting
+        )
+        # Leaf i spans [3 + i/10, 4 + i/10]: age 1 reaches the window's
+        # top, age 2 stops at 4 + i/10, and a late leaf at age 1 starts
+        # above an early leaf's age-2 top, so some σ's are infeasible.
+        options = {
+            TimedLeaf(
+                f"h{i:02d}", Interval.of(3 + Fraction(i, 10), 4 + Fraction(i, 10))
+            ): (1, 2)
+            for i in range(20)
+        }
+        oracle = ScriptedOracle()
+        oracle.sup_tau_options(
+            options, (Fraction(1), Fraction(10)), max_combinations=2**20
+        )
+        stats = oracle.stats
+        assert calls == []
+        assert stats.solves + stats.prescreen_skips + stats.bound_prunes == 2**20
+        assert stats.prescreen_skips > 0
+        assert stats.bound_prunes > 0
 
 
 # ----------------------------------------------------------------------

@@ -35,6 +35,13 @@ S27_JOB = {
     "circuit": {"kind": "bench", "source": S27_BENCH},
     "delays": {"model": "fanout"},
 }
+#: A netlist whose gate ``z`` feeds itself: a combinational cycle.
+CYCLIC_JOB = {
+    "circuit": {
+        "kind": "bench",
+        "source": "INPUT(a)\nOUTPUT(z)\nz = AND(a, z)\n",
+    }
+}
 
 
 def run(coro_fn, *, service_kwargs=None, **manager_kwargs):
@@ -165,6 +172,12 @@ class TestJobSpec:
     def test_defects_raise_options_error(self, data):
         with pytest.raises(OptionsError):
             JobSpec(data)
+
+    def test_combinational_cycle_is_refused(self):
+        with pytest.raises(
+            OptionsError, match="bad circuit: combinational cycle through 'z'"
+        ):
+            JobSpec(CYCLIC_JOB)
 
 
 # ----------------------------------------------------------------------
@@ -899,6 +912,21 @@ class TestHttpHygiene:
             # The daemon survived: it still answers.
             status, raw = await http(host, port, "GET", "/healthz")
             assert status == 200
+
+        run(scenario)
+
+    def test_combinational_cycle_gets_400_and_daemon_keeps_serving(self):
+        async def scenario(service, host, port):
+            status, raw = await http(host, port, "POST", "/jobs", CYCLIC_JOB)
+            assert status == 400
+            assert json.loads(raw)["error"] == (
+                "bad circuit: combinational cycle through 'z'"
+            )
+            status, raw = await http(host, port, "POST", "/jobs", EXAMPLE2)
+            assert status in (200, 202)
+            doc = await wait_done(host, port, json.loads(raw)["job"])
+            assert doc["state"] == "done"
+            assert service.manager.stats.jobs_failed == 0
 
         run(scenario)
 

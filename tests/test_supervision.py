@@ -14,7 +14,8 @@ from __future__ import annotations
 import os
 import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,35 @@ def _sleep(seconds):
     return seconds
 
 
+class ScriptedExecutor:
+    """An in-process stand-in for a pool whose death is scripted.
+
+    ``broken_after`` is how many submits succeed before the pool counts
+    as dead: later submits raise :class:`BrokenProcessPool`, and so do
+    the futures it handed out when ``crash`` is set (the pool died under
+    them).  Otherwise a submit runs the task inline.
+    """
+
+    def __init__(self, broken_after=None, crash=False):
+        self.broken_after = broken_after
+        self.crash = crash
+        self.submits = 0
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        if self.broken_after is not None and self.submits > self.broken_after:
+            raise BrokenProcessPool("scripted pool death")
+        future = Future()
+        if self.crash:
+            future.set_exception(BrokenProcessPool("scripted pool death"))
+        else:
+            future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
 # ----------------------------------------------------------------------
 # Supervisor unit behaviour
 # ----------------------------------------------------------------------
@@ -145,6 +175,38 @@ class TestSupervisor:
             assert supervisor.result(third) == 16
         finally:
             supervisor.shutdown()
+
+    @pytest.mark.parametrize("max_retries", [0, 2])
+    def test_pool_dying_during_resubmission_charges_a_crash(self, max_retries):
+        """The first pool dies under three tasks; the fresh one takes one
+        resubmission and dies on the next.  The refused tasks must come
+        back as crashes, not as a traceback from the rebuild or a
+        cancelled future."""
+        pools = iter([
+            ScriptedExecutor(crash=True),
+            ScriptedExecutor(broken_after=1, crash=True),
+        ])
+        supervisor = Supervisor(
+            lambda: next(pools, ScriptedExecutor()),
+            policy=RetryPolicy(
+                max_retries=max_retries, backoff_base=0.001, backoff_cap=0.001
+            ),
+        )
+        handles = [supervisor.submit(_square, n) for n in (2, 3, 4)]
+        outcomes = [supervisor.result(h) for h in handles]
+        for outcome, n in zip(outcomes, (2, 3, 4)):
+            assert outcome == n * n or isinstance(outcome, Quarantined)
+        # Either way the two pool deaths are two charged crashes; with
+        # no retries each one quarantines the task being collected.
+        assert supervisor.stats.crashes == 2
+        if max_retries:
+            assert outcomes == [4, 9, 16]
+        else:
+            assert [isinstance(o, Quarantined) for o in outcomes] == [
+                True, True, False
+            ]
+            assert outcomes[2] == 16
+            assert supervisor.stats.quarantined == 2
 
     def test_timeout_quarantines_stuck_worker(self):
         supervisor = Supervisor(
