@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.bdd import BddManager, Function
+from repro.bdd import BddManager, BddStats, Function
 from repro.bdd.transfer import transfer
 from repro.errors import AnalysisError, Budget
 from repro.logic.delays import Interval
 from repro.mct.discretize import DiscretizedMachine, TimedLeaf
 from repro.mct.lp_stats import LpStats
+from repro.telemetry import Counters
 from repro.timed.expansion import (
     LeafInstance,
     TimedExpander,
@@ -70,6 +71,21 @@ class DecisionOutcome:
     #: Roots (latch names / primary outputs) whose comparison failed —
     #: the cones responsible for the bound (debugging aid).
     failing_roots: tuple[str, ...] = ()
+
+
+@dataclasses.dataclass
+class SweepCounters(Counters):
+    """What deciding windows cost: BDD work, exact-LP work, decisions.
+
+    One record per :class:`~repro.mct.engine.Decider`; a sweep sums its
+    rungs' records and its window workers' snapshots into
+    :attr:`~repro.mct.engine.MctResult.bdd_stats`, ``lp_stats`` and
+    ``decisions_run``.
+    """
+
+    bdd: BddStats = dataclasses.field(default_factory=BddStats)
+    lp: LpStats = dataclasses.field(default_factory=LpStats)
+    decisions_run: int = 0
 
 
 class DecisionContext:
@@ -120,10 +136,10 @@ class DecisionContext:
         self._outcomes: dict[frozenset, DecisionOutcome] = {}
         self.decisions_run = 0
         #: Exact-LP work counters.  The context does not solve LPs
-        #: itself — the engine's lazily built
+        #: itself — its :class:`~repro.mct.engine.Decider`'s lazily built
         #: :class:`~repro.mct.lp_exact.ExactFeasibility` oracle charges
-        #: this object — but owning it here lets LP telemetry ride the
-        #: exact same merge/snapshot paths as :attr:`bdd_stats`.
+        #: this object — but owning it here puts LP telemetry in the
+        #: same :class:`SweepCounters` record as :attr:`bdd_stats`.
         self.lp_stats = LpStats()
 
     @property

@@ -50,7 +50,7 @@ from repro.errors import (
 from repro.logic.delays import DelayMap
 from repro.logic.netlist import Circuit
 from repro.mct.breakpoints import tau_breakpoints
-from repro.mct.decision import DecisionContext
+from repro.mct.decision import DecisionContext, SweepCounters
 from repro.mct.discretize import DiscretizedMachine, build_discretized_machine
 from repro.mct.feasibility import sigma_sup_tau
 from repro.mct.lp_stats import LpStats
@@ -349,19 +349,24 @@ def minimum_cycle_time(
     return sweep.run()
 
 
-def _fingerprint(options: MctOptions) -> dict:
-    """The JSON-safe option subset a checkpoint must match on resume.
+def options_fingerprint(options: MctOptions) -> dict:
+    """The analysis-option fingerprint, as a public content address.
 
-    ``work_budget`` and ``time_limit`` are deliberately absent: they
-    describe *resources*, not the analysis, and resuming with more of
-    either is the normal use.  Execution settings are not options at
-    all: ``jobs`` and the transport (local pool vs. socket cluster,
-    with its retry policy and heartbeat cadence) never enter the
-    fingerprint, so a checkpoint written by any execution
-    configuration resumes under any other.  The exact-LP
-    caps (``max_exact_paths`` / ``max_exact_combinations``) are also
-    resource ceilings, not analysis choices, and stay out for the same
-    reason the work budget does.
+    Exactly the JSON-safe option subset a
+    :class:`~repro.resilience.SweepCheckpoint` must match on resume: the
+    full set of options that *change the analysis*.  ``work_budget`` and
+    ``time_limit`` are deliberately absent: they describe *resources*,
+    not the analysis, and resuming with more of either is the normal
+    use.  Execution settings are not options at all: ``jobs`` and the
+    transport (local pool vs. socket cluster, with its retry policy and
+    heartbeat cadence) never enter the fingerprint, so a checkpoint
+    written by any execution configuration resumes under any other.
+    The exact-LP caps (``max_exact_paths`` / ``max_exact_combinations``)
+    are also resource ceilings, not analysis choices, and stay out for
+    the same reason the work budget does.  Because the sweep is
+    deterministic, this fingerprint plus a hash of the circuit and
+    delays content-addresses the result — the MCT service daemon keys
+    its result cache on it, so identical submissions cost one sweep.
     """
     return {
         "check_outputs": bool(options.check_outputs),
@@ -379,20 +384,6 @@ def _fingerprint(options: MctOptions) -> dict:
         "degradation_ladder": [str(name) for name in options.degradation_ladder],
         "degraded_max_age": int(options.degraded_max_age),
     }
-
-
-def options_fingerprint(options: MctOptions) -> dict:
-    """The analysis-option fingerprint, as a public content address.
-
-    Exactly the dict a :class:`~repro.resilience.SweepCheckpoint`
-    validates on resume (see :func:`_fingerprint`): the full set of
-    options that *change the analysis*, with every resource and
-    execution knob excluded.  Because the sweep is deterministic, this
-    fingerprint plus a hash of the circuit and delays content-addresses
-    the result — the MCT service daemon keys its result cache on it, so
-    identical submissions cost one sweep.
-    """
-    return _fingerprint(options)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -484,11 +475,11 @@ def decide_window(
 ) -> _Verdict:
     """Decision + feasibility pass for one breakpoint window.
 
-    The rung-agnostic core of the sweep, shared by the in-process ladder
-    (:meth:`_Sweep._examine_at`) and the window workers of a transport
-    session (:mod:`repro.parallel.windows`).  ``oracle_factory`` lazily
-    builds the exact gate-coupled LP oracle; it is only invoked when
-    failing combinations actually need filtering.
+    The rung-agnostic core of :meth:`Decider.decide`, which the sweep's
+    ladder rungs and the window workers of a transport session
+    (:mod:`repro.parallel.windows`) call alike.  ``oracle_factory``
+    lazily builds the exact gate-coupled LP oracle; it is only invoked
+    when failing combinations actually need filtering.
     """
     outcome = context.decide(regime)
     if outcome.passed_structurally:
@@ -530,6 +521,78 @@ def decide_window(
     )
 
 
+class Decider:
+    """One decision unit: a context, its lazy exact-LP oracle, its counters.
+
+    The sweep builds one per ladder rung and every window worker one per
+    session, so a window is decided, and its work counted, the same way
+    wherever it runs.  ``exact`` arms the gate-coupled LP oracle, built
+    at most once and only when failing combinations need filtering; it
+    charges this decider's :class:`LpStats`.  ``reachable`` is the
+    reachability care set (``None``: every state is cared for).
+    """
+
+    def __init__(
+        self,
+        machine: DiscretizedMachine,
+        options: MctOptions,
+        *,
+        exact: bool,
+        reachable: Function | None = None,
+        budget: Budget | None = None,
+        deadline: Deadline | None = None,
+    ):
+        self.options = options
+        self.exact = exact
+        self.context = DecisionContext(
+            machine,
+            initial_state=options.initial_state,
+            check_outputs=options.check_outputs,
+            reachable=reachable,
+            budget=budget,
+            max_failing_options=options.max_failing_options,
+            deadline=deadline,
+            sift_threshold=options.bdd_sift_threshold,
+        )
+        self._oracle = _UNSET
+
+    def oracle(self):
+        """The gate-coupled LP oracle, or None when path enumeration
+        blows the path cap (the relaxed model then stays in force)."""
+        if self._oracle is _UNSET:
+            from repro.mct.lp_exact import ExactFeasibility
+
+            try:
+                self._oracle = ExactFeasibility(
+                    self.context.machine,
+                    max_paths=self.options.max_exact_paths,
+                    stats=self.context.lp_stats,
+                )
+            except AnalysisError:
+                self._oracle = None
+        return self._oracle
+
+    def decide(self, regime, window) -> _Verdict:
+        """Decide one window at this decider's settings."""
+        return decide_window(
+            self.context,
+            regime,
+            window,
+            self.options,
+            oracle_factory=self.oracle if self.exact else None,
+            deadline=self.context.deadline,
+        )
+
+    @property
+    def counters(self) -> SweepCounters:
+        """What this decider has cost so far, as a fresh record."""
+        context = self.context
+        live = SweepCounters(
+            context.bdd_stats, context.lp_stats, context.decisions_run
+        )
+        return SweepCounters().merge(live)  # a copy: the live ones move on
+
+
 class _Sweep:
     """One τ-sweep run: breakpoint loop, ladder, checkpointing."""
 
@@ -558,18 +621,18 @@ class _Sweep:
         self.cancel = cancel
         self.rungs = _ladder(options)
         self.rung_idx = 0
-        self.contexts: dict[int, DecisionContext] = {}
+        #: rung index -> its :class:`Decider`, built on first use.
+        self.deciders: dict[int, Decider] = {}
         self.records: list[CandidateRecord] = []
         self.prev_tau: Fraction | None = None
         self.resume_below: Fraction | None = None
-        #: worker label -> (seq, BddStats dict, LpStats dict | None,
-        #: decisions_run): the newest cumulative snapshot each session
-        #: worker attached to a task result.
+        #: worker label -> (seq, SweepCounters dict): the newest
+        #: cumulative snapshot each session worker attached to a task
+        #: result.
         self.snapshots: dict = {}
         self.degradations: list[DegradationStep] = []
         self._degraded_by = "budget"
         self._reachable_fn = _UNSET
-        self._oracle_cache = _UNSET
 
     # ------------------------------------------------------------------
     # Checkpoint / resume
@@ -577,7 +640,9 @@ class _Sweep:
     def restore(self, checkpoint: SweepCheckpoint) -> None:
         """Replay an interrupted sweep's progress before running."""
         checkpoint.validate(
-            self.circuit.name, self.machine.L, _fingerprint(self.options)
+            self.circuit.name,
+            self.machine.L,
+            options_fingerprint(self.options),
         )
         self.records = list(checkpoint.records)
         self.prev_tau = checkpoint.last_tau
@@ -623,7 +688,7 @@ class _Sweep:
             records=tuple(self.records),
             rung=self.rungs[self.rung_idx].name,
             reason=reason,
-            fingerprint=_fingerprint(self.options),
+            fingerprint=options_fingerprint(self.options),
             bdd_stats=None if bdd_stats is None else bdd_stats.as_dict(),
             supervision=(
                 None if supervision is None else supervision.as_dict()
@@ -635,61 +700,24 @@ class _Sweep:
     # Lazy shared artifacts
     # ------------------------------------------------------------------
     def _reachable(self) -> Function:
+        """Reachable-state BDD over plain state-variable names."""
         if self._reachable_fn is _UNSET:
-            self._reachable_fn = _reachable_care(self.circuit, self.options)
+            from repro.fsm.reachability import reachable_states
+
+            self._reachable_fn = reachable_states(
+                self.circuit, initial_state=self.options.initial_state
+            )
         return self._reachable_fn
 
-    def _oracle(self):
-        if self._oracle_cache is _UNSET:
-            # Charge the active rung's context so LP counters ride the
-            # same per-context merge paths as the BDD counters (the
-            # context exists by the time decide_window invokes us).
-            self._oracle_cache = _exact_oracle(
-                self.machine,
-                self.options,
-                stats=self._context(self.rung_idx).lp_stats,
-            )
-        return self._oracle_cache
-
-    def _bdd_stats(self) -> BddStats | None:
-        """Merged BDD counters across every context built so far."""
-        if not self.contexts:
-            return None
-        merged = BddStats()
-        for context in self.contexts.values():
-            merged.merge(context.bdd_stats)
-        return merged
-
-    def _lp_stats(self) -> LpStats | None:
-        """Merged exact-LP counters, or None when exact mode is off."""
-        if not self.options.exact_feasibility or not self.contexts:
-            return None
-        merged = LpStats()
-        for context in self.contexts.values():
-            merged.merge(context.lp_stats)
-        return merged
-
-    def _ite_calls(self) -> int:
-        """Total ITE calls across every context built so far."""
-        return sum(
-            context.bdd_stats.ite_calls for context in self.contexts.values()
-        )
-
-    def _lp_solves(self) -> int:
-        """Total LP solves across every context built so far."""
-        return sum(
-            context.lp_stats.solves for context in self.contexts.values()
-        )
-
-    def _context(self, idx: int) -> DecisionContext:
-        """The decision context of rung ``idx`` (created on demand).
+    def _decider(self, idx: int) -> Decider:
+        """The decider of rung ``idx`` (created on demand).
 
         Rung 0 shares the sweep-wide budget; every later rung gets a
         fresh budget of the same size, so a degraded retry is not
         doomed by units consumed before the escalation.
         """
-        context = self.contexts.get(idx)
-        if context is None:
+        decider = self.deciders.get(idx)
+        if decider is None:
             rung = self.rungs[idx]
             if idx == 0:
                 budget = self.budget
@@ -700,18 +728,22 @@ class _Sweep:
                 )
             else:
                 budget = None
-            context = DecisionContext(
+            decider = self.deciders[idx] = Decider(
                 self.machine,
-                initial_state=self.options.initial_state,
-                check_outputs=self.options.check_outputs,
+                self.options,
+                exact=rung.exact_feasibility,
                 reachable=self._reachable() if rung.use_reachability else None,
                 budget=budget,
-                max_failing_options=self.options.max_failing_options,
                 deadline=self.deadline,
-                sift_threshold=self.options.bdd_sift_threshold,
             )
-            self.contexts[idx] = context
-        return context
+        return decider
+
+    def _counters(self) -> SweepCounters:
+        """The sum of every rung decider's counters so far."""
+        total = SweepCounters()
+        for decider in self.deciders.values():
+            total.merge(decider.counters)
+        return total
 
     # ------------------------------------------------------------------
     # The sweep
@@ -948,20 +980,21 @@ class _Sweep:
         spent on a window before it quarantined it.
         """
         window_start = time.monotonic()
-        ite_before = self._ite_calls()
-        lp_before = self._lp_solves()
+        before = self._counters()
         verdict = self._examine(regime, m, tau, window)
+        elapsed = time.monotonic() - window_start
+        after = self._counters()
         self._commit(
             CandidateRecord(
                 tau,
                 verdict.status,
                 verdict.m,
-                time.monotonic() - window_start,
+                elapsed,
                 self.rungs[self.rung_idx].name,
-                self._ite_calls() - ite_before,
+                after.bdd.ite_calls - before.bdd.ite_calls,
                 attempts=attempts,
                 quarantined=quarantined,
-                lp_solves=self._lp_solves() - lp_before,
+                lp_solves=after.lp.solves - before.lp.solves,
             )
         )
         return verdict
@@ -1011,18 +1044,13 @@ class _Sweep:
         return verdict
 
     def _absorb(self, payload: dict) -> None:
-        """Keep the newest cumulative telemetry snapshot of each worker."""
+        """Keep the newest cumulative counters snapshot of each worker."""
         snap = payload.get("worker")
         if snap is None:
             return
         have = self.snapshots.get(snap["pid"])
         if have is None or have[0] < snap["seq"]:
-            self.snapshots[snap["pid"]] = (
-                snap["seq"],
-                snap["stats"],
-                snap.get("lp"),
-                snap["decisions_run"],
-            )
+            self.snapshots[snap["pid"]] = (snap["seq"], snap["counters"])
 
     def _finalize(self, failing, stop, cancelled: bool, session) -> MctResult:
         """Assemble the :class:`MctResult` from how the walk ended."""
@@ -1047,21 +1075,19 @@ class _Sweep:
                 if passing
                 else (machine.L if not budget_exceeded else None)
             )
-        # Parent-side contexts hold in-process decisions (every window
-        # without a session, quarantined ones with it); merge them with
-        # the workers' cumulative snapshots.
-        bdd_stats = self._bdd_stats()
-        lp_stats = self._lp_stats()
-        decisions = sum(ctx.decisions_run for ctx in self.contexts.values())
-        for _, stats_dict, lp_dict, decided in self.snapshots.values():
-            bdd_stats = (bdd_stats or BddStats()).merge(
-                BddStats.from_dict(stats_dict)
-            )
-            decisions += decided
-            if lp_dict is not None and self.options.exact_feasibility:
-                lp_stats = (lp_stats or LpStats()).merge(
-                    LpStats.from_dict(lp_dict)
-                )
+        # Parent-side deciders hold in-process decisions (every window
+        # without a session, quarantined ones with it); add the
+        # workers' cumulative snapshots.
+        counters = self._counters()
+        for _, snapshot in self.snapshots.values():
+            counters.merge(SweepCounters.from_dict(snapshot))
+        measured = bool(self.deciders or self.snapshots)
+        bdd_stats = counters.bdd if measured else None
+        lp_stats = (
+            counters.lp
+            if measured and self.options.exact_feasibility
+            else None
+        )
         supervision = None if session is None else session.stats
         return MctResult(
             circuit_name=self.circuit.name,
@@ -1072,7 +1098,7 @@ class _Sweep:
             failing_sigmas=() if verdict is None else verdict.sigmas,
             failing_roots=() if verdict is None else verdict.roots,
             candidates=tuple(self.records),
-            decisions_run=decisions,
+            decisions_run=counters.decisions_run,
             elapsed_seconds=time.monotonic() - self.start,
             budget_exceeded=budget_exceeded,
             deadline_exceeded=deadline_exceeded,
@@ -1103,7 +1129,7 @@ class _Sweep:
                 # (the planner vetted m against the cap on entry).
                 raise self._age_cap_stop()
             try:
-                return self._examine_at(rung, regime, window)
+                return self._decider(self.rung_idx).decide(regime, window)
             except (ResourceBudgetExceeded, DeadlineExceeded) as exc:
                 if not self._escalate(exc, tau):
                     if isinstance(exc, DeadlineExceeded):
@@ -1132,47 +1158,9 @@ class _Sweep:
         )
         return True
 
-    def _examine_at(self, rung: _RungConfig, regime, window) -> _Verdict:
-        """Run the decision + feasibility pass at one rung's settings."""
-        return decide_window(
-            self._context(self.rung_idx),
-            regime,
-            window,
-            self.options,
-            oracle_factory=self._oracle if rung.exact_feasibility else None,
-            deadline=self.deadline,
-        )
-
-
-def _reachable_care(circuit: Circuit, options: MctOptions) -> Function:
-    """Reachable-state BDD over plain state-variable names."""
-    from repro.fsm.reachability import reachable_states
-
-    return reachable_states(circuit, initial_state=options.initial_state)
-
 
 #: Sentinel: the exact oracle punted and the relaxed bound applies.
 _RELAXED = object()
-
-
-def _exact_oracle(
-    machine: DiscretizedMachine, options: MctOptions, stats: LpStats | None = None
-):
-    """Build the gate-coupled LP oracle, or None when enumeration
-    blows the path cap (the relaxed model then stays in force).
-
-    ``stats`` is the :class:`LpStats` the oracle should charge —
-    normally the owning decision context's, so LP telemetry merges and
-    snapshots exactly like the BDD counters.
-    """
-    from repro.mct.lp_exact import ExactFeasibility
-
-    try:
-        return ExactFeasibility(
-            machine, max_paths=options.max_exact_paths, stats=stats
-        )
-    except AnalysisError:
-        return None
 
 
 def _exact_sup(oracle, sigma, window, options: MctOptions, deadline=None):

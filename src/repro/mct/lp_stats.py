@@ -2,14 +2,8 @@
 
 Every :class:`~repro.mct.lp_exact.ExactFeasibility` oracle owns one
 mutable :class:`LpStats` and updates it from the threshold-class
-search.  The counters are cheap increments, always on, and surfaced the
-same three ways as :class:`repro.bdd.BddStats`:
-
-* ``oracle.stats`` — live counters of one oracle;
-* :attr:`repro.mct.engine.MctResult.lp_stats` — the merged counters of
-  every decision context a τ-sweep used;
-* ``repro-mct analyze --stats`` and the checkpoint ``lp_stats`` object
-  — the operator and persisted views.
+search.  The counters are cheap increments, always on; merge, JSON form
+and rebuild come from :class:`repro.telemetry.Counters`.
 
 The accounting identity enforced by the branch-and-bound loop is
 
@@ -28,9 +22,11 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.telemetry import Counters
+
 
 @dataclasses.dataclass
-class LpStats:
+class LpStats(Counters):
     """Counters of one exact-LP oracle (or a merged set of oracles)."""
 
     #: Linear programs actually handed to the solver.
@@ -48,41 +44,6 @@ class LpStats:
     skeleton_hits: int = 0
     #: Wall-clock seconds spent inside LP solves.
     wall_seconds: float = 0.0
-
-    def merge(self, other: "LpStats") -> "LpStats":
-        """Add ``other``'s counters into ``self`` (returns ``self``)."""
-        self.solves += other.solves
-        self.prescreen_skips += other.prescreen_skips
-        self.bound_prunes += other.bound_prunes
-        self.skeleton_hits += other.skeleton_hits
-        self.wall_seconds += other.wall_seconds
-        return self
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LpStats":
-        """Rebuild counters from an :meth:`as_dict` payload.
-
-        The inverse used when counters cross a process boundary (the
-        parallel sweep ships worker stats as plain dicts).  Unknown
-        keys are ignored so older payloads stay readable.
-        """
-        fields = {f.name for f in dataclasses.fields(cls)}
-        kwargs = {}
-        for key, value in data.items():
-            if key not in fields:
-                continue
-            kwargs[key] = float(value) if key == "wall_seconds" else int(value)
-        return cls(**kwargs)
-
-    def as_dict(self) -> dict:
-        """JSON-ready view (checkpoints and worker snapshots)."""
-        return {
-            "solves": self.solves,
-            "prescreen_skips": self.prescreen_skips,
-            "bound_prunes": self.bound_prunes,
-            "skeleton_hits": self.skeleton_hits,
-            "wall_seconds": round(self.wall_seconds, 6),
-        }
 
     def summary(self) -> str:
         """One-line human rendering (the CLI ``--stats`` row)."""

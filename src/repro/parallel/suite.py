@@ -29,10 +29,11 @@ from repro.bdd import BddStats
 from repro.errors import AnalysisError
 from repro.parallel.pool import resolve_jobs
 from repro.parallel.supervise import Quarantined
+from repro.telemetry import Counters
 
 
 @dataclasses.dataclass
-class WorkerStats:
+class WorkerStats(Counters):
     """What one worker contributed to a sharded suite run.
 
     ``pid`` is the worker label: the OS pid for local pool processes
@@ -52,16 +53,6 @@ class WorkerStats:
     #: Rows whose attempt budget ran out and were measured serially in
     #: this process instead (only ever non-zero on the parent's entry).
     quarantined: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "pid": self.pid,
-            "tasks": self.tasks,
-            "wall_seconds": round(self.wall_seconds, 6),
-            "bdd": self.bdd.as_dict(),
-            "retries": self.retries,
-            "quarantined": self.quarantined,
-        }
 
 
 def _measure_case(case, widen, degrade) -> tuple:

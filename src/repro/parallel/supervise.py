@@ -39,6 +39,7 @@ import time
 from concurrent.futures import BrokenExecutor, Future
 
 from repro.errors import DeadlineExceeded, OptionsError
+from repro.telemetry import Counters
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,7 +74,7 @@ class RetryPolicy:
 
 
 @dataclasses.dataclass
-class SupervisionStats:
+class SupervisionStats(Counters):
     """What the supervisor had to do to get the results out."""
 
     #: Pool rebuilds forced by a worker death (``BrokenExecutor``).
@@ -131,20 +132,13 @@ class SupervisionStats:
         return text
 
     def as_dict(self) -> dict:
-        data = {
-            "crashes": self.crashes,
-            "timeouts": self.timeouts,
-            "retries": self.retries,
-            "quarantined": self.quarantined,
-            "backoff_seconds": round(self.backoff_seconds, 6),
-            "heartbeat_failures": self.heartbeat_failures,
-            "leases_reclaimed": self.leases_reclaimed,
-            "workers_lost": self.workers_lost,
-        }
-        if self.unreachable_workers:
-            data["unreachable_workers"] = sorted(self.unreachable_workers)
-        if self.auth_failures:
-            data["auth_failures"] = self.auth_failures
+        """The field counters; the cluster-only ``unreachable_workers``
+        and ``auth_failures`` only when they are not empty."""
+        data = super().as_dict()
+        if not self.unreachable_workers:
+            del data["unreachable_workers"]
+        if not self.auth_failures:
+            del data["auth_failures"]
         return data
 
 

@@ -106,7 +106,8 @@ class SweepCheckpoint:
     rung: str = "exact"
     #: Human-readable interruption reason (mirrors ``MctResult.notes``).
     reason: str = ""
-    #: Options fingerprint checked on resume (see engine._fingerprint).
+    #: Options fingerprint checked on resume (see
+    #: :func:`repro.mct.engine.options_fingerprint`).
     fingerprint: Mapping[str, object] = dataclasses.field(default_factory=dict)
     version: int = CHECKPOINT_VERSION
     #: Optional telemetry (v2+): merged BDD / exact-LP / supervision

@@ -1,9 +1,8 @@
 """Daemon-side telemetry: what the job manager did for its clients.
 
-The counters follow the repo's stats idiom (:class:`~repro.bdd.BddStats`,
-:class:`~repro.parallel.SupervisionStats`): a plain mutable dataclass
-with a one-line :meth:`ServiceStats.summary` for the ``--stats`` CLI
-footer and an :meth:`ServiceStats.as_dict` for the ``/stats`` endpoint.
+A :class:`repro.telemetry.Counters` record: a one-line
+:meth:`ServiceStats.summary` for the ``--stats`` CLI footer, and its
+``as_dict`` JSON form for the ``/stats`` endpoint.
 Cache effectiveness is the headline number — a submit is exactly one of
 a *hit* (answered from the content-addressed cache), a *coalesced*
 follower (attached to an identical in-flight sweep), or a *miss* (a
@@ -14,9 +13,11 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.telemetry import Counters
+
 
 @dataclasses.dataclass
-class ServiceStats:
+class ServiceStats(Counters):
     """What the MCT daemon did since it started."""
 
     #: Total submissions accepted (hits + coalesced + misses).
@@ -63,21 +64,3 @@ class ServiceStats:
             f"auth_rejected={self.auth_rejected} "
             f"sweep_seconds={self.sweep_seconds:.2f}"
         )
-
-    def as_dict(self) -> dict:
-        return {
-            "jobs_submitted": self.jobs_submitted,
-            "jobs_completed": self.jobs_completed,
-            "jobs_failed": self.jobs_failed,
-            "jobs_cancelled": self.jobs_cancelled,
-            "jobs_resumed": self.jobs_resumed,
-            "jobs_evicted": self.jobs_evicted,
-            "jobs_not_found": self.jobs_not_found,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_evictions": self.cache_evictions,
-            "coalesced": self.coalesced,
-            "auth_rejected": self.auth_rejected,
-            "in_flight": self.in_flight,
-            "sweep_seconds": round(self.sweep_seconds, 6),
-        }

@@ -137,9 +137,14 @@ class ConePrograms:
     The compile walk adds integer-scaled offsets (the map's pin delays
     and ``extra`` over their common denominator), so it hashes and sums
     plain ints; :class:`Interval` offsets are built for leaf slots only.
+
+    A cone walk around a combinational cycle never ends, so the table
+    refuses such a netlist with :class:`~repro.errors.CircuitError`
+    before any cone is compiled (the order is cached on the circuit).
     """
 
     def __init__(self, delays: DelayMap):
+        delays.circuit.topological_order()
         self.delays = delays
         self.circuit = delays.circuit
         self._programs: dict[tuple[str, Interval], ConeProgram] = {}

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from repro import errors
+from repro.delay.floating import floating_delay, uncorrelated_floating_delay
+from repro.delay.transition import transition_delay
 from repro.fsm import exact_minimum_cycle_time
 from repro.logic import parse_bench, unit_delays
 from repro.mct import minimum_cycle_time
@@ -145,3 +147,14 @@ class TestCombinationalCycle:
     def test_exact_minimum_cycle_time_raises(self, cyclic):
         with pytest.raises(errors.CircuitError, match="combinational cycle"):
             exact_minimum_cycle_time(*cyclic)
+
+    @pytest.mark.parametrize(
+        "analysis",
+        [floating_delay, uncorrelated_floating_delay, transition_delay],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_delay_analyses_raise(self, cyclic, analysis):
+        # The budget only bounds a regression: without the check the
+        # cone walk loops and ends in ResourceBudgetExceeded.
+        with pytest.raises(errors.CircuitError, match="combinational cycle"):
+            analysis(*cyclic, budget=errors.Budget(limit=10_000))

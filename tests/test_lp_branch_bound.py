@@ -33,8 +33,8 @@ from repro.mct.discretize import TimedLeaf, build_discretized_machine
 from repro.mct.engine import (
     CandidateRecord,
     MctOptions,
-    _fingerprint,
     minimum_cycle_time,
+    options_fingerprint,
 )
 from repro.mct.feasibility import point_sigma_sup_tau
 from repro.mct.lp_exact import ExactFeasibility
@@ -538,20 +538,8 @@ class TestThresholdClasses:
 # Telemetry plumbing: LpStats, results, checkpoints
 # ----------------------------------------------------------------------
 class TestLpStats:
-    def test_merge_and_round_trip(self):
-        a = LpStats(solves=2, prescreen_skips=3, wall_seconds=0.5)
-        b = LpStats(solves=1, bound_prunes=4, skeleton_hits=7,
-                    wall_seconds=0.25)
-        a.merge(b)
-        assert (a.solves, a.prescreen_skips, a.bound_prunes) == (3, 3, 4)
-        assert a.skeleton_hits == 7
-        assert a.wall_seconds == pytest.approx(0.75)
-        assert LpStats.from_dict(a.as_dict()) == a
-
-    def test_from_dict_ignores_unknown_keys(self):
-        stats = LpStats.from_dict({"solves": 5, "not_a_field": 9})
-        assert stats.solves == 5
-
+    # Merge, as_dict and from_dict are the counters contract every
+    # stats record shares: tests/test_telemetry.py.
     def test_summary_mentions_avoided_work(self):
         text = LpStats(solves=1, prescreen_skips=2, bound_prunes=3).summary()
         assert "1 LP solves" in text
@@ -580,7 +568,9 @@ class TestLpStats:
             records=(record,),
             rung="exact",
             reason="test",
-            fingerprint=_fingerprint(MctOptions(exact_feasibility=True)),
+            fingerprint=options_fingerprint(
+                MctOptions(exact_feasibility=True)
+            ),
             lp_stats=LpStats(solves=4, prescreen_skips=2).as_dict(),
         )
 
@@ -680,8 +670,8 @@ class TestKnobs:
         assert capped.mct_upper_bound == relaxed.mct_upper_bound
 
     def test_caps_excluded_from_fingerprint(self):
-        base = _fingerprint(MctOptions(exact_feasibility=True))
-        tweaked = _fingerprint(
+        base = options_fingerprint(MctOptions(exact_feasibility=True))
+        tweaked = options_fingerprint(
             MctOptions(
                 exact_feasibility=True,
                 max_exact_paths=77,
