@@ -18,19 +18,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Function:
     """A handle on a Boolean function owned by a manager.
 
-    Handles are semantically immutable, but the manager's garbage
-    collector may re-point ``node`` when it compacts the node table —
-    the referenced *function* never changes.  Managers track live
-    handles through weak references, which is why ``__weakref__`` is in
-    the slots.
+    Handles are immutable: the manager never moves a node, so ``node``
+    names the same function for the manager's whole life.
     """
 
-    __slots__ = ("manager", "node", "__weakref__")
+    __slots__ = ("manager", "node")
 
     def __init__(self, manager: "BddManager", node: int):
         self.manager = manager
         self.node = node
-        manager._register(self)
 
     # -- identity ------------------------------------------------------
     def __eq__(self, other: object) -> bool:

@@ -1,8 +1,8 @@
 """Performance counters for the BDD engine.
 
 Every :class:`~repro.bdd.manager.BddManager` owns one mutable
-:class:`BddStats` and updates it from the hot paths (node creation, the
-ITE operation cache, garbage collection).  The counters are cheap
+:class:`BddStats` and updates it from the hot paths (node creation and
+the ITE operation cache).  The counters are cheap
 integer increments, always on; merge, JSON form and rebuild come from
 :class:`repro.telemetry.Counters`.  ``merge`` sums peaks too: the
 aggregate is the combined table footprint, which is what a memory
@@ -22,8 +22,7 @@ class BddStats(Counters):
 
     #: Nodes ever inserted into the unique table (terminals excluded).
     nodes_created: int = 0
-    #: Largest node-table size observed (terminals included).  GC can
-    #: shrink the live table below this high-water mark.
+    #: Largest node-table size observed (terminals included).
     peak_nodes: int = 0
     #: ITE subproblems examined, including terminal-resolved ones.
     ite_calls: int = 0
@@ -39,13 +38,6 @@ class BddStats(Counters):
     cache_hits: int = 0
     #: Times the bounded ITE cache dropped its least-recently-used half.
     cache_evictions: int = 0
-    #: Completed mark-and-sweep passes.
-    gc_runs: int = 0
-    #: Dead nodes reclaimed across all GC passes.
-    nodes_reclaimed: int = 0
-    #: Completed dynamic-sifting passes (``BddManager.sift_now``),
-    #: whether or not the trial order improved on the current one.
-    sift_runs: int = 0
 
     @property
     def cache_hit_rate(self) -> float:
@@ -65,6 +57,5 @@ class BddStats(Counters):
         return (
             f"{self.nodes_created} nodes created, peak {self.peak_nodes}, "
             f"{self.ite_calls} ite calls, "
-            f"cache hit rate {self.cache_hit_rate:.1%}, "
-            f"{self.gc_runs} GC runs ({self.nodes_reclaimed} reclaimed)"
+            f"cache hit rate {self.cache_hit_rate:.1%}"
         )

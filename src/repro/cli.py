@@ -34,6 +34,7 @@ from repro.errors import (
     CheckpointError,
     CircuitError,
     OptionsError,
+    ReproError,
 )
 from repro.netsec import (
     SECRET_ENV,
@@ -189,8 +190,17 @@ def _transport(args, cafile, certfile, keyfile, *, flag="--tls",
         raise OptionsError(f"--workers: {exc}") from None
 
 
-class _NetlistError(Exception):
-    """A netlist the CLI cannot load; :func:`main` prints it, exit 1."""
+class _LoadError(Exception):
+    """A netlist or delay transform the CLI cannot load; :func:`main`
+    prints it, exit 1."""
+
+
+def _delay_arg(flag: str, value, apply=lambda v: v):
+    """``apply`` to ``value`` as a Fraction; a bad value names its flag."""
+    try:
+        return apply(as_fraction(value))
+    except (ReproError, ValueError, ZeroDivisionError) as exc:
+        raise _LoadError(f"{flag} {value}: {exc}") from None
 
 
 def _load(args) -> tuple:
@@ -200,12 +210,15 @@ def _load(args) -> tuple:
         circuit.topological_order()  # a combinational cycle fails here
     except (OSError, UnicodeDecodeError, CircuitError) as exc:
         reason = getattr(exc, "strerror", None) or str(exc)
-        raise _NetlistError(f"{args.bench}: {reason}") from None
+        raise _LoadError(f"{args.bench}: {reason}") from None
     delays = _DELAY_MODELS[args.delay_model](circuit)
     if args.widen is not None:
-        delays = delays.widen(as_fraction(args.widen))
+        delays = _delay_arg("--widen", args.widen, delays.widen)
     if args.setup or args.hold:
-        delays = delays.with_setup_hold(args.setup or 0, args.hold or 0)
+        delays = delays.with_setup_hold(
+            _delay_arg("--setup", args.setup or 0),
+            _delay_arg("--hold", args.hold or 0),
+        )
     return circuit, delays
 
 
@@ -279,7 +292,6 @@ def cmd_analyze(args) -> int:
             work_budget=work_budget,
             time_limit=time_limit,
             degradation_ladder=DEFAULT_LADDER if args.degrade else (),
-            bdd_sift_threshold=args.bdd_sift_threshold,
             exact_feasibility=args.exact,
             max_exact_paths=args.max_exact_paths,
             max_exact_combinations=args.max_exact_combos,
@@ -745,9 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reachability", action="store_true",
                    help="use reachable-state don't cares in the decision")
     p.add_argument("--budget", type=int, default=None, help="work budget")
-    p.add_argument("--bdd-sift-threshold", type=int, default=None, metavar="N",
-                   help="re-sift BDD variable orders dynamically once a "
-                        "manager grows by N nodes (default: off)")
     p.add_argument("--exact", action="store_true",
                    help="tighten failing windows with the exact "
                         "gate-coupled LP bound (Sec. 7) instead of the "
@@ -763,8 +772,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "relaxed bound (resource knob, excluded from the "
                         "checkpoint fingerprint)")
     p.add_argument("--stats", action="store_true",
-                   help="print BDD-engine counters (ite calls, cache hit "
-                        "rate, GC runs) and, under --exact, the exact-LP "
+                   help="print BDD-engine counters (nodes, ite calls, "
+                        "cache hit rate) and, under --exact, the exact-LP "
                         "solver counters after the sweep")
     p.add_argument("--witness", action="store_true",
                    help="search for a simulated divergence below the bound")
@@ -945,7 +954,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _NetlistError as exc:
+    except _LoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

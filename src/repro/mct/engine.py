@@ -108,18 +108,11 @@ class MctOptions:
     degradation_ladder: tuple[str, ...] = ()
     #: The age cap applied by the "reduced-age" rung.
     degraded_max_age: int = 4
-    #: Arm the BDD manager's dynamic sifting: re-sift the live functions
-    #: once the node table grows by this many nodes (None = off, the
-    #: default — sifting changes variable levels mid-sweep, which is
-    #: safe but makes node counts run-dependent).
-    bdd_sift_threshold: int | None = None
 
     def __post_init__(self):
         # Validate at construction time so a bad value fails with a
         # clean OptionsError (CLI exit 1) here, not as a traceback from
         # deep inside a sweep or a worker.
-        if self.bdd_sift_threshold is not None and self.bdd_sift_threshold < 1:
-            raise OptionsError("bdd_sift_threshold must be positive or None")
         if self.max_exact_paths < 1:
             raise OptionsError("max_exact_paths must be positive")
         if self.max_exact_combinations < 1:
@@ -552,7 +545,6 @@ class Decider:
             budget=budget,
             max_failing_options=options.max_failing_options,
             deadline=deadline,
-            sift_threshold=options.bdd_sift_threshold,
         )
         self._oracle = _UNSET
 

@@ -102,7 +102,6 @@ _OPTION_FIELDS = {
     "time_limit": float,
     "tau_floor": as_fraction,
     "degrade": bool,
-    "bdd_sift_threshold": int,
 }
 
 

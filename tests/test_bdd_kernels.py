@@ -1,19 +1,16 @@
-"""Node-store invariants: complement edges, ITE cache recency, sifting.
+"""Node-store invariants: complement edges and ITE cache recency.
 
 The manager stores nodes in flat integer columns with complement
 edges.  These tests pin what that representation promises behind the
 :class:`~repro.bdd.Function` API — negation is a tag flip that shares
 every node, stored high edges are regular — plus the recency-aware
-eviction of the bounded ITE cache and a sweep whose bound survives
-forced mid-sweep sifting.  The truth-table oracle for the algebra
-itself lives in ``tests/test_bdd_properties.py``.
+eviction of the bounded ITE cache.  The truth-table oracle for the
+algebra itself lives in ``tests/test_bdd_properties.py``.
 """
 
 import pytest
 
 from repro.bdd import BddManager
-from repro.benchgen import paper_example2
-from repro.mct import MctOptions, minimum_cycle_time
 
 from tests.test_bdd_properties import VARS
 
@@ -109,26 +106,3 @@ class TestIteCacheRecency:
         assert hot_lookups > 0
         assert hot_hits / hot_lookups >= 0.9
 
-
-def _candidate_keys(result):
-    """Verdict identity of a sweep, stripped of measurements.
-
-    ``elapsed_seconds``/``ite_calls``/``attempts`` are measurements of
-    *how* a window was decided; everything else must be identical.
-    """
-    return [(c.tau, c.status, c.m, c.rung) for c in result.candidates]
-
-
-class TestSweepIdentity:
-    def test_sifting_mid_sweep_preserves_bound(self):
-        """A tiny sift threshold forces reorders mid-sweep; the bound
-        and verdict sequence must not move."""
-        circuit, delays = paper_example2()
-        plain = minimum_cycle_time(circuit, delays)
-        sifted = minimum_cycle_time(
-            circuit, delays, MctOptions(bdd_sift_threshold=1)
-        )
-        assert sifted.mct_upper_bound == plain.mct_upper_bound
-        assert sifted.failing_window == plain.failing_window
-        assert _candidate_keys(sifted) == _candidate_keys(plain)
-        assert sifted.bdd_stats.sift_runs > 0

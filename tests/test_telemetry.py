@@ -29,8 +29,7 @@ from repro.service import ServiceStats
 SAMPLES = {
     "BddStats": BddStats(
         nodes_created=11, peak_nodes=12, ite_calls=13, cache_lookups=8,
-        cache_hits=3, cache_evictions=1, gc_runs=2, nodes_reclaimed=5,
-        sift_runs=4,
+        cache_hits=3, cache_evictions=1,
     ),
     "LpStats": LpStats(
         solves=2, prescreen_skips=3, bound_prunes=4, skeleton_hits=7,
@@ -64,8 +63,7 @@ SAMPLES = {
 KEYS = {
     "BddStats": {
         "nodes_created", "peak_nodes", "ite_calls", "cache_lookups",
-        "cache_hits", "cache_hit_rate", "cache_evictions", "gc_runs",
-        "nodes_reclaimed", "sift_runs",
+        "cache_hits", "cache_hit_rate", "cache_evictions",
     },
     "LpStats": {
         "solves", "prescreen_skips", "bound_prunes", "skeleton_hits",

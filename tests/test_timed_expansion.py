@@ -376,7 +376,48 @@ def _overlapping(delays: DelayMap, seed: int) -> DelayMap:
     return _with_pins(skewed, timing_of)
 
 
+def every_gate_fsm(seed: int) -> tuple[Circuit, DelayMap]:
+    """A random machine with each gate type once, every gate an output.
+
+    ``random_fsm`` draws only AND, OR, NAND, NOR, XOR and NOT with
+    fan-in at most 2.  Here every :class:`GateType` appears, each
+    multi-input type takes 3 or 4 inputs, and every gate is a cone
+    root, so replaying the roots runs every gate op of the compiled
+    cones.  Only a gate's first input may be another gate, which keeps
+    the cones' BDDs small.
+    """
+    rng = random.Random(seed)
+    leaves = ["u0", "u1", "q0", "q1"]
+    nets = list(leaves)
+    kinds = list(GateType)
+    rng.shuffle(kinds)
+    gates: list[Gate] = []
+    pins: dict = {}
+    for index, gtype in enumerate(kinds):
+        if gtype.max_arity is not None:
+            arity = gtype.max_arity
+        else:
+            arity = rng.choice((3, 4))
+        fanins = [rng.choice(nets) for _ in range(min(arity, 1))]
+        fanins += [rng.choice(leaves) for _ in range(arity - len(fanins))]
+        net = f"g{index}"
+        gates.append(Gate(net, gtype, tuple(fanins)))
+        for pin in range(arity):
+            pins[(net, pin)] = PinTiming.symmetric(rng.choice((1, Fraction(3, 2), 2)))
+        nets.append(net)
+    latches = [Latch("q0", gates[-1].output), Latch("q1", gates[-2].output)]
+    outputs = [gate.output for gate in gates]
+    circuit = Circuit(f"every{seed}", ["u0", "u1"], outputs, gates, latches)
+    return circuit, DelayMap(circuit, pins)
+
+
 def _delays_for(mode: str, seed: int):
+    if mode.startswith("every-gate"):
+        circuit, delays = every_gate_fsm(seed)
+        delays = _asymmetric(delays, seed)
+        if mode == "every-gate-widened":
+            delays = delays.widen(Fraction(9, 10))
+        return circuit, delays
     circuit, delays = random_fsm(seed, n_inputs=2, n_latches=2, n_gates=10)
     if mode == "widened":
         delays = delays.widen(Fraction(9, 10))
@@ -417,9 +458,10 @@ class TestCompiledMatchesReferenceWalk:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
-        mode=st.sampled_from(
-            ["fixed", "widened", "asymmetric", "asymmetric-widened", "overlapping"]
-        ),
+        mode=st.sampled_from([
+            "fixed", "widened", "asymmetric", "asymmetric-widened",
+            "overlapping", "every-gate", "every-gate-widened",
+        ]),
         extra=st.sampled_from(EXTRAS),
     )
     def test_expand_and_collect(self, seed, mode, extra):
@@ -468,6 +510,17 @@ class TestCompiledMatchesReferenceWalk:
         )
         assert shared == ref_sets
         assert shared_budget.used == ref_budget.used
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_gate_circuit_covers_the_op_table(self, seed):
+        circuit, _ = every_gate_fsm(seed)
+        types = [gate.gtype for gate in circuit.gates.values()]
+        assert set(types) == set(GateType)
+        wide = {
+            gate.gtype for gate in circuit.gates.values() if len(gate.inputs) >= 3
+        }
+        assert wide == {t for t in GateType if t.max_arity is None}
+        assert set(circuit.outputs) == set(circuit.gates)
 
     def test_second_expand_replays_without_walking(self, monkeypatch):
         circuit, delays = fig2_circuit()
