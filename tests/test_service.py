@@ -901,6 +901,9 @@ class TestHttpHygiene:
             json.dumps({"circuit": {"kind": "bench",
                                     "source": "NOT A NETLIST("}}).encode(),
             json.dumps({**EXAMPLE2, "options": {"bdd_kernel": "bad"}}).encode(),
+            json.dumps(
+                {**EXAMPLE2, "options": {"bdd_sift_threshold": 500}}
+            ).encode(),
         ],
     )
     def test_malformed_submissions_get_400(self, body):
