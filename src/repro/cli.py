@@ -55,6 +55,7 @@ from repro.resilience import SweepCheckpoint, inject_faults
 from repro.report import analyze_circuit, render_rows, run_suite
 from repro.report.tables import format_fraction
 from repro.sim import ClockedSimulator, sample_delay_map
+from repro.timed.expansion import ConePrograms
 
 _DELAY_MODELS = {
     "unit": unit_delays,
@@ -458,11 +459,12 @@ def cmd_table(args) -> int:
 def cmd_example2(args) -> int:
     circuit, delays = paper_example2()
     print("Paper Example 2 (Fig. 2): g(t) = f(t-1.5)·f'(t-4)·f(t-5) + f'(t-2)")
-    flt = floating_delay(circuit, delays).delay
-    trans = transition_delay(circuit, delays).delay
+    programs = ConePrograms(delays)
+    flt = floating_delay(circuit, delays, programs=programs).delay
+    trans = transition_delay(circuit, delays, programs=programs).delay
     print(f"  single-vector (floating) delay = {format_fraction(flt)}   (paper: 4)")
     print(f"  2-vector (transition) delay    = {format_fraction(trans)}   (paper: 2, an incorrect bound!)")
-    result = minimum_cycle_time(circuit, delays)
+    result = minimum_cycle_time(circuit, delays, programs=programs)
     print(f"  minimum cycle time             = {format_fraction(result.mct_upper_bound)} (paper: 2.5)")
     print("  examined candidates (with the discretized recurrences):")
     from repro.timed import and_, lit, or_

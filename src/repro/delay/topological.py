@@ -55,21 +55,32 @@ def topological_profile(
     return {root: (shortest[root], longest[root]) for root in roots}
 
 
+def _root_arrivals(
+    circuit: Circuit,
+    delays: DelayMap,
+    roots: Iterable[str] | None,
+    longest: bool,
+) -> list[Fraction]:
+    """Each root's longest (or shortest) arrival: one pass, one bound."""
+    if roots is None:
+        roots = circuit.combinational_roots
+    arrival = _arrival_times(circuit, delays, longest)
+    return [arrival[root] for root in roots]
+
+
 def longest_topological_delay(
     circuit: Circuit, delays: DelayMap, roots: Iterable[str] | None = None
 ) -> Fraction:
     """The classic topological delay of the combinational logic."""
-    profile = topological_profile(circuit, delays, roots)
-    if not profile:
-        return Fraction(0)
-    return max(hi for _, hi in profile.values())
+    return max(
+        _root_arrivals(circuit, delays, roots, longest=True), default=Fraction(0)
+    )
 
 
 def shortest_topological_delay(
     circuit: Circuit, delays: DelayMap, roots: Iterable[str] | None = None
 ) -> Fraction:
     """The shortest structural path (``L^min`` of Theorem 1)."""
-    profile = topological_profile(circuit, delays, roots)
-    if not profile:
-        return Fraction(0)
-    return min(lo for lo, _ in profile.values())
+    return min(
+        _root_arrivals(circuit, delays, roots, longest=False), default=Fraction(0)
+    )

@@ -26,7 +26,12 @@ from repro.bdd import BddManager
 from repro.errors import Budget
 from repro.logic.delays import DelayMap
 from repro.logic.netlist import Circuit
-from repro.timed.expansion import LeafInstance, TimedExpander, collect_leaf_instances
+from repro.timed.expansion import (
+    ConePrograms,
+    LeafInstance,
+    TimedExpander,
+    collect_leaf_instances,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,13 +94,20 @@ def transition_delay(
     delays: DelayMap,
     roots: Iterable[str] | None = None,
     budget: Budget | None = None,
+    programs: ConePrograms | None = None,
 ) -> TransitionResult:
-    """Exact transition (2-vector) delay of the combinational logic."""
+    """Exact transition (2-vector) delay of the combinational logic.
+
+    ``programs`` is the cone table of ``delays`` to compile into and
+    replay from (a private one by default).
+    """
     if roots is None:
         roots = circuit.combinational_roots
     roots = list(roots)
     manager = BddManager(budget=budget)
-    expander = TimedExpander(circuit, delays, manager, budget=budget)
+    expander = TimedExpander(
+        circuit, delays, manager, budget=budget, programs=programs
+    )
     instance_map = collect_leaf_instances(
         circuit, delays, roots, budget=budget, programs=expander.programs
     )

@@ -18,15 +18,12 @@ import dataclasses
 from fractions import Fraction
 
 from repro.delay.floating import floating_delay
-from repro.delay.topological import (
-    longest_topological_delay,
-    topological_profile,
-)
+from repro.delay.topological import topological_profile
 from repro.delay.transition import transition_delay
 from repro.errors import Budget
 from repro.logic.delays import DelayMap
 from repro.logic.netlist import Circuit
-from repro.timed.expansion import collect_leaf_instances
+from repro.timed.expansion import ConePrograms, collect_leaf_instances
 
 
 def min_register_path(circuit: Circuit, delays: DelayMap) -> Fraction:
@@ -93,14 +90,20 @@ def validity_report(
     delays: DelayMap,
     budget: Budget | None = None,
 ) -> ValidityReport:
-    """Evaluate Theorems 1 and 2 for a circuit and its delay map."""
-    topo = longest_topological_delay(circuit, delays)
-    floating = floating_delay(circuit, delays, budget=budget).delay
-    transition = transition_delay(circuit, delays, budget=budget).delay
+    """Evaluate Theorems 1 and 2 for a circuit and its delay map.
+
+    The floating and transition analyses share one cone table.
+    """
     profile = topological_profile(circuit, delays)
-    shortest = (
-        min(lo for lo, _ in profile.values()) if profile else Fraction(0)
-    )
+    topo = max((hi for _, hi in profile.values()), default=Fraction(0))
+    shortest = min((lo for lo, _ in profile.values()), default=Fraction(0))
+    programs = ConePrograms(delays)
+    floating = floating_delay(
+        circuit, delays, budget=budget, programs=programs
+    ).delay
+    transition = transition_delay(
+        circuit, delays, budget=budget, programs=programs
+    ).delay
     return ValidityReport(
         topological=topo,
         floating=floating,

@@ -42,7 +42,7 @@ from repro.logic.delays import DelayMap, Interval
 from repro.logic.netlist import Circuit
 from repro.mct.breakpoints import tau_breakpoints
 from repro.mct.discretize import DiscretizedMachine, build_discretized_machine
-from repro.timed.expansion import TimedExpander
+from repro.timed.expansion import TimedExpander, next_state_programs
 
 
 class SymbolicTauMachine:
@@ -152,22 +152,18 @@ class SymbolicTauMachine:
             tl = self.machine.fold(inst)
             return steady_value(tl.leaf, steady_regime[tl][0])
 
-        # Next-state functions (state roots never reference age 0).
+        # Next-state functions (state roots never reference age 0).  The
+        # steady machine reads s|q and u|u@1, all declared above.
+        next_state = next_state_programs(circuit)
+        steady_refs = {p: self._var(f"s|{p}").node for p in circuit.state_nets}
+        steady_refs.update({u: self._var(f"u|{u}@1").node for u in circuit.inputs})
         self.next_tau: dict[str, Function] = {}
         self.next_steady: dict[str, Function] = {}
         for q, latch in circuit.latches.items():
             self.next_tau[q] = expander.expand(
                 latch.data, tau_resolver, extra=setup_extra
             )
-            steady_leaf_map = {p: self._var(f"s|{p}") for p in circuit.state_nets}
-            steady_leaf_map.update(
-                {u: self._var(f"u|{u}@1") for u in circuit.inputs}
-            )
-            from repro.timed.expansion import combinational_bdd
-
-            self.next_steady[q] = combinational_bdd(
-                circuit, latch.data, steady_leaf_map, mgr
-            )
+            self.next_steady[q] = mgr.function(next_state[q].run(mgr, steady_refs))
         # Output mismatch (may reference age-0 state = the next values).
         mismatch = mgr.false
         for po in circuit.outputs:

@@ -237,16 +237,23 @@ class DelayMap:
 
         ``widen(0.9)`` reproduces the paper's experimental setting:
         "gate delays varied from 90% to 100% of their respective
-        maxima".  Latch delays are widened the same way.
+        maxima".  Latch delays are widened the same way.  Each distinct
+        interval is scaled once per call.
         """
+        lo, hi = as_fraction(lo_factor), as_fraction(hi_factor)
+        scaled: dict[Interval, Interval] = {}
+
+        def scale(interval: Interval) -> Interval:
+            result = scaled.get(interval)
+            if result is None:
+                result = scaled[interval] = interval.scale(lo, hi)
+            return result
+
         pins = {
-            key: PinTiming(
-                rise=t.rise.scale(lo_factor, hi_factor),
-                fall=t.fall.scale(lo_factor, hi_factor),
-            )
+            key: PinTiming(rise=scale(t.rise), fall=scale(t.fall))
             for key, t in self._pins.items()
         }
-        latches = {q: d.scale(lo_factor, hi_factor) for q, d in self._latch.items()}
+        latches = {q: scale(d) for q, d in self._latch.items()}
         return DelayMap(
             self.circuit, pins, latches,
             setup=self.setup, hold=self.hold, phase=self._phase,

@@ -35,7 +35,7 @@ from repro.logic.delays import ZERO, Interval
 from repro.mct.discretize import DiscretizedMachine, TimedLeaf
 from repro.mct.lp_stats import LpStats
 from repro.telemetry import Counters
-from repro.timed.expansion import TimedExpander, combinational_bdd
+from repro.timed.expansion import TimedExpander, next_state_programs
 
 #: Age options a partial choice assignment leaves open for a timed leaf.
 AgeOptions = dict[TimedLeaf, tuple[int, ...]]
@@ -93,6 +93,8 @@ class DecisionContext:
     read once per decision into a tuple of age sets indexed by timed-leaf
     id, so resolving a leaf is two list lookups: the machine's
     instance-to-id row of the cone's destination phase, then the ages.
+    The steady machine's next-state cones are compiled once per context
+    and replayed, latch by latch, at every unrolling step.
     """
 
     def __init__(
@@ -131,6 +133,7 @@ class DecisionContext:
         }
         self._output_ids = machine.leaf_ids.get(Fraction(0), [])
         self._leaf_names = [tl.leaf for tl in machine.timed_leaves]
+        self._next_state = next_state_programs(circuit)
         #: (leaf id, chain index) -> the choice variable's node ref
         self._choices: dict[tuple[int, int], int] = {}
         # Memoized steady-state artifacts.
@@ -205,6 +208,21 @@ class DecisionContext:
     # ------------------------------------------------------------------
     # Steady-state machinery (memoized)
     # ------------------------------------------------------------------
+    def _steady_step(self, state: dict[str, Function], inputs) -> dict[str, Function]:
+        """x̂ one step on: ``g(state, inputs)``, latch by latch.
+
+        ``inputs`` are the input variables in ``circuit.inputs`` order;
+        the caller creates them before the step, which fixes their place
+        in the variable order.
+        """
+        manager = self.manager
+        leaf_refs = {q: f.node for q, f in state.items()}
+        leaf_refs.update(zip(self.machine.circuit.inputs, (f.node for f in inputs)))
+        return {
+            q: Function(manager, program.run(manager, leaf_refs))
+            for q, program in self._next_state.items()
+        }
+
     def _steady_history_upto(self, n: int) -> list[dict[str, Function]]:
         """x̂(0..n) as BDDs over absolute input variables."""
         circuit = self.machine.circuit
@@ -215,15 +233,8 @@ class DecisionContext:
             )
         while len(hist) <= n:
             t = len(hist)
-            leaf_map = dict(hist[t - 1])
-            for u in circuit.inputs:
-                leaf_map[u] = self._abs_input(u, t - 1)
-            hist.append(
-                {
-                    q: combinational_bdd(circuit, latch.data, leaf_map, self.manager)
-                    for q, latch in circuit.latches.items()
-                }
-            )
+            inputs = [self._abs_input(u, t - 1) for u in circuit.inputs]
+            hist.append(self._steady_step(hist[t - 1], inputs))
         return hist
 
     def _unrolled(self, m: int) -> list[dict[str, Function]]:
@@ -240,13 +251,8 @@ class DecisionContext:
         rel: list[dict[str, Function] | None] = [None] * (m + 1)
         rel[m] = {q: self._base_state_var(q, m) for q in circuit.latches}
         for a in range(m - 1, -1, -1):
-            leaf_map = dict(rel[a + 1])
-            for u in circuit.inputs:
-                leaf_map[u] = self._rel_input(u, a + 1)
-            rel[a] = {
-                q: combinational_bdd(circuit, latch.data, leaf_map, self.manager)
-                for q, latch in circuit.latches.items()
-            }
+            inputs = [self._rel_input(u, a + 1) for u in circuit.inputs]
+            rel[a] = self._steady_step(rel[a + 1], inputs)
         self._unroll_cache[m] = rel  # type: ignore[assignment]
         return rel  # type: ignore[return-value]
 

@@ -25,7 +25,12 @@ from fractions import Fraction
 from repro.errors import AnalysisError, Budget
 from repro.logic.delays import DelayMap, Interval
 from repro.logic.netlist import Circuit
-from repro.timed.expansion import ConePrograms, LeafInstance, collect_leaf_instances
+from repro.timed.expansion import (
+    ConePrograms,
+    LeafInstance,
+    _programs_for,
+    collect_leaf_instances,
+)
 
 
 def age_of(k: Fraction, tau: Fraction) -> int:
@@ -90,7 +95,8 @@ class DiscretizedMachine:
     #: the steady-state constant L of Definition 2 (max total delay)
     L: Fraction
     #: the compiled root cones, shared by the collection that built this
-    #: machine and every decision context of its sweep
+    #: machine and every decision context of its sweep (and, when the
+    #: caller passed its table in, by the caller's other analyses)
     programs: ConePrograms = dataclasses.field(compare=False, repr=False)
     #: destination phase -> leaf id by instance index (None: not folded)
     leaf_ids: dict[Fraction, list[int | None]] = dataclasses.field(
@@ -169,8 +175,13 @@ def build_discretized_machine(
     delays: DelayMap,
     budget: Budget | None = None,
     deadline=None,
+    programs: ConePrograms | None = None,
 ) -> DiscretizedMachine:
     """Collect every root cone's timed leaves and fold total delays.
+
+    ``programs`` is the cone table to compile into (a private one by
+    default); a table compiled for another delay map raises
+    :class:`AnalysisError`.
 
     Raises :class:`AnalysisError` when a register-to-register path has
     total delay 0 (a zero-delay feedback loop has no well-defined
@@ -179,10 +190,10 @@ def build_discretized_machine(
     (:class:`~repro.timed.expansion.ConePrograms` refuses it before any
     cone is compiled).
     """
+    programs = _programs_for(circuit, delays, programs)
     setup = delays.setup
     state_roots = [latch.data for latch in circuit.latches.values()]
     output_roots = list(circuit.outputs)
-    programs = ConePrograms(delays)
     state_instances = (
         collect_leaf_instances(
             circuit,

@@ -57,6 +57,7 @@ from repro.mct.lp_stats import LpStats
 from repro.parallel.supervise import Quarantined, SupervisionStats
 from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.deadline import Deadline
+from repro.timed.expansion import ConePrograms
 
 #: The rungs tried, in order, by ``MctOptions(degradation_ladder=...)``
 #: when a window exhausts its budget or deadline.  Each rung rebuilds
@@ -248,6 +249,7 @@ def minimum_cycle_time(
     transport=None,
     progress=None,
     cancel=None,
+    programs: ConePrograms | None = None,
 ) -> MctResult:
     """Compute an upper bound on the machine's minimum cycle time.
 
@@ -297,6 +299,15 @@ def minimum_cycle_time(
     attached.  Both are execution hooks (the MCT service daemon streams
     and cancels jobs through them) and, like ``jobs``, never enter the
     checkpoint fingerprint.
+
+    ``programs`` is the :class:`~repro.timed.expansion.ConePrograms`
+    table of ``delays`` that the sweep compiles into and replays from
+    (a private one by default; one built for another delay map raises
+    :class:`~repro.errors.AnalysisError`).  A table shared with the
+    floating and transition analyses of the same delay map skips the
+    compiles it already holds, and with them their deadline polls;
+    answers, budget charges and BDD counters stay the same.  Window
+    workers compile their own.
     """
     options = options or MctOptions()
     start = time.monotonic()
@@ -308,7 +319,8 @@ def minimum_cycle_time(
     )
     try:
         machine = build_discretized_machine(
-            circuit, delays, budget=budget, deadline=deadline
+            circuit, delays, budget=budget, deadline=deadline,
+            programs=programs,
         )
     except ResourceBudgetExceeded:
         return MctResult(

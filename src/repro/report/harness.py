@@ -35,6 +35,7 @@ from repro.errors import Budget, ResourceBudgetExceeded
 from repro.logic import Circuit, DelayMap
 from repro.mct import DEFAULT_LADDER, MctOptions, minimum_cycle_time
 from repro.report.tables import format_fraction, format_seconds, format_table
+from repro.timed.expansion import ConePrograms
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,7 +102,9 @@ def analyze_circuit(
     """Measure all four columns for one circuit.
 
     ``degrade=True`` enables the default graceful-degradation ladder on
-    the MCT sweep (unless ``mct_options`` already configures one).
+    the MCT sweep (unless ``mct_options`` already configures one).  The
+    floating, transition and MCT analyses share one cone table, so each
+    ``(root, extra)`` cone of the row compiles once.
     """
     if degrade:
         base = mct_options or MctOptions()
@@ -109,6 +112,7 @@ def analyze_circuit(
             base = dataclasses.replace(base, degradation_ladder=DEFAULT_LADDER)
         mct_options = base
     top = longest_topological_delay(circuit, delays)
+    programs = ConePrograms(delays)
 
     def timed(fn):
         t0 = time.monotonic()
@@ -123,6 +127,7 @@ def analyze_circuit(
             circuit,
             delays,
             budget=Budget(comb_budget, "floating") if comb_budget else None,
+            programs=programs,
         ).delay
     )
     trans, trans_cpu = timed(
@@ -130,10 +135,11 @@ def analyze_circuit(
             circuit,
             delays,
             budget=Budget(comb_budget, "transition") if comb_budget else None,
+            programs=programs,
         ).delay
     )
     t0 = time.monotonic()
-    result = minimum_cycle_time(circuit, delays, mct_options)
+    result = minimum_cycle_time(circuit, delays, mct_options, programs=programs)
     mct_cpu = time.monotonic() - t0
     mct: Fraction | None = result.mct_upper_bound
     partial = result.interrupted

@@ -27,6 +27,12 @@ makes, but builds no handle and repeats no arity check (a
 resolved leaf is checked, once, for its manager.  Raw references are
 safe because a manager never moves a node.
 
+The zero-delay cones of the steady machine ``x̂(n) = g(x̂(n-1), u(n-1))``
+compile the same way, without time offsets: a
+:class:`CombinationalProgram` is one root's ``circuit.cone(root)``
+walk as a straight-line op list, replayed on raw references at every
+unrolling step (:func:`next_state_programs`, :func:`combinational_bdd`).
+
 Rise/fall-asymmetric pins are handled with the paper's Fig. 1(b) buffer
 decomposition: the pin value is ``x(t-τr)·x(t-τf)`` when ``τr > τf``
 and ``x(t-τr)+x(t-τf)`` when ``τr < τf``.
@@ -146,12 +152,17 @@ class ConePrograms:
     """The compiled cones of one delay map, keyed by ``(root, extra)``.
 
     A cone compiles on first request and is replayed from then on.  The
-    table lives exactly as long as the analysis that owns it — one
-    :class:`~repro.mct.discretize.DiscretizedMachine` (its collection
-    and every decision context of the sweep), or one floating or
-    transition delay call — and is never shipped: a pickled table
-    carries only its delay map, so a pool or cluster worker compiles
-    its own.
+    table lives as long as the caller that builds it: by default one
+    analysis (a floating or transition delay call, or one
+    :class:`~repro.mct.discretize.DiscretizedMachine` with its
+    collection and every decision context of the sweep), and one row of
+    the results table when :func:`~repro.report.analyze_circuit` passes
+    a single table to all three analyses (``programs=``).  It is never
+    cached on the delay map: a compile polls the deadline once per
+    entry, so a table warmed by an earlier analysis would move where a
+    counted deadline fires.  It is never shipped either: a pickled
+    table carries only its delay map, so a pool or cluster worker
+    compiles its own.
 
     The compile walk adds integer-scaled offsets (the map's pin delays
     and ``extra`` over their common denominator), so it hashes and sums
@@ -411,6 +422,62 @@ def collect_leaf_instances(
     return result
 
 
+class CombinationalProgram:
+    """One root's zero-delay cone compiled into a straight-line program.
+
+    ``leaves`` are the leaf nets the cone reads, in the order a walk of
+    ``circuit.cone(root)`` first reads them (just ``[root]`` when the
+    root is itself a leaf).  ``steps`` has one ``(op, operand_slots)``
+    per gate of that walk, in its (topological) order, the root last:
+    slot ``i < len(leaves)`` holds ``leaves[i]`` and slot
+    ``len(leaves) + j`` the value of step ``j``.  A gate that two roots
+    share is compiled into both, so replaying every root issues the ITE
+    calls of one cone walk per root.
+    """
+
+    __slots__ = ("leaves", "steps")
+
+    def __init__(self, circuit: Circuit, root: str):
+        gates = circuit.gates
+        cone = circuit.cone(root)
+        if cone:
+            inside = set(cone)
+            self.leaves = list(dict.fromkeys(
+                child
+                for net in cone
+                for child in gates[net].inputs
+                if child not in inside
+            ))
+        else:  # the root is a leaf
+            self.leaves = [root]
+        slots = {net: i for i, net in enumerate(self.leaves + cone)}
+        self.steps = [
+            (BDD_OPS[gates[net].gtype], tuple(slots[c] for c in gates[net].inputs))
+            for net in cone
+        ]
+
+    def run(self, manager: BddManager, leaf_refs: Mapping[str, int]) -> int:
+        """The root's node ref, with each leaf's ref read from ``leaf_refs``.
+
+        Each step runs its :data:`~repro.logic.gate.BDD_OPS` entry on raw
+        references and checks no arity.  The replay charges no budget
+        and polls no deadline of its own; the manager's node creation
+        still does.
+        """
+        values = [leaf_refs[leaf] for leaf in self.leaves]
+        push = values.append
+        for op, slots in self.steps:
+            push(op(manager, [values[slot] for slot in slots]))
+        return values[-1]
+
+
+def next_state_programs(circuit: Circuit) -> dict[str, CombinationalProgram]:
+    """Every latch's compiled next-state cone (``latch.data``), by latch."""
+    return {
+        q: CombinationalProgram(circuit, latch.data)
+        for q, latch in circuit.latches.items()
+    }
+
 
 def combinational_bdd(
     circuit: Circuit,
@@ -420,26 +487,21 @@ def combinational_bdd(
 ) -> Function:
     """Plain (untimed) BDD of a cone with arbitrary leaf values.
 
-    The zero-delay companion of :meth:`TimedExpander.expand`: used for
-    the steady-state machine ``x̂(n) = g(x̂(n-1), u(n-1))``, for the
-    inductive unrolling of the decision algorithm, and by the FSM layer.
+    The one-root case of :class:`CombinationalProgram`: compiles the
+    cone and replays it once.  Raises :class:`AnalysisError` naming the
+    first leaf the cone reads that ``leaf_map`` does not supply.  The
+    steady machine compiles its cones once instead
+    (:func:`next_state_programs`).
     """
-    def leaf_value(net: str) -> Function:
+    program = CombinationalProgram(circuit, root)
+    leaf_refs: dict[str, int] = {}
+    for leaf in program.leaves:
         try:
-            return leaf_map[net]
+            value = leaf_map[leaf]
         except KeyError:
-            raise AnalysisError(f"no leaf value supplied for {net!r}") from None
-
-    if circuit.is_leaf(root):
-        return leaf_value(root)
-    values: dict[str, Function] = {}
-    for net in circuit.cone(root):
-        gate = circuit.gates[net]
-        operands = [
-            values[c] if c in values else leaf_value(c) for c in gate.inputs
-        ]
-        values[net] = gate_bdd(gate.gtype, manager, operands)
-    return values[root]
+            raise AnalysisError(f"no leaf value supplied for {leaf!r}") from None
+        leaf_refs[leaf] = manager.ref(value)
+    return manager.function(program.run(manager, leaf_refs))
 
 
 class CombinationalBdd:

@@ -1,5 +1,6 @@
 """Tests for the report harness, table formatting, and the CLI."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -157,9 +158,17 @@ class TestCli:
         assert "--bdd-sift-threshold" in capsys.readouterr().err
 
     def test_example2_command(self, capsys):
+        """Paper Example 2 end to end: the three analyses share one cone
+        table, and each value and candidate status is the paper's."""
         assert main(["example2"]) == 0
         out = capsys.readouterr().out
-        assert "2.5 (paper: 2.5)" in out
+        assert "(floating) delay = 4   (paper: 4)" in out
+        assert "(transition) delay    = 2   (paper: 2," in out
+        assert "minimum cycle time             = 2.5 (paper: 2.5)" in out
+        statuses = re.findall(r"tau = +([\d.]+): (\w+)", out)
+        assert statuses == [
+            ("5", "steady"), ("4", "pass"), ("2.5", "pass"), ("2", "fail"),
+        ]
 
     def test_table_subset(self, capsys):
         assert main(["table", "--rows", "g444", "--no-s27", "--fixed"]) == 0
