@@ -50,7 +50,6 @@ from repro.mct import (
     minimum_cycle_time,
     optimize_skew,
 )
-from repro.parallel import LocalTransport, RetryPolicy, SocketTransport
 from repro.resilience import SweepCheckpoint, inject_faults
 from repro.report import analyze_circuit, render_rows, run_suite
 from repro.report.tables import format_fraction
@@ -87,7 +86,7 @@ def _sigterm_as_interrupt():
         signal.signal(signal.SIGTERM, previous)
 
 
-def _tls_server_context(certfile, keyfile, cafile, *, flag="--tls"):
+def _tls_server_context(certfile, keyfile, cafile):
     """Listener-side SSLContext from CLI flags, or ``None``.
 
     Enforces the pairing rules (cert+key together, a CA only on top of
@@ -96,49 +95,51 @@ def _tls_server_context(certfile, keyfile, cafile, *, flag="--tls"):
     """
     if certfile is None and keyfile is None:
         if cafile is not None:
-            raise OptionsError(
-                f"{flag}-ca requires {flag}-cert and {flag}-key"
-            )
+            raise OptionsError("--tls-ca requires --tls-cert and --tls-key")
         return None
     if certfile is None or keyfile is None:
-        raise OptionsError(
-            f"{flag}-cert and {flag}-key must be given together"
-        )
+        raise OptionsError("--tls-cert and --tls-key must be given together")
     return build_server_context(certfile, keyfile, cafile)
 
 
-def _tls_client_context(cafile, certfile, keyfile, *, flag="--tls"):
+def _tls_client_context(cafile, certfile, keyfile):
     """Dialer-side SSLContext from CLI flags, or ``None``.
 
-    The CA is the switch: without ``{flag}-ca`` there is nothing to
+    The CA is the switch: without ``--tls-ca`` there is nothing to
     verify the peer against, so a client cert alone is a config error,
     not a silent plaintext connection.
     """
     if cafile is None:
         if certfile is not None or keyfile is not None:
             raise OptionsError(
-                f"{flag}-cert/{flag}-key need {flag}-ca (the CA the "
+                "--tls-cert/--tls-key need --tls-ca (the CA the "
                 "worker certificates chain to)"
             )
         return None
     if (certfile is None) != (keyfile is None):
-        raise OptionsError(
-            f"{flag}-cert and {flag}-key must be given together"
-        )
+        raise OptionsError("--tls-cert and --tls-key must be given together")
     return build_client_context(cafile, certfile, keyfile)
 
 
-def _check_execution_flags(args, task_timeout=None) -> None:
-    """The checks of the execution flags ``analyze``, ``table`` and
-    ``serve`` share; :class:`OptionsError` names the first bad flag."""
+def _transport(args):
+    """Where ``table --jobs``/``--workers`` measure rows, or ``None``.
+
+    ``--workers`` (repeatable, comma-splittable) wins over ``--jobs``:
+    a :class:`~repro.parallel.SocketTransport`; otherwise ``--jobs N``
+    above 1 is a :class:`~repro.parallel.LocalTransport`.  Either
+    carries the retry policy of ``--max-retries``.  Bad flags,
+    addresses and security flag combinations raise
+    :class:`~repro.errors.OptionsError` naming the first bad flag (the
+    caller turns that into the exit-1 message).
+    """
+    from repro.parallel import LocalTransport, RetryPolicy, SocketTransport
+
     for flag, value in (
         ("--jobs", args.jobs),
         ("--max-retries", args.max_retries),
     ):
         if value < 0:
             raise OptionsError(f"{flag} must be non-negative")
-    if task_timeout is not None and task_timeout <= 0:
-        raise OptionsError("--task-timeout must be positive")
     if args.heartbeat_interval <= 0:
         raise OptionsError("--heartbeat-interval must be positive")
     if args.heartbeat_timeout < args.heartbeat_interval:
@@ -147,34 +148,16 @@ def _check_execution_flags(args, task_timeout=None) -> None:
         )
     if args.connect_timeout <= 0:
         raise OptionsError("--connect-timeout must be positive")
-
-
-def _transport(args, cafile, certfile, keyfile, *, flag="--tls",
-               task_timeout=None):
-    """Where ``--jobs``/``--workers`` run tasks, or ``None`` (in-process).
-
-    ``--workers`` (repeatable, comma-splittable) wins over ``--jobs``:
-    a :class:`SocketTransport`; otherwise ``--jobs N`` above 1 is a
-    :class:`LocalTransport`.  Either carries the retry policy of
-    ``--max-retries``/``--task-timeout``.  Bad flags, addresses and
-    security flag combinations raise
-    :class:`~repro.errors.OptionsError` (the caller turns that into the
-    exit-1 message).  The TLS material is passed in because ``serve``
-    spells the worker-side flags ``--worker-tls-*``, not ``--tls-*``.
-    """
-    _check_execution_flags(args, task_timeout)
-    retry = RetryPolicy(
-        max_retries=args.max_retries, task_timeout=task_timeout
-    )
+    retry = RetryPolicy(max_retries=args.max_retries)
     secret = load_secret(args.secret_file, SECRET_ENV)
     specs: list[str] = []
     for entry in args.workers or ():
         specs.extend(part for part in entry.split(",") if part.strip())
     if not specs:
-        if cafile is not None or certfile is not None or keyfile is not None:
-            raise OptionsError(f"{flag}-* flags need --workers")
+        if any(f is not None for f in (args.tls_ca, args.tls_cert, args.tls_key)):
+            raise OptionsError("--tls-* flags need --workers")
         return LocalTransport(args.jobs, retry=retry) if args.jobs > 1 else None
-    ssl_context = _tls_client_context(cafile, certfile, keyfile, flag=flag)
+    ssl_context = _tls_client_context(args.tls_ca, args.tls_cert, args.tls_key)
     try:
         return SocketTransport(
             specs,
@@ -240,7 +223,6 @@ def cmd_analyze(args) -> int:
     for flag, value in (
         ("--fail-budget-at", args.fail_budget_at),
         ("--fail-deadline-at", args.fail_deadline_at),
-        ("--kill-worker-at", args.kill_worker_at),
     ):
         if value is not None and value < 0:
             print(f"error: {flag} must be non-negative", file=sys.stderr)
@@ -252,34 +234,9 @@ def cmd_analyze(args) -> int:
         if value < 1:
             print(f"error: {flag} must be positive", file=sys.stderr)
             return 1
-    try:
-        transport = _transport(
-            args, args.tls_ca, args.tls_cert, args.tls_key,
-            task_timeout=args.task_timeout,
-        )
-    except OptionsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     faulted = (
         args.fail_budget_at is not None or args.fail_deadline_at is not None
     )
-    # Fault hooks are process-global: a pool or cluster worker would
-    # never see them, so the injected fault must run in this process.
-    # A degradation ladder changes rungs between windows, so the sweep
-    # decides every window here whatever --jobs/--workers say.  Worker
-    # kills (--kill-worker-at) are different: they target the pool
-    # itself and keep --jobs in force.
-    reason = None
-    if faulted:
-        reason = "fault injection"
-    elif args.degrade:
-        reason = "the degradation ladder (--degrade)"
-    if transport is not None and reason is not None:
-        print(
-            f"note: {reason} forces a serial sweep; "
-            "ignoring --jobs/--workers"
-        )
-        transport = None
     # The fault flags exercise the resilience path deterministically
     # (used by the CI smoke job); they need a budget/deadline to fail.
     # Gate on `is not None`: 0 is a valid (never-firing) call index.
@@ -299,7 +256,7 @@ def cmd_analyze(args) -> int:
         )
     except OptionsError as exc:
         # Safety net behind the flag-named checks above: every knob is
-        # validated at construction time, never inside a pool.
+        # validated at construction time, never inside the sweep.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     resume_from = None
@@ -312,21 +269,15 @@ def cmd_analyze(args) -> int:
 
     def run():
         return minimum_cycle_time(
-            circuit,
-            delays,
-            options,
-            resume_from=resume_from,
-            transport=transport,
+            circuit, delays, options, resume_from=resume_from
         )
 
-    injecting = faulted or args.kill_worker_at is not None
     try:
         with _sigterm_as_interrupt():
-            if injecting:
+            if faulted:
                 with inject_faults(
                     budget_at=args.fail_budget_at,
                     deadline_at=args.fail_deadline_at,
-                    kill_worker_at=args.kill_worker_at,
                 ):
                     result = run()
             else:
@@ -335,7 +286,6 @@ def cmd_analyze(args) -> int:
         print(f"error: cannot resume: {exc}", file=sys.stderr)
         return 1
     except AnalysisError as exc:
-        # e.g. no cluster worker reachable, or a worker failed hard.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     marker = "" if result.failure_found else " (no failing window found; bound from sweep floor)"
@@ -366,13 +316,6 @@ def cmd_analyze(args) -> int:
             print("    BDD stats       : none (no decision context was built)")
         if result.lp_stats is not None:
             print(f"    LP stats        : {result.lp_stats.summary()}")
-        if result.supervision is not None:
-            print(f"    supervision     : {result.supervision.summary()}")
-        quarantined = sum(1 for r in result.candidates if r.quarantined)
-        retried = sum(r.attempts - 1 for r in result.candidates)
-        if quarantined or retried:
-            print(f"    recovered       : {retried} extra attempts, "
-                  f"{quarantined} windows decided serially (quarantine)")
     if result.budget_exceeded:
         print("    NOTE: work budget exhausted; bound is partial (†)")
     if result.deadline_exceeded:
@@ -412,7 +355,7 @@ def cmd_table(args) -> int:
         print("error: --kill-worker-at must be non-negative", file=sys.stderr)
         return 1
     try:
-        transport = _transport(args, args.tls_ca, args.tls_cert, args.tls_key)
+        transport = _transport(args)
     except OptionsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -575,20 +518,17 @@ def cmd_simulate(args) -> int:
     return 0 if ok else 2
 
 
-def _add_cluster_args(p, *, tls_flag_prefix="--tls") -> None:
-    """Coordinator-side cluster flags (analyze, table, serve).
+def _add_cluster_args(p) -> None:
+    """Coordinator-side cluster flags of ``table``.
 
-    ``serve`` passes ``tls_flag_prefix="--worker-tls"`` so the flags
-    for dialing TLS workers do not collide with the daemon's own HTTP
-    listener ``--tls-*`` flags.  None of these knobs enters the
-    checkpoint fingerprint or a cache key: they describe *where and
-    how* to compute, never *what*.
+    They describe *where and how* rows are measured, never *what*: the
+    table is the same on any fleet.
     """
     p.add_argument("--workers", action="append", default=None,
                    metavar="HOST:PORT[,HOST:PORT...]",
-                   help="decide on remote repro-mct workers instead of "
-                        "local processes (repeatable / comma-separated); "
-                        "results stay identical to a serial run")
+                   help="measure rows on remote repro-mct workers instead "
+                        "of local processes (repeatable / comma-"
+                        "separated); rows stay identical to a serial run")
     p.add_argument("--heartbeat-interval", type=float, default=0.5,
                    metavar="SEC",
                    help="seconds between liveness pings to each cluster "
@@ -596,7 +536,7 @@ def _add_cluster_args(p, *, tls_flag_prefix="--tls") -> None:
     p.add_argument("--heartbeat-timeout", type=float, default=2.5,
                    metavar="SEC",
                    help="declare a cluster worker dead after this many "
-                        "seconds of silence; its leased windows are "
+                        "seconds of silence; its leased rows are "
                         "re-dispatched to the survivors")
     p.add_argument("--connect-timeout", type=float, default=10.0,
                    metavar="SEC",
@@ -609,14 +549,14 @@ def _add_cluster_args(p, *, tls_flag_prefix="--tls") -> None:
                         "must prove it (HMAC challenge-response) before "
                         "any task bytes flow (default: $REPRO_MCT_SECRET "
                         "if set, else unauthenticated)")
-    p.add_argument(f"{tls_flag_prefix}-ca", default=None, metavar="PEM",
+    p.add_argument("--tls-ca", default=None, metavar="PEM",
                    help="CA bundle the workers' certificates must chain "
                         "to; enables TLS on the worker connections")
-    p.add_argument(f"{tls_flag_prefix}-cert", default=None, metavar="PEM",
+    p.add_argument("--tls-cert", default=None, metavar="PEM",
                    help="client certificate to present to TLS workers "
-                        f"(paired with {tls_flag_prefix}-key)")
-    p.add_argument(f"{tls_flag_prefix}-key", default=None, metavar="PEM",
-                   help=f"private key for {tls_flag_prefix}-cert")
+                        "(paired with --tls-key)")
+    p.add_argument("--tls-key", default=None, metavar="PEM",
+                   help="private key for --tls-cert")
 
 
 def cmd_worker(args) -> int:
@@ -694,17 +634,11 @@ def cmd_serve(args) -> int:
         http_ssl = _tls_server_context(
             args.tls_cert, args.tls_key, args.tls_ca
         )
-        transport = _transport(
-            args, args.worker_tls_ca, args.worker_tls_cert,
-            args.worker_tls_key, flag="--worker-tls",
-            task_timeout=args.task_timeout,
-        )
         manager = JobManager(
             cache=ResultCache(
                 args.cache_dir, max_bytes=args.cache_max_bytes
             ),
             max_inflight=args.max_inflight,
-            transport=transport,
             job_ttl=args.job_ttl,
             max_jobs=args.max_jobs,
         )
@@ -794,22 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fail-deadline-at", type=int, default=None, metavar="N",
                    help="fault injection: fail the Nth deadline check "
                         "(0 arms the counters but never fires)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="decide up to N breakpoint windows in parallel "
-                        "(worker processes; same bound and candidates "
-                        "as a serial sweep)")
-    p.add_argument("--max-retries", type=int, default=2, metavar="N",
-                   help="resubmissions per window after a worker crash "
-                        "before quarantining it (serial in-process "
-                        "fallback); parallel sweeps only")
-    p.add_argument("--task-timeout", type=float, default=None, metavar="SEC",
-                   help="per-window wall timeout under --jobs; a stuck "
-                        "worker is treated like a crashed one")
-    p.add_argument("--kill-worker-at", type=int, default=None, metavar="N",
-                   help="fault injection: each pool worker kills itself "
-                        "on its Nth task (exercises crash recovery; "
-                        "0 arms the counters but never fires)")
-    _add_cluster_args(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("table", help="regenerate the paper's results table")
@@ -834,8 +752,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cluster_args(p)
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("worker", help="serve decide tasks to a cluster "
-                       "coordinator (repro-mct ... --workers host:port)")
+    p = sub.add_parser("worker", help="measure table rows for a cluster "
+                       "coordinator (repro-mct table --workers host:port)")
     p.add_argument("--listen", default="127.0.0.1:0", metavar="HOST:PORT",
                    help="address to listen on (port 0 picks a free port, "
                         "printed on startup)")
@@ -876,15 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-inflight", type=int, default=2, metavar="N",
                    help="sweeps allowed to execute concurrently; "
                         "further submissions queue (default 2)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="decide each sweep's windows on N worker "
-                        "processes (same bound as serial)")
-    p.add_argument("--max-retries", type=int, default=2, metavar="N",
-                   help="resubmissions per window after a worker crash "
-                        "before quarantining it; parallel sweeps only")
-    p.add_argument("--task-timeout", type=float, default=None, metavar="SEC",
-                   help="per-window wall timeout under --jobs; a stuck "
-                        "worker is treated like a crashed one")
     p.add_argument("--stats", action="store_true",
                    help="print the service counters (cache hits, "
                         "coalesced submissions, sweep seconds) on "
@@ -914,7 +823,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cap the result cache (memory and --cache-dir "
                         "disk tier) at this many bytes, evicting least-"
                         "recently-used entries (default: unbounded)")
-    _add_cluster_args(p, tls_flag_prefix="--worker-tls")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("example2", help="walk through the paper's Example 2")

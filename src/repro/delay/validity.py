@@ -26,7 +26,11 @@ from repro.logic.netlist import Circuit
 from repro.timed.expansion import ConePrograms, collect_leaf_instances
 
 
-def min_register_path(circuit: Circuit, delays: DelayMap) -> Fraction:
+def min_register_path(
+    circuit: Circuit,
+    delays: DelayMap,
+    programs: ConePrograms | None = None,
+) -> Fraction:
     """Earliest any *register* data input can change after a clock edge.
 
     The minimum over all flattened paths into latch data pins of
@@ -35,11 +39,15 @@ def min_register_path(circuit: Circuit, delays: DelayMap) -> Fraction:
     clock-synchronized).  This is the quantity Theorem 1 compares
     against the hold time, and the level-sensitive race limit uses.
     Primary-output cones do not participate: nothing latches there.
+    ``programs`` is the cone table of ``delays`` to read the latch-data
+    cones from (a private one by default).
     """
     roots = [latch.data for latch in circuit.latches.values()]
     if not roots:
         return Fraction(0)
-    instance_map = collect_leaf_instances(circuit, delays, roots)
+    instance_map = collect_leaf_instances(
+        circuit, delays, roots, programs=programs
+    )
     best: Fraction | None = None
     for instances in instance_map.values():
         for inst in instances:
@@ -92,7 +100,8 @@ def validity_report(
 ) -> ValidityReport:
     """Evaluate Theorems 1 and 2 for a circuit and its delay map.
 
-    The floating and transition analyses share one cone table.
+    The floating, transition and register-path analyses share one cone
+    table, so each ``(root, extra)`` cone of the report compiles once.
     """
     profile = topological_profile(circuit, delays)
     topo = max((hi for _, hi in profile.values()), default=Fraction(0))
@@ -111,6 +120,9 @@ def validity_report(
         shortest_path=shortest,
         setup=delays.setup,
         hold=delays.hold,
-        hold_ok=min_register_path(circuit, delays) >= delays.hold,
+        hold_ok=(
+            min_register_path(circuit, delays, programs=programs)
+            >= delays.hold
+        ),
         transition_certified=transition * 2 >= topo,
     )

@@ -127,7 +127,7 @@ class Budget:
         Human-readable resource name used in error messages.
     """
 
-    __slots__ = ("limit", "used", "resource", "_parent")
+    __slots__ = ("limit", "used", "resource")
 
     def __init__(self, limit: int | None = None, resource: str = "work"):
         if limit is not None and limit <= 0:
@@ -135,7 +135,6 @@ class Budget:
         self.limit = limit
         self.used = 0
         self.resource = resource
-        self._parent: Budget | None = None
 
     def charge(self, amount: int = 1) -> None:
         """Consume ``amount`` units, raising when the limit would be
@@ -148,28 +147,7 @@ class Budget:
             hook(self, amount)
         if self.limit is not None and self.used + amount > self.limit:
             raise ResourceBudgetExceeded(self.resource, self.limit)
-        if self._parent is not None:
-            self._parent.charge(amount)
         self.used += amount
-
-    def child(self, fraction: float, resource: str | None = None) -> "Budget":
-        """A sub-budget for one phase, sized as ``fraction`` of what
-        remains.
-
-        Charges against the child propagate to this (parent) budget, so
-        the overall limit still holds end to end; the child's own limit
-        additionally caps the sub-phase.  An unlimited parent yields an
-        unlimited child (which still forwards its charges).
-        """
-        if not 0 < fraction <= 1:
-            raise ValueError("child fraction must be in (0, 1]")
-        name = resource or f"{self.resource}/sub"
-        if self.limit is None:
-            sub = Budget(None, name)
-        else:
-            sub = Budget(max(1, int(self.remaining * fraction)), name)
-        sub._parent = self
-        return sub
 
     @property
     def remaining(self) -> int | None:
@@ -182,11 +160,8 @@ class Budget:
         """Raise exactly as ``charge(amount)`` would on a limit, but
         consume nothing and skip the fault hook: a planning check for
         work that will be charged unit by unit later."""
-        budget = self
-        while budget is not None:
-            if budget.limit is not None and budget.used + amount > budget.limit:
-                raise ResourceBudgetExceeded(budget.resource, budget.limit)
-            budget = budget._parent
+        if self.limit is not None and self.used + amount > self.limit:
+            raise ResourceBudgetExceeded(self.resource, self.limit)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Budget({self.used}/{self.limit or 'inf'} {self.resource})"

@@ -75,9 +75,8 @@ class SweepCounters(Counters):
     """What deciding windows cost: BDD work, exact-LP work, decisions.
 
     One record per :class:`~repro.mct.engine.Decider`; a sweep sums its
-    rungs' records and its window workers' snapshots into
-    :attr:`~repro.mct.engine.MctResult.bdd_stats`, ``lp_stats`` and
-    ``decisions_run``.
+    rungs' records into :attr:`~repro.mct.engine.MctResult.bdd_stats`,
+    ``lp_stats`` and ``decisions_run``.
     """
 
     bdd: BddStats = dataclasses.field(default_factory=BddStats)

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from collections import deque
 from fractions import Fraction
 
 from repro.bdd import BddStats, Function
@@ -54,7 +53,6 @@ from repro.mct.decision import DecisionContext, SweepCounters
 from repro.mct.discretize import DiscretizedMachine, build_discretized_machine
 from repro.mct.feasibility import sigma_sup_tau
 from repro.mct.lp_stats import LpStats
-from repro.parallel.supervise import Quarantined, SupervisionStats
 from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.deadline import Deadline
 from repro.timed.expansion import ConePrograms
@@ -113,7 +111,7 @@ class MctOptions:
     def __post_init__(self):
         # Validate at construction time so a bad value fails with a
         # clean OptionsError (CLI exit 1) here, not as a traceback from
-        # deep inside a sweep or a worker.
+        # deep inside a sweep.
         if self.max_exact_paths < 1:
             raise OptionsError("max_exact_paths must be positive")
         if self.max_exact_combinations < 1:
@@ -150,14 +148,6 @@ class CandidateRecord:
     #: window (0 for steady windows; replayed checkpoint records keep
     #: the count measured when the window was originally decided).
     ite_calls: int = 0
-    #: Worker attempts this window consumed under supervision (1 on the
-    #: serial path and for undisturbed parallel windows).  A
-    #: measurement, like ``elapsed_seconds`` — not part of the verdict.
-    attempts: int = 1
-    #: True when the supervisor gave up on the pool for this window and
-    #: it was decided serially in-process (the verdict is identical
-    #: either way; this records *how* it was obtained).
-    quarantined: bool = False
     #: Exact-LP programs solved while deciding this window (0 unless
     #: ``exact_feasibility`` filtered failing combinations here).  A
     #: work measurement like ``ite_calls`` — not part of the verdict.
@@ -222,9 +212,6 @@ class MctResult:
     #: sweep used (``None`` when ``exact_feasibility`` was off or no
     #: decision context was ever built).
     lp_stats: LpStats | None = None
-    #: What the parallel supervisor had to do (crashes survived,
-    #: retries, quarantines); ``None`` on the serial path.
-    supervision: SupervisionStats | None = None
     #: True when an operator interrupt (Ctrl-C / SIGTERM) stopped the
     #: sweep; the checkpoint is attached so ``--resume`` continues it.
     cancelled: bool = False
@@ -245,8 +232,6 @@ def minimum_cycle_time(
     delays: DelayMap,
     options: MctOptions | None = None,
     resume_from: SweepCheckpoint | None = None,
-    jobs: int = 1,
-    transport=None,
     progress=None,
     cancel=None,
     programs: ConePrograms | None = None,
@@ -267,38 +252,20 @@ def minimum_cycle_time(
     and time limit are intentionally *not* part of that fingerprint —
     resuming with fresh resources is the point.
 
-    The sweep is one loop over the planned breakpoint events.  By
-    default it decides every window in this process.  ``jobs > 1``
-    decides the upcoming windows speculatively on a pool of worker
-    processes instead (see :mod:`repro.parallel`): verdicts are still
-    committed strictly in breakpoint order and speculative work past
-    the first failing window is discarded, so the bound, candidate
-    sequence, and any checkpoint are those of the in-process sweep.
-    Like the budget and time limit, ``jobs`` is a resource knob and not
-    part of the checkpoint fingerprint — checkpoints move freely
-    between in-process and pooled runs.  A configured
-    ``degradation_ladder`` changes rungs between windows, so a ladder
-    sweep always decides in this process.
-
-    ``transport`` swaps where those windows are decided, and how: a
-    :class:`~repro.parallel.Transport` whose session decides them — a
-    local pool (``jobs=N`` is ``LocalTransport(N)`` with the default
-    :class:`~repro.parallel.RetryPolicy`) or remote socket workers
-    (:class:`~repro.parallel.SocketTransport`).  The transport carries
-    the retry policy and heartbeat cadence; like ``jobs`` it is an
-    execution detail, excluded from the checkpoint fingerprint, so
-    checkpoints move freely between in-process, pooled, and clustered
-    runs.
+    The sweep is one loop over the planned breakpoint events, and it
+    decides every window in this process: the sweep stops at the first
+    failing window, so windows decided ahead of it elsewhere would be
+    work the answer may never use.
 
     ``progress`` is an optional callable invoked with each
-    :class:`CandidateRecord` as it commits (wherever it was decided;
-    records replayed from a checkpoint are not re-announced).  ``cancel`` is an
+    :class:`CandidateRecord` as it commits (records replayed from a
+    checkpoint are not re-announced).  ``cancel`` is an
     optional :class:`threading.Event`-like object polled between
     breakpoint windows; once set, the sweep stops exactly like an
     operator Ctrl-C — ``result.cancelled`` with a resume checkpoint
     attached.  Both are execution hooks (the MCT service daemon streams
-    and cancels jobs through them) and, like ``jobs``, never enter the
-    checkpoint fingerprint.
+    and cancels jobs through them) and never enter the checkpoint
+    fingerprint.
 
     ``programs`` is the :class:`~repro.timed.expansion.ConePrograms`
     table of ``delays`` that the sweep compiles into and replays from
@@ -306,8 +273,7 @@ def minimum_cycle_time(
     :class:`~repro.errors.AnalysisError`).  A table shared with the
     floating and transition analyses of the same delay map skips the
     compiles it already holds, and with them their deadline polls;
-    answers, budget charges and BDD counters stay the same.  Window
-    workers compile their own.
+    answers, budget charges and BDD counters stay the same.
     """
     options = options or MctOptions()
     start = time.monotonic()
@@ -347,7 +313,7 @@ def minimum_cycle_time(
         )
     sweep = _Sweep(
         circuit, machine, options, budget, deadline, start,
-        jobs=jobs, transport=transport, progress=progress, cancel=cancel,
+        progress=progress, cancel=cancel,
     )
     if resume_from is not None:
         sweep.restore(resume_from)
@@ -362,10 +328,8 @@ def options_fingerprint(options: MctOptions) -> dict:
     full set of options that *change the analysis*.  ``work_budget`` and
     ``time_limit`` are deliberately absent: they describe *resources*,
     not the analysis, and resuming with more of either is the normal
-    use.  Execution settings are not options at all: ``jobs`` and the
-    transport (local pool vs. socket cluster, with its retry policy and
-    heartbeat cadence) never enter the fingerprint, so a checkpoint
-    written by any execution configuration resumes under any other.
+    use.  Execution hooks (progress, cancel) are not options at all and
+    never enter the fingerprint either.
     The exact-LP caps (``max_exact_paths`` / ``max_exact_combinations``)
     are also resource ceilings, not analysis choices, and stay out for
     the same reason the work budget does.  Because the sweep is
@@ -480,9 +444,8 @@ def decide_window(
 ) -> _Verdict:
     """Decision + feasibility pass for one breakpoint window.
 
-    The rung-agnostic core of :meth:`Decider.decide`, which the sweep's
-    ladder rungs and the window workers of a transport session
-    (:mod:`repro.parallel.windows`) call alike.  ``oracle_factory``
+    The rung-agnostic core of :meth:`Decider.decide`, which every
+    ladder rung of the sweep calls.  ``oracle_factory``
     lazily builds the exact gate-coupled LP oracle; it is only invoked
     when failing combinations actually need filtering.
     """
@@ -529,9 +492,8 @@ def decide_window(
 class Decider:
     """One decision unit: a context, its lazy exact-LP oracle, its counters.
 
-    The sweep builds one per ladder rung and every window worker one per
-    session, so a window is decided, and its work counted, the same way
-    wherever it runs.  ``exact`` arms the gate-coupled LP oracle, built
+    The sweep builds one per ladder rung, so a window is decided, and
+    its work counted, the same way on every rung.  ``exact`` arms the gate-coupled LP oracle, built
     at most once and only when failing combinations need filtering; it
     charges this decider's :class:`LpStats`.  ``reachable`` is the
     reachability care set (``None``: every state is cared for).
@@ -608,8 +570,6 @@ class _Sweep:
         budget: Budget | None,
         deadline: Deadline | None,
         start: float,
-        jobs: int = 1,
-        transport=None,
         progress=None,
         cancel=None,
     ):
@@ -619,8 +579,6 @@ class _Sweep:
         self.budget = budget
         self.deadline = deadline
         self.start = start
-        self.jobs = max(1, int(jobs))
-        self.transport = transport
         self.progress = progress
         self.cancel = cancel
         self.rungs = _ladder(options)
@@ -630,10 +588,6 @@ class _Sweep:
         self.records: list[CandidateRecord] = []
         self.prev_tau: Fraction | None = None
         self.resume_below: Fraction | None = None
-        #: worker label -> (seq, SweepCounters dict): the newest
-        #: cumulative snapshot each session worker attached to a task
-        #: result.
-        self.snapshots: dict = {}
         self.degradations: list[DegradationStep] = []
         self._degraded_by = "budget"
         self._reachable_fn = _UNSET
@@ -659,8 +613,8 @@ class _Sweep:
     def _commit(self, record: CandidateRecord) -> None:
         """Append one record and announce it to the progress hook.
 
-        Every committed record flows through here, wherever its window
-        was decided; checkpoint replay bypasses it by design, so a
+        Every committed record flows through here; checkpoint replay
+        bypasses it by design, so a
         resumed sweep only announces windows it actually examined.
         """
         self.records.append(record)
@@ -682,7 +636,6 @@ class _Sweep:
         self,
         reason: str,
         bdd_stats: BddStats | None = None,
-        supervision: SupervisionStats | None = None,
         lp_stats: LpStats | None = None,
     ) -> SweepCheckpoint:
         return SweepCheckpoint(
@@ -694,9 +647,6 @@ class _Sweep:
             reason=reason,
             fingerprint=options_fingerprint(self.options),
             bdd_stats=None if bdd_stats is None else bdd_stats.as_dict(),
-            supervision=(
-                None if supervision is None else supervision.as_dict()
-            ),
             lp_stats=None if lp_stats is None else lp_stats.as_dict(),
         )
 
@@ -755,52 +705,17 @@ class _Sweep:
     def run(self) -> MctResult:
         """Walk the planned events in breakpoint order, committing each.
 
-        A window is decided in this process — with no transport, and on
-        any sweep with a degradation ladder, whose rung carries over
-        from one window to the next — or speculatively on a transport
-        session (:mod:`repro.parallel`): pool processes or cluster hosts
-        that each own a BDD manager and decide whole windows.  The
-        session keeps up to ``session.capacity`` windows in flight;
-        in-process, the next event is planned only once this one is
-        committed.  Either way verdicts commit strictly in breakpoint
-        order and speculation past the first failing window is
-        discarded, so the bound, candidate sequence and checkpoint do
-        not depend on where windows were decided.  Per-record
-        ``elapsed_seconds``/``ite_calls`` and the merged ``bdd_stats``
-        measure the execution (each worker warms its own caches), so
-        they legitimately differ between transports.
-
-        At each breakpoint the checks run in one order: candidate cap,
-        cancel, deadline, then the active rung's age cap.  Cancel and
-        deadline are also polled before the τ-floor window.
+        Each window is decided in this process as its event comes up, so
+        the next event is planned only once this one is committed (its
+        rung decides the next age cap).  At each breakpoint the checks
+        run in one order: candidate cap, cancel, deadline, then the
+        active rung's age cap.  Cancel and deadline are also polled
+        before the τ-floor window.
         """
         failing = stop = None
         cancelled = False
-        session = self._open_session()
-        plan = self._plan_events()
-        #: Planned, uncommitted events with their session handles
-        #: (``None`` for events that need no decision from a session).
-        pending: deque = deque()
-        in_flight = 0
         try:
-            while True:
-                # Plan ahead: a session keeps its capacity of windows in
-                # flight; in-process, the next event waits for this one
-                # (its rung decides the next age cap).
-                while (
-                    in_flight < session.capacity
-                    if session is not None
-                    else not pending
-                ):
-                    event = next(plan, None)
-                    if event is None:
-                        break
-                    handle = None
-                    if event[0] == "decide" and session is not None:
-                        handle = session.submit((event[3], event[2]))
-                        in_flight += 1
-                    pending.append((event, handle))
-                event, handle = pending.popleft()
+            for event in self._plan_events():
                 kind = event[0]
                 if kind == "stop":
                     raise _SweepStop(event[1], exhausted=True)
@@ -825,13 +740,7 @@ class _Sweep:
                     self.prev_tau = tau
                     continue
                 _, tau, window, regime, m = event
-                if handle is None:
-                    verdict = self._decide_here(regime, m, tau, window)
-                else:
-                    in_flight -= 1
-                    verdict = self._collect(
-                        session, handle, regime, m, tau, window
-                    )
+                verdict = self._decide_here(regime, m, tau, window)
                 if verdict.status != "fail":
                     self.prev_tau = tau
                     continue
@@ -844,50 +753,17 @@ class _Sweep:
             # committed record and attach a checkpoint — the sweep is
             # always resumable.
             cancelled = True
-        finally:
-            if session is not None:
-                # Drain telemetry from completed speculative tasks, then
-                # abandon the rest (their verdicts are intentionally
-                # unused).
-                for _, handle in pending:
-                    payload = None if handle is None else session.peek(handle)
-                    if payload is not None:
-                        self._absorb(payload)
-                session.shutdown()
-        return self._finalize(failing, stop, cancelled, session)
-
-    def _open_session(self):
-        """The transport session deciding windows, or None (in-process).
-
-        A degradation ladder changes rungs between windows, so a ladder
-        sweep decides in this process whatever ``jobs`` or
-        ``transport`` say.
-        """
-        if self.options.degradation_ladder or (
-            self.transport is None and self.jobs == 1
-        ):
-            return None
-        from repro.parallel.transport import LocalTransport
-
-        transport = self.transport or LocalTransport(self.jobs)
-        return transport.open_windows(
-            self.circuit,
-            self.machine.delays,
-            self.options,
-            budget=self.budget,
-            deadline=self.deadline,
-        )
+        return self._finalize(failing, stop, cancelled)
 
     def _plan_events(self):
         """The sweep's events in breakpoint order, without any verdict.
 
         Which windows need a decision — their regimes, unrolling depths
         and window tops — is a pure function of the breakpoint stream;
-        a verdict only decides *whether the sweep goes on*.  So a
-        transport session can decide planned windows speculatively while
-        :meth:`run` commits them in order.  The age cap is read from the
-        active rung at each breakpoint, so a ladder escalation to
-        "reduced-age" holds from the next breakpoint on.  Events::
+        a verdict only decides *whether the sweep goes on*, and
+        :meth:`run` draws events one at a time.  The age cap is read
+        from the active rung at each breakpoint, so a ladder escalation
+        to "reduced-age" holds from the next breakpoint on.  Events::
 
             ("skip", tau)                      same regime: advance prev_tau
             ("steady", tau, m)                 steady window: no decision
@@ -969,20 +845,8 @@ class _Sweep:
             exhausted=True,
         )
 
-    def _decide_here(
-        self,
-        regime,
-        m: int,
-        tau: Fraction,
-        window,
-        attempts: int = 1,
-        quarantined: bool = False,
-    ) -> _Verdict:
-        """Decide one window in this process, via the ladder; commit it.
-
-        ``attempts``/``quarantined`` record what a transport session
-        spent on a window before it quarantined it.
-        """
+    def _decide_here(self, regime, m: int, tau: Fraction, window) -> _Verdict:
+        """Decide one window in this process, via the ladder; commit it."""
         window_start = time.monotonic()
         before = self._counters()
         verdict = self._examine(regime, m, tau, window)
@@ -996,67 +860,12 @@ class _Sweep:
                 elapsed,
                 self.rungs[self.rung_idx].name,
                 after.bdd.ite_calls - before.bdd.ite_calls,
-                attempts=attempts,
-                quarantined=quarantined,
                 lp_solves=after.lp.solves - before.lp.solves,
             )
         )
         return verdict
 
-    def _collect(
-        self, session, handle, regime, m: int, tau: Fraction, window
-    ) -> _Verdict:
-        """Commit the session's verdict for one window."""
-        try:
-            outcome = session.result(handle)
-        except DeadlineExceeded:
-            raise _SweepStop(
-                "time limit reached", deadline=True, exhausted=True
-            ) from None
-        if isinstance(outcome, Quarantined):
-            # The session could not produce this window within the
-            # attempt budget: decide it here.  Same decide_window core,
-            # degraded throughput, identical verdict.
-            return self._decide_here(
-                regime, m, tau, window,
-                attempts=outcome.attempts, quarantined=True,
-            )
-        self._absorb(outcome)
-        error = outcome.get("error")
-        if error == "budget":
-            raise _SweepStop(_BUDGET_OUT, budget=True)
-        if error == "deadline":
-            raise _SweepStop(_DEADLINE_OUT, deadline=True, exhausted=True)
-        if error is not None:
-            raise AnalysisError(
-                "parallel sweep worker failed: "
-                f"{outcome.get('detail', error)}"
-            )
-        verdict = outcome["verdict"]
-        self._commit(
-            CandidateRecord(
-                tau,
-                verdict.status,
-                verdict.m,
-                outcome["elapsed"],
-                self.rungs[self.rung_idx].name,
-                outcome["ite_calls"],
-                attempts=handle.attempts,
-                lp_solves=outcome.get("lp_solves", 0),
-            )
-        )
-        return verdict
-
-    def _absorb(self, payload: dict) -> None:
-        """Keep the newest cumulative counters snapshot of each worker."""
-        snap = payload.get("worker")
-        if snap is None:
-            return
-        have = self.snapshots.get(snap["pid"])
-        if have is None or have[0] < snap["seq"]:
-            self.snapshots[snap["pid"]] = (snap["seq"], snap["counters"])
-
-    def _finalize(self, failing, stop, cancelled: bool, session) -> MctResult:
+    def _finalize(self, failing, stop, cancelled: bool) -> MctResult:
         """Assemble the :class:`MctResult` from how the walk ended."""
         machine = self.machine
         if cancelled:
@@ -1079,20 +888,14 @@ class _Sweep:
                 if passing
                 else (machine.L if not budget_exceeded else None)
             )
-        # Parent-side deciders hold in-process decisions (every window
-        # without a session, quarantined ones with it); add the
-        # workers' cumulative snapshots.
         counters = self._counters()
-        for _, snapshot in self.snapshots.values():
-            counters.merge(SweepCounters.from_dict(snapshot))
-        measured = bool(self.deciders or self.snapshots)
+        measured = bool(self.deciders)
         bdd_stats = counters.bdd if measured else None
         lp_stats = (
             counters.lp
             if measured and self.options.exact_feasibility
             else None
         )
-        supervision = None if session is None else session.stats
         return MctResult(
             circuit_name=self.circuit.name,
             L=machine.L,
@@ -1111,13 +914,12 @@ class _Sweep:
             rung=self.rungs[self.rung_idx].name,
             degradations=tuple(self.degradations),
             checkpoint=(
-                self._checkpoint(notes, bdd_stats, supervision, lp_stats)
+                self._checkpoint(notes, bdd_stats, lp_stats)
                 if interrupted
                 else None
             ),
             bdd_stats=bdd_stats,
             lp_stats=lp_stats,
-            supervision=supervision,
             cancelled=cancelled,
         )
 

@@ -1,7 +1,7 @@
 """Shared security layer for both network stacks (cluster + daemon).
 
-PRs 6 and 9 put the sweep on the network — ``repro-mct worker`` fleets
-over TCP and ``repro-mct serve`` over HTTP — and both listeners
+Two stacks put the analysis on the network — ``repro-mct worker``
+fleets over TCP and ``repro-mct serve`` over HTTP — and both listeners
 originally accepted anyone who could reach the port.  This module is
 the one place both stacks get their trust primitives from, so the two
 surfaces cannot drift apart:

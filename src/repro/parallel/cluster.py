@@ -1,16 +1,16 @@
 """The socket transport: remote workers + a fault-tolerant coordinator.
 
 A local pool tops out at one machine; :class:`SocketTransport` runs the
-same task kinds across hosts.  A ``repro-mct worker --listen`` process
+suite rows across hosts.  A ``repro-mct worker --listen`` process
 (:class:`WorkerServer`) serves tasks over TCP, configuring each
-connection from the kind table the local pool uses
-(:data:`~repro.parallel.transport.HANDLERS`); a :class:`ClusterSession`
-on the coordinator shards one sweep's windows, or one suite's rows,
-across every registered worker.  Answers must stay byte-identical
+connection with the state a local pool process builds
+(:func:`~repro.parallel.suite.suite_state`); a :class:`ClusterSession`
+on the coordinator shards one suite's rows across every registered
+worker.  Answers must stay byte-identical
 under faults, so robustness is structural, not bolted on:
 
 * **length-prefixed JSON frames** carry the protocol; Python objects
-  (regimes, verdicts, circuits) travel as base64 pickles inside the
+  (suite cases, table rows) travel as base64 pickles inside the
   frames.  Pickles execute code on load, so the protocol is for
   *trusted* clusters only — and "trusted" is enforced, not assumed:
   with a shared secret configured (``--secret-file`` /
@@ -37,8 +37,8 @@ under faults, so robustness is structural, not bolted on:
 * **quarantine fallback**: a task out of attempts — or submitted after
   every worker died — resolves to
   :class:`~repro.parallel.supervise.Quarantined`, and the caller
-  computes it serially in-process (the PR 5 path).  A cluster where
-  every host burns down still produces the exact serial answer.
+  computes it serially in-process.  A cluster where every host burns
+  down still produces the exact serial table.
 
 Tasks are pure functions of their payload, so a re-dispatched or
 twice-computed task (a lease reclaimed from a silent-but-alive worker
@@ -60,7 +60,7 @@ import struct
 import threading
 import time
 
-from repro.errors import AnalysisError, Budget, DeadlineExceeded, OptionsError
+from repro.errors import AnalysisError, OptionsError
 from repro.netsec import (
     AuthenticationError,
     ProtocolError,
@@ -68,27 +68,29 @@ from repro.netsec import (
     hmac_proof,
     new_nonce,
 )
-from repro.parallel.pool import worker_budget_limit
+from repro.parallel.suite import measure_row, suite_state
 from repro.parallel.supervise import (
     BackoffSchedule,
     Quarantined,
     RetryPolicy,
     SupervisionStats,
 )
-from repro.parallel.transport import HANDLERS, Transport, TransportSession
+from repro.parallel.transport import Transport, TransportSession
 from repro.resilience.faults import heartbeat_drop_limit, host_kill_limit
 
 #: Bump when the wire protocol changes incompatibly.  ``/2`` added the
-#: HMAC challenge–response handshake (hello frames carry a nonce).
-PROTOCOL = "repro-mct-cluster/2"
+#: HMAC challenge–response handshake (hello frames carry a nonce);
+#: ``/3`` dropped the task kind from ``configure`` frames (suite rows
+#: are the only kind), so a ``/2`` peer is refused at the handshake.
+PROTOCOL = "repro-mct-cluster/3"
 
 #: Exit status of a host-kill-injected worker process (``--kill-at``).
 KILLED_EXIT = 113
 
 _LEN = struct.Struct(">I")
 #: Refuse absurd frames instead of allocating unbounded buffers.  The
-#: largest legitimate frame is a ``configure`` payload carrying one
-#: pickled circuit; 64 MiB is orders of magnitude beyond anything the
+#: largest legitimate frame is a ``result`` payload carrying one pickled
+#: table row; 64 MiB is orders of magnitude beyond anything the
 #: benchgen suite or an ISCAS-class netlist produces.
 MAX_FRAME = 64 * 1024 * 1024
 
@@ -179,23 +181,16 @@ def parse_worker_address(
     return host, port
 
 
-def _configure(kind: str, config: dict) -> dict:
+def _configure(config: dict) -> dict:
     """A socket worker session's state for one ``configure`` frame.
 
-    Runs the kind's init from :data:`~repro.parallel.transport.HANDLERS`
-    (the table pool processes use), after two socket-specific steps.
-    Each host has its own CLOCK_MONOTONIC, so the deadline travels as
-    the *remaining* allowance and restarts on this worker's clock (the
-    coordinator still enforces the true deadline on its side).  And the
-    coordinator keeps one telemetry entry per worker label, so the
-    label carries a session nonce: two sessions of one process (a
-    reconnect, an in-process loopback fleet) never share an entry.
+    The state a pool process builds (:func:`suite_state`), labelled for
+    telemetry.  The coordinator keeps one telemetry entry per worker
+    label, so the label carries a session nonce: two sessions of one
+    process (a reconnect, an in-process loopback fleet) never share an
+    entry.
     """
-    remaining = config.pop("deadline_remaining", None)
-    config["deadline"] = (
-        None if remaining is None else (max(0.0, remaining), time.monotonic())
-    )
-    state = HANDLERS[kind][0](config)
+    state = suite_state(config)
     state["label"] = (
         f"{socket.gethostname()}:{os.getpid()}:{os.urandom(4).hex()}"
     )
@@ -206,13 +201,13 @@ def _configure(kind: str, config: dict) -> dict:
 # Worker side
 # ----------------------------------------------------------------------
 class WorkerServer:
-    """One cluster worker: accept coordinators, serve decide tasks.
+    """One cluster worker: accept coordinators, serve suite-row tasks.
 
     Each connection gets two threads: a *reader* that answers pings
     immediately (liveness must not wait behind a BDD build) and a
     *work* thread that runs ``configure`` and task payloads in order.
-    State is per-connection, so consecutive sweeps (or several
-    coordinators) never share a machine.
+    State is per-connection, so consecutive tables (or several
+    coordinators) never share a session.
 
     ``kill_at``/``drop_heartbeats_after`` are the deterministic fault
     injectors (defaulting to any active
@@ -462,7 +457,6 @@ class WorkerServer:
 
     def _work_loop(self, work: queue.Queue, reply, muted) -> None:
         state: dict | None = None
-        task_fn = None
         tasks_served = 0
         while True:
             message = work.get()
@@ -470,9 +464,7 @@ class WorkerServer:
                 return
             try:
                 if message["type"] == "configure":
-                    kind = message["kind"]
-                    task_fn = HANDLERS[kind][1]
-                    state = _configure(kind, _load(message["config"]))
+                    state = _configure(_load(message["config"]))
                     reply({"type": "configured"})
                     if self.drop_heartbeats_after == 0:
                         # drop=0: deterministically silent from the
@@ -484,10 +476,10 @@ class WorkerServer:
                 if self.kill_at is not None and tasks_served == self.kill_at:
                     self._die()
                     return  # in-process kill: stop serving silently
-                if state is None or task_fn is None:
+                if state is None:
                     payload = {"error": "protocol", "detail": "not configured"}
                 else:
-                    payload = task_fn(state, _load(message["payload"]))
+                    payload = measure_row(state, _load(message["payload"]))
                 reply({
                     "type": "result",
                     "task_id": message["task_id"],
@@ -582,24 +574,21 @@ class _ClusterWorker:
 
 
 class ClusterSession(TransportSession):
-    """Shard tasks across socket workers; survive any subset dying.
+    """Shard suite rows across socket workers; survive any subset dying.
 
-    The session is generic over the worker-side handler ``kind``
-    (window decisions, suite rows): it owns the work queue, the leases,
-    the heartbeat monitor, and the retry/quarantine ladder, and knows
-    nothing about what a task computes.
+    The session owns the work queue, the leases, the heartbeat monitor,
+    and the retry/quarantine ladder, and knows nothing about what a
+    task computes.
     """
 
     def __init__(
         self,
         addresses,
-        kind: str,
         config: dict,
         *,
         policy: RetryPolicy | None = None,
         heartbeat_interval: float = 0.5,
         heartbeat_timeout: float = 2.5,
-        deadline=None,
         connect_timeout: float = 10.0,
         secret: bytes | None = None,
         ssl_context: ssl.SSLContext | None = None,
@@ -609,7 +598,6 @@ class ClusterSession(TransportSession):
         self.policy = policy or RetryPolicy()
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
-        self.deadline = deadline
         self.stats = SupervisionStats()
         self._schedule = BackoffSchedule(self.policy)
         self._lock = threading.RLock()
@@ -627,7 +615,7 @@ class ClusterSession(TransportSession):
                 address, connect_timeout
             )
             if worker is None:
-                # A sweep degraded to fewer hosts than configured must
+                # A table run on fewer hosts than configured must
                 # never be silent: record the address (and why) so the
                 # stats ladder / --stats surfaces it to the operator.
                 # Auth failures are counted separately — they are
@@ -640,15 +628,13 @@ class ClusterSession(TransportSession):
                     self.stats.auth_failures += 1
                 self.unreachable[name] = error
                 continue
-            worker.send({"type": "configure", "kind": kind,
-                         "config": config_blob})
+            worker.send({"type": "configure", "config": config_blob})
             self._workers.append(worker)
         if not self._workers:
             raise AnalysisError(
                 "no cluster workers reachable at "
                 + ", ".join(f"{h}:{p}" for h, p in addresses)
             )
-        self.capacity = len(self._workers)
         for worker in self._workers:
             threading.Thread(
                 target=self._receive_loop,
@@ -670,7 +656,7 @@ class ClusterSession(TransportSession):
         Returns ``(worker, "", False)`` on success, else ``(None,
         reason, auth_failed)``.  A per-address failure is *reported*,
         not swallowed: the caller records the address and reason so a
-        sweep running on fewer hosts than configured is visible in the
+        table running on fewer hosts than configured is visible in the
         supervision stats.  ``timeout`` bounds every step — TCP
         connect, TLS handshake, and each handshake frame read — so a
         SYN-blackholed or accept-then-silent (half-open) worker is
@@ -783,17 +769,8 @@ class ClusterSession(TransportSession):
         return task
 
     def result(self, handle: _ClusterTask):
-        while not handle.done.wait(timeout=0.05):
-            if self.deadline is not None and self.deadline.expired():
-                raise DeadlineExceeded(
-                    self.deadline.seconds, where="cluster result wait"
-                )
+        handle.done.wait()
         return handle.outcome
-
-    def peek(self, handle: _ClusterTask):
-        if handle.done.is_set() and isinstance(handle.outcome, dict):
-            return handle.outcome
-        return None
 
     def shutdown(self) -> None:
         with self._lock:
@@ -957,11 +934,11 @@ class ClusterSession(TransportSession):
 
 
 class SocketTransport(Transport):
-    """Window decisions and suite rows on remote socket workers.
+    """Suite rows on remote socket workers.
 
     Configuration only: addresses and settings are checked eagerly (so
     a typo fails at option-parsing time), but nothing connects until a
-    sweep or table opens a session.  ``retry`` is the lease ladder's
+    table opens a session.  ``retry`` is the lease ladder's
     attempt budget, task timeout and backoff (default
     ``RetryPolicy()``); the coordinator pings every worker each
     ``heartbeat_interval`` seconds and declares one dead after
@@ -1003,39 +980,14 @@ class SocketTransport(Transport):
         self.secret = secret
         self.ssl_context = ssl_context
 
-    def _open(self, kind: str, config: dict, deadline=None) -> ClusterSession:
+    def open_suite(self, *, widen=None, degrade: bool = False) -> ClusterSession:
         return ClusterSession(
             self.addresses,
-            kind,
-            config,
+            {"widen": widen, "degrade": degrade},
             policy=self.retry,
             heartbeat_interval=self.heartbeat_interval,
             heartbeat_timeout=self.heartbeat_timeout,
-            deadline=deadline,
             connect_timeout=self.connect_timeout,
             secret=self.secret,
             ssl_context=self.ssl_context,
         )
-
-    def open_windows(
-        self,
-        circuit,
-        delays,
-        options,
-        *,
-        budget: Budget | None = None,
-        deadline=None,
-    ) -> ClusterSession:
-        config = {
-            "circuit": circuit,
-            "delays": delays,
-            "options": options,
-            "budget_limit": worker_budget_limit(budget, len(self.addresses)),
-            "deadline_remaining": (
-                None if deadline is None else max(0.0, deadline.remaining())
-            ),
-        }
-        return self._open("windows", config, deadline)
-
-    def open_suite(self, *, widen=None, degrade: bool = False) -> ClusterSession:
-        return self._open("suite", {"widen": widen, "degrade": degrade})

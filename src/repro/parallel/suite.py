@@ -1,10 +1,9 @@
-"""Suite rows: the ``"suite"`` task kind, and the sharded report harness.
+"""Suite rows: the task every transport runs, and the sharded report harness.
 
 Suite rows are fully independent analyses, so the harness shards
 trivially: each task (:func:`measure_row`) builds and measures one
-circuit with the same :func:`repro.report.harness.run_case` /
-``analyze_circuit`` path the serial harness uses, on a worker with its
-own BDD manager — a local pool process or a socket worker, whichever
+circuit with the same :func:`repro.report.harness.run_case` path the
+serial harness uses, on a worker with its own BDD manager — a local pool process or a socket worker, whichever
 the transport (:mod:`repro.parallel.transport`) provides.
 :func:`run_suite_sharded` submits every row to one session and collects
 them in submission order, so the rows come back in exactly the serial
@@ -27,7 +26,6 @@ from fractions import Fraction
 
 from repro.bdd import BddStats
 from repro.errors import AnalysisError
-from repro.parallel.pool import resolve_jobs
 from repro.parallel.supervise import Quarantined
 from repro.telemetry import Counters
 
@@ -58,30 +56,23 @@ class WorkerStats(Counters):
 def _measure_case(case, widen, degrade) -> tuple:
     """Measure one row (``case=None`` is the introductory s27 row).
 
-    Shared by the ``"suite"`` task and the parent-side quarantine
-    fallback; returns ``(row, wall_seconds)``.
+    Shared by the suite task and the parent-side quarantine fallback;
+    returns ``(row, wall_seconds)``.
     """
-    from repro.benchgen.circuits import s27
-    from repro.report.harness import analyze_circuit, run_case
+    from repro.report.harness import run_case
 
     started = time.monotonic()
-    if case is None:
-        circuit, delays = s27()
-        if widen is not None:
-            delays = delays.widen(widen)
-        row = analyze_circuit(circuit, delays, degrade=degrade)
-    else:
-        row = run_case(case, widen=widen, degrade=degrade)
+    row = run_case(case, widen=widen, degrade=degrade)
     return row, time.monotonic() - started
 
 
 def suite_state(config: dict) -> dict:
-    """A ``"suite"`` worker's state: the harness's ``widen``/``degrade``."""
+    """A suite worker's state: the harness's ``widen``/``degrade``."""
     return {"widen": config["widen"], "degrade": bool(config["degrade"])}
 
 
 def measure_row(state: dict, case) -> dict:
-    """One ``"suite"`` task: ``{"row", "pid", "wall"}`` for one case."""
+    """One suite task: ``{"row", "pid", "wall"}`` for one case."""
     row, wall = _measure_case(case, state["widen"], state["degrade"])
     return {"row": row, "pid": state["label"], "wall": wall}
 
@@ -110,6 +101,8 @@ def run_suite_sharded(
     from repro.report.harness import run_suite
 
     if transport is None:
+        from repro.parallel.transport import LocalTransport, resolve_jobs
+
         jobs = resolve_jobs(jobs)
         if jobs <= 1:
             rows = run_suite(
@@ -119,8 +112,6 @@ def run_suite_sharded(
                 degrade=degrade,
             )
             return rows, []
-        from repro.parallel.transport import LocalTransport
-
         transport = LocalTransport(jobs)
     if cases is None:
         cases = suite_cases()

@@ -1,17 +1,16 @@
-"""Supervision for the process pools: crash recovery, timeouts, retries.
+"""Supervision for the process pool: crash recovery, timeouts, retries.
 
 A :class:`~concurrent.futures.ProcessPoolExecutor` is brittle by
 itself: one worker death (OOM kill, segfault in a giant BDD build,
 SIGTERM) breaks the whole pool and every pending future raises
-:class:`BrokenExecutor` — which previously aborted the entire τ-sweep,
-throwing away every already-decided window.  Symbolic timing workloads
-are exactly the kind where individual tasks blow up unpredictably, so
-the pools are now driven through a :class:`Supervisor` that
+:class:`BrokenExecutor` — which would abort the whole table and throw
+away every row already measured.  Symbolic timing workloads are
+exactly the kind where individual tasks blow up unpredictably, so the
+suite pool is driven through a :class:`Supervisor` that
 
 * **detects crashes** (``BrokenExecutor``) and rebuilds the pool,
   resubmitting every uncollected task so no work is silently lost;
-* **bounds waits** with a per-task wall timeout (optionally clamped by
-  the sweep :class:`~repro.resilience.Deadline`), treating a stuck
+* **bounds waits** with a per-task wall timeout, treating a stuck
   worker like a crashed one;
 * **retries** the task being collected with exponential backoff plus
   decorrelated jitter (seeded: the sleep sequence is reproducible),
@@ -38,7 +37,7 @@ import random
 import time
 from concurrent.futures import BrokenExecutor, Future
 
-from repro.errors import DeadlineExceeded, OptionsError
+from repro.errors import OptionsError
 from repro.telemetry import Counters
 
 
@@ -50,8 +49,7 @@ class RetryPolicy:
     #: attempt budget is ``max_retries + 1``.  0 quarantines on the
     #: first crash (no backoff sleeps at all).
     max_retries: int = 2
-    #: Per-task wall timeout in seconds (``None`` = no timeout).  The
-    #: sweep deadline, when present, additionally clamps every wait.
+    #: Per-task wall timeout in seconds (``None`` = no timeout).
     task_timeout: float | None = None
     #: Exponential-backoff parameters (seconds).  The sleep before
     #: retry n is ``min(cap, uniform(base, 3 * previous))`` —
@@ -83,7 +81,7 @@ class SupervisionStats(Counters):
     timeouts: int = 0
     #: Task resubmissions that were charged an attempt.
     retries: int = 0
-    #: Tasks whose attempt budget ran out (decided serially instead).
+    #: Tasks whose attempt budget ran out (computed serially instead).
     quarantined: int = 0
     #: Total backoff sleep, in seconds.
     backoff_seconds: float = 0.0
@@ -97,11 +95,10 @@ class SupervisionStats(Counters):
     #: (crash, heartbeat silence, stuck-task timeout).
     workers_lost: int = 0
     #: Cluster only: configured worker addresses that could not be
-    #: connected when the session opened.  The sweep still runs on the
+    #: connected when the session opened.  The table still runs on the
     #: survivors (an :class:`~repro.errors.AnalysisError` fires only
     #: when *zero* are reachable), but silently running on fewer hosts
-    #: than configured is an operational fact the operator must see —
-    #: it surfaces in ``--stats`` and the result telemetry.
+    #: than configured is an operational fact, recorded here.
     unreachable_workers: list = dataclasses.field(default_factory=list)
     #: Cluster only: workers rejected during the connect handshake for
     #: credential reasons (wrong shared secret, secret configured on
@@ -198,10 +195,9 @@ class Supervisor:
     and after every crash or timeout.
     """
 
-    def __init__(self, spawn, *, policy: RetryPolicy | None = None, deadline=None):
+    def __init__(self, spawn, *, policy: RetryPolicy | None = None):
         self._spawn = spawn
         self.policy = policy or RetryPolicy()
-        self.deadline = deadline
         self.stats = SupervisionStats()
         self._executor = None
         #: Uncollected handles in submission order.
@@ -228,20 +224,14 @@ class Supervisor:
     def result(self, handle: TaskHandle):
         """The task's result, or :class:`Quarantined` after the budget.
 
-        Blocks with the policy's per-task timeout (clamped by the
-        deadline's remaining allowance).  Raises
-        :class:`~repro.errors.DeadlineExceeded` when the *deadline*
-        (not the task) ran out while waiting — the caller handles that
-        exactly like a worker-reported deadline exhaustion.
+        Blocks with the policy's per-task timeout.
         """
         while True:
             try:
-                payload = handle.future.result(timeout=self._wait_timeout())
+                payload = handle.future.result(
+                    timeout=self.policy.task_timeout
+                )
             except TimeoutError:
-                if self.deadline is not None and self.deadline.expired():
-                    raise DeadlineExceeded(
-                        self.deadline.seconds, where="supervised pool wait"
-                    ) from None
                 self.stats.timeouts += 1
                 if not self._retry(handle):
                     return Quarantined(handle.attempts, "timeout")
@@ -268,13 +258,6 @@ class Supervisor:
         if self._executor is None:
             self._executor = self._spawn()
         return self._executor
-
-    def _wait_timeout(self) -> float | None:
-        timeout = self.policy.task_timeout
-        if self.deadline is not None:
-            remaining = max(self.deadline.remaining(), 0.0)
-            timeout = remaining if timeout is None else min(timeout, remaining)
-        return timeout
 
     def _retry(self, handle: TaskHandle) -> bool:
         """Charge an attempt, rebuild the pool, resubmit survivors.

@@ -1,10 +1,9 @@
-"""The executor contract: where and how a sweep's windows and a suite's rows run.
+"""The executor contract: where and how a suite table's rows run.
 
 A :class:`Transport` is configuration — worker count or addresses, the
 :class:`~repro.parallel.supervise.RetryPolicy`, and for sockets the
-heartbeat cadence.  It opens one :class:`TransportSession` per sweep
-(:meth:`Transport.open_windows`) or per suite table
-(:meth:`Transport.open_suite`):
+heartbeat cadence.  It opens one :class:`TransportSession` per suite
+table (:meth:`Transport.open_suite`):
 
 * :class:`LocalTransport` — a supervised process pool on this machine
   (``jobs=N`` is sugar for ``LocalTransport(N)``);
@@ -12,12 +11,12 @@ heartbeat cadence.  It opens one :class:`TransportSession` per sweep
   ``repro-mct worker`` processes over TCP with heartbeat liveness and
   lease reclamation (see :mod:`repro.parallel.cluster`).
 
-Both run the same task kinds from one table, :data:`HANDLERS`: kind →
-``(init(config) -> state, task(state, payload) -> dict)``.  A pool
-process runs ``init`` once in its initializer; a socket worker runs it
-on ``configure``.  ``"windows"`` decides ``(regime, window)`` payloads
-(:mod:`repro.parallel.windows`), ``"suite"`` measures one table row
-per payload (:mod:`repro.parallel.suite`).
+Both run one task kind: :func:`~repro.parallel.suite.suite_state`
+builds a worker's state once (in a pool process's initializer, or on a
+socket worker's ``configure``), and :func:`~repro.parallel.suite.measure_row`
+measures one table row per payload.  τ-sweeps never run here: a sweep
+stops at its first failing window, so it decides every window in the
+calling process.
 
 Every session honours the three promises the callers rely on for
 byte-identical-to-serial results:
@@ -31,9 +30,8 @@ byte-identical-to-serial results:
    task's; each dict carries the label of the worker that produced it
    (its pid locally, ``host:pid:session`` on a socket worker) beside
    its telemetry;
-3. transport identity is an execution detail: it is excluded from the
-   checkpoint fingerprint, so checkpoints move freely between
-   in-process, pooled, and clustered runs.
+3. transport identity is an execution detail: it never enters a
+   table row, so a table is the same whichever transport measured it.
 """
 
 from __future__ import annotations
@@ -44,30 +42,28 @@ import os
 import signal
 from concurrent.futures import ProcessPoolExecutor
 
-from repro.errors import Budget
-from repro.parallel.pool import (
-    deadline_payload,
-    resolve_jobs,
-    worker_budget_limit,
-)
 from repro.parallel.suite import measure_row, suite_state
 from repro.parallel.supervise import RetryPolicy, SupervisionStats, Supervisor
-from repro.parallel.windows import build_decider_state, decide_in_state
 from repro.resilience.faults import maybe_kill_worker, worker_kill_limit
 
-#: kind → (init(config) -> state, task(state, payload) -> dict).
-HANDLERS = {
-    "windows": (build_decider_state, decide_in_state),
-    "suite": (suite_state, measure_row),
-}
+
+def resolve_jobs(jobs: int | None) -> int:
+    """Normalize a ``--jobs`` value to a worker count ≥ 1.
+
+    ``None`` and 0 mean "serial" (1); negative counts are rejected —
+    there is no "all cores" convention here, an explicit count keeps
+    runs reproducible across machines.
+    """
+    if jobs is None:
+        return 1
+    jobs = int(jobs)
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
+    return max(1, jobs)
 
 
 class TransportSession(abc.ABC):
     """One opened executor: submit task payloads, collect result dicts."""
-
-    #: How many tasks the caller should keep in flight (the engine's
-    #: speculation depth); fixed at open time.
-    capacity: int = 1
 
     #: Live :class:`SupervisionStats` of this session (attribute or
     #: property; concrete sessions must provide it).
@@ -79,18 +75,7 @@ class TransportSession(abc.ABC):
 
     @abc.abstractmethod
     def result(self, handle):
-        """Block for the handle's payload dict, or ``Quarantined``.
-
-        Raises :class:`~repro.errors.DeadlineExceeded` when the sweep
-        deadline (not the task) ran out while waiting.
-        """
-
-    @abc.abstractmethod
-    def peek(self, handle):
-        """A completed handle's payload dict, or ``None`` — never blocks.
-
-        Used to drain telemetry from abandoned speculative tasks.
-        """
+        """Block for the handle's payload dict, or ``Quarantined``."""
 
     @abc.abstractmethod
     def shutdown(self) -> None:
@@ -98,29 +83,14 @@ class TransportSession(abc.ABC):
 
 
 class Transport(abc.ABC):
-    """Factory for :class:`TransportSession`\\ s, one per sweep or table.
+    """Factory for :class:`TransportSession`\\ s, one per table.
 
-    The expensive state — pools, sockets, per-worker machines — is
-    built by the ``open_*`` methods, which receive the run's own
-    resources (budget, deadline) at the last minute.
+    The expensive state — pools, sockets — is built by
+    :meth:`open_suite`.
     """
 
-    #: Transport identity for diagnostics.  Deliberately NOT part of
-    #: the checkpoint fingerprint: resuming a local checkpoint on a
-    #: cluster (or vice versa) is supported by design.
+    #: Transport identity for diagnostics; it never enters a result.
     name: str = "transport"
-
-    @abc.abstractmethod
-    def open_windows(
-        self,
-        circuit,
-        delays,
-        options,
-        *,
-        budget: Budget | None = None,
-        deadline=None,
-    ) -> TransportSession:
-        """A session deciding breakpoint windows of one τ-sweep."""
 
     @abc.abstractmethod
     def open_suite(self, *, widen=None, degrade: bool = False) -> TransportSession:
@@ -146,54 +116,41 @@ def _reset_sigterm() -> None:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
-def _pool_init(kind: str, config: dict, kill_at: int | None) -> None:
-    """Pool-process initializer: build this worker's ``kind`` state once."""
+def _pool_init(config: dict, kill_at: int | None) -> None:
+    """Pool-process initializer: build this worker's state once."""
     _reset_sigterm()
-    init, task = HANDLERS[kind]
-    state = init(config)
+    state = suite_state(config)
     state["label"] = os.getpid()
     _POOL.clear()
-    _POOL.update(state=state, task=task, kill_at=kill_at, tasks=0)
+    _POOL.update(state=state, kill_at=kill_at, tasks=0)
 
 
 def _pool_task(payload) -> dict:
-    """One pool task: crash injection, then the kind's task function."""
+    """One pool task: crash injection, then one measured row."""
     _POOL["tasks"] += 1
-    state = _POOL["state"]
-    if "init_error" not in state:
-        # Deterministic crash injection: die on this process's Nth
-        # task, before any work happens, exactly like an OOM kill.  A
-        # worker whose init failed answers with its init error instead.
-        maybe_kill_worker(_POOL["tasks"], _POOL["kill_at"])
-    return _POOL["task"](state, payload)
+    # Deterministic crash injection: die on this process's Nth task,
+    # before any work happens, exactly like an OOM kill.
+    maybe_kill_worker(_POOL["tasks"], _POOL["kill_at"])
+    return measure_row(_POOL["state"], payload)
 
 
 class _LocalSession(TransportSession):
-    """``jobs`` supervised pool processes running one task kind.
+    """``jobs`` supervised pool processes measuring suite rows.
 
-    The pool spawns on the first :meth:`submit`, so a sweep that never
-    reaches an undecided window pays nothing.  Crash recovery, per-task
-    timeouts, retries and quarantine live in the
+    The pool spawns on the first :meth:`submit`.  Crash recovery,
+    per-task timeouts, retries and quarantine live in the
     :class:`~repro.parallel.supervise.Supervisor`.
     """
 
     def __init__(
-        self,
-        jobs: int,
-        kind: str,
-        config: dict,
-        *,
-        policy: RetryPolicy | None = None,
-        deadline=None,
+        self, jobs: int, config: dict, *, policy: RetryPolicy | None = None
     ):
-        self.capacity = jobs
-        initargs = (kind, config, worker_kill_limit())
+        initargs = (config, worker_kill_limit())
         self._supervisor = Supervisor(
             lambda: ProcessPoolExecutor(
                 max_workers=jobs, initializer=_pool_init, initargs=initargs
             ),
             policy=policy,
-            deadline=deadline,
         )
         self.stats = self._supervisor.stats
 
@@ -202,15 +159,6 @@ class _LocalSession(TransportSession):
 
     def result(self, handle):
         return self._supervisor.result(handle)
-
-    def peek(self, handle):
-        future = handle.future
-        if future is None or not future.done() or future.cancelled():
-            return None
-        try:
-            return future.result(timeout=0)
-        except Exception:
-            return None
 
     def shutdown(self) -> None:
         self._supervisor.shutdown()
@@ -229,26 +177,6 @@ class LocalTransport(Transport):
         self.jobs = resolve_jobs(jobs)
         self.retry = retry
 
-    def open_windows(
-        self,
-        circuit,
-        delays,
-        options,
-        *,
-        budget: Budget | None = None,
-        deadline=None,
-    ) -> TransportSession:
-        config = {
-            "circuit": circuit,
-            "delays": delays,
-            "options": options,
-            "budget_limit": worker_budget_limit(budget, self.jobs),
-            "deadline": deadline_payload(deadline),
-        }
-        return _LocalSession(
-            self.jobs, "windows", config, policy=self.retry, deadline=deadline
-        )
-
     def open_suite(self, *, widen=None, degrade: bool = False) -> TransportSession:
         config = {"widen": widen, "degrade": degrade}
-        return _LocalSession(self.jobs, "suite", config, policy=self.retry)
+        return _LocalSession(self.jobs, config, policy=self.retry)

@@ -14,19 +14,17 @@ The format is plain JSON: exact rationals are serialized as
 without precision loss.  A fingerprint of the analysis options guards
 against resuming under a different configuration, which would silently
 change the meaning of the replayed records.  The fingerprint covers
-*analysis* options only: resources (work budget, time limit) and
-execution settings (``jobs``, the transport with its retry policy and
-heartbeat cadence) are deliberately excluded, so a checkpoint written
-under any execution configuration resumes under any other.
+*analysis* options only: resources (work budget, time limit) are
+deliberately excluded, so a checkpoint resumes with more of either.
 
-Schema v2 (this build) adds optional ``bdd_stats``/``supervision``
+Schema v2 (this build) adds optional ``bdd_stats``/``lp_stats``
 telemetry and the ``schema`` tag; v1 files from earlier builds load
-unchanged.  :meth:`SweepCheckpoint.merge` joins checkpoints of *the
-same sweep* written by different hosts — the exact recovery primitive
-of the distributed sweep (see docs/ROBUSTNESS.md): the coordinator
-merges every shard checkpoint it can still reach and resumes from the
-union, reproducing the serial answer no matter which subset of hosts
-died.
+unchanged.  Files written while sweeps could decide windows on worker
+processes also carry per-record ``attempts``/``quarantined`` keys and a
+``supervision`` block; they load, merge and resume, and the keys are
+dropped.  :meth:`SweepCheckpoint.merge` joins checkpoints of *the same
+sweep* written by different runs: resuming from the union of any
+subset reproduces the uninterrupted answer (see docs/ROBUSTNESS.md).
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from pathlib import Path
 from repro.errors import CheckpointError
 
 #: Bump when the on-disk layout changes.  v2 added the ``schema`` tag
-#: and the optional ``bdd_stats``/``supervision`` telemetry blocks.
+#: and the optional telemetry blocks.
 CHECKPOINT_VERSION = 2
 
 #: Versions this build can load (v1: the PR 1–5 era layout).
@@ -110,12 +108,11 @@ class SweepCheckpoint:
     #: :func:`repro.mct.engine.options_fingerprint`).
     fingerprint: Mapping[str, object] = dataclasses.field(default_factory=dict)
     version: int = CHECKPOINT_VERSION
-    #: Optional telemetry (v2+): merged BDD / exact-LP / supervision
-    #: counters at interruption time.  Measurements, not state — resume
-    #: ignores them, and :meth:`canonical` strips them.  ``lp_stats``
-    #: is a late v2 addition; older v2 files simply lack the key.
+    #: Optional telemetry (v2+): merged BDD / exact-LP counters at
+    #: interruption time.  Measurements, not state — resume ignores
+    #: them, and :meth:`canonical` strips them.  ``lp_stats`` is a late
+    #: v2 addition; older v2 files simply lack the key.
     bdd_stats: Mapping[str, object] | None = None
-    supervision: Mapping[str, object] | None = None
     lp_stats: Mapping[str, object] | None = None
 
     # ------------------------------------------------------------------
@@ -139,8 +136,6 @@ class SweepCheckpoint:
                     "elapsed_seconds": r.elapsed_seconds,
                     "rung": r.rung,
                     "ite_calls": r.ite_calls,
-                    "attempts": r.attempts,
-                    "quarantined": r.quarantined,
                     "lp_solves": r.lp_solves,
                 }
                 for r in self.records
@@ -148,8 +143,6 @@ class SweepCheckpoint:
         }
         if self.bdd_stats is not None:
             data["bdd_stats"] = dict(self.bdd_stats)
-        if self.supervision is not None:
-            data["supervision"] = dict(self.supervision)
         if self.lp_stats is not None:
             data["lp_stats"] = dict(self.lp_stats)
         return data
@@ -183,8 +176,6 @@ class SweepCheckpoint:
                     elapsed_seconds=float(entry.get("elapsed_seconds", 0.0)),
                     rung=str(entry.get("rung", "exact")),
                     ite_calls=int(entry.get("ite_calls", 0)),
-                    attempts=int(entry.get("attempts", 1)),
-                    quarantined=bool(entry.get("quarantined", False)),
                     lp_solves=int(entry.get("lp_solves", 0)),
                 )
                 for entry in data.get("records", ())
@@ -201,11 +192,6 @@ class SweepCheckpoint:
                 bdd_stats=(
                     dict(data["bdd_stats"])
                     if data.get("bdd_stats") is not None
-                    else None
-                ),
-                supervision=(
-                    dict(data["supervision"])
-                    if data.get("supervision") is not None
                     else None
                 ),
                 lp_stats=(
@@ -334,10 +320,9 @@ class SweepCheckpoint:
     def merge(self, other: "SweepCheckpoint") -> "SweepCheckpoint":
         """Join two checkpoints of the *same* sweep into one.
 
-        This is the distributed sweep's recovery primitive: shards (or
-        a coordinator restart) each hold a checkpoint of the same
-        deterministic sweep interrupted at different points; merging
-        any subset and resuming reproduces exactly the serial answer.
+        Runs of the same deterministic sweep, interrupted at different
+        points, each hold a checkpoint; merging any subset and resuming
+        reproduces exactly the uninterrupted answer.
 
         The operation is a semilattice join — commutative, associative
         and idempotent (property-tested in
@@ -350,7 +335,7 @@ class SweepCheckpoint:
         * ``last_tau`` is the minimum — the furthest the sweep got on
           any host — and rung/reason follow the checkpoint that got
           there; resume restarts from the first breakpoint below it,
-          so a gap in one shard's records is always re-examined;
+          so a gap in one checkpoint's records is always re-examined;
         * telemetry dicts join key-wise by maximum (counters are
           cumulative, so max is the idempotent union);
         * circuit, L and fingerprint must match
@@ -400,19 +385,17 @@ class SweepCheckpoint:
             fingerprint=dict(self.fingerprint),
             version=max(self.version, other.version),
             bdd_stats=_join_counters(self.bdd_stats, other.bdd_stats),
-            supervision=_join_counters(self.supervision, other.supervision),
             lp_stats=_join_counters(self.lp_stats, other.lp_stats),
         )
 
     def canonical(self) -> dict:
         """The checkpoint's *decision content*, measurement-free.
 
-        Two runs of the same sweep — serial, pooled, clustered, faulted
-        and recovered — agree on this dict exactly, while their raw
-        files differ in wall-clock fields (``elapsed_seconds``), cache
-        telemetry (``ite_calls``, ``bdd_stats``), and supervision
-        history (``attempts``, ``quarantined``, ``supervision``).  The
-        cluster-chaos CI job compares canonical forms byte-for-byte.
+        Two runs of the same sweep — fresh, or interrupted and resumed
+        — agree on this dict exactly, while their raw files differ in
+        wall-clock fields (``elapsed_seconds``) and work telemetry
+        (``ite_calls``, ``lp_solves``, ``bdd_stats``, ``lp_stats``).
+        The daemon embeds this form in its result documents.
         """
         return {
             "schema": f"repro-mct-checkpoint/{self.version}",
@@ -440,8 +423,6 @@ def _record_key(record) -> tuple:
         record.status,
         record.m,
         record.rung,
-        record.quarantined,
-        record.attempts,
         record.ite_calls,
         record.lp_solves,
         record.elapsed_seconds,
@@ -453,23 +434,16 @@ def _join_counters(
 ) -> dict | None:
     """Key-wise join of two counter dicts (idempotent union).
 
-    Numeric counters are cumulative, so max is their idempotent join;
-    list-valued entries (e.g. ``unreachable_workers`` addresses in a
-    supervision block) join as the sorted set union, which is equally
-    commutative, associative and idempotent.
+    Counters are cumulative, so max is their idempotent join.
     """
     if ours is None and theirs is None:
         return None
     ours = dict(ours or {})
     theirs = dict(theirs or {})
-
-    def join(key):
-        a, b = ours.get(key), theirs.get(key)
-        if isinstance(a, (list, tuple)) or isinstance(b, (list, tuple)):
-            return sorted({*list(a or ()), *list(b or ())})
-        return max(a or 0, b or 0)
-
-    return {key: join(key) for key in sorted(set(ours) | set(theirs))}
+    return {
+        key: max(ours.get(key) or 0, theirs.get(key) or 0)
+        for key in sorted(set(ours) | set(theirs))
+    }
 
 
 def merge_checkpoints(checkpoints) -> SweepCheckpoint:

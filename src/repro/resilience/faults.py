@@ -34,8 +34,8 @@ from repro import errors
 from repro.errors import DeadlineExceeded, ResourceBudgetExceeded
 
 #: The innermost active :class:`FaultPlan` (see :func:`inject_faults`).
-#: Worker-kill injection is read from here by the parallel pools when
-#: they configure their workers — the hook state itself cannot cross a
+#: Worker-kill injection is read from here by the suite pool when it
+#: configures its workers — the hook state itself cannot cross a
 #: process boundary, but a task-count threshold can.
 _ACTIVE_PLAN: "FaultPlan | None" = None
 
@@ -58,7 +58,7 @@ class FaultPlan:
     deadline_at: int | None = None
     kill_worker_at: int | None = None
     #: Cluster host-kill injection: every socket worker serving while
-    #: the plan is active dies on its Nth decide task (``os._exit`` for
+    #: the plan is active dies on its Nth task (``os._exit`` for
     #: a real worker process, abrupt full-server disconnect for an
     #: in-process test server) — what a host loss looks like from the
     #: coordinator's side.

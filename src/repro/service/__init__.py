@@ -10,10 +10,9 @@ whole module:
    ``asyncio.start_server`` plus a strict hand-rolled HTTP/1.1 reader;
    there is no framework to install and no new dependency.
 2. **The engine stays the source of truth.**  Jobs execute on the
-   existing :func:`~repro.mct.minimum_cycle_time` with the daemon's
-   ``--jobs`` pool or ``--workers`` cluster transport; progress events
-   are the engine's own ordered :class:`~repro.mct.CandidateRecord`
-   commits; cancellation rides the engine's operator-interrupt
+   existing :func:`~repro.mct.minimum_cycle_time`, each in its own job
+   thread; progress events are the engine's own ordered
+   :class:`~repro.mct.CandidateRecord` commits; cancellation rides the engine's operator-interrupt
    contract (partial + checkpoint, the HTTP shape of CLI exit 3).
 3. **Identity is content, not requests.**  A submission's address is
    the sha256 of its canonical spec — circuit hash, delay transforms,

@@ -10,9 +10,8 @@ sweep), and every spec reduces to a canonical content address
 the engine's analysis-option fingerprint.
 
 The :class:`JobManager` runs specs on the existing engine machinery —
-``minimum_cycle_time`` on the daemon's transport (the ``--jobs`` pool
-or the ``--workers`` cluster) — with three properties the endpoints
-rely on:
+``minimum_cycle_time`` in a job thread, which decides every window
+itself — with these properties the endpoints rely on:
 
 * **single-flight**: submissions with the key of an in-flight sweep
   attach to it instead of starting another (``ServiceStats.coalesced``);
@@ -71,9 +70,8 @@ from repro.service.stats import ServiceStats
 #: ``/2`` made result bodies fully deterministic: the embedded
 #: checkpoint is the *canonical* (measurement-free) form and the
 #: telemetry-dependent ``decisions_run`` field is gone, so two runs of
-#: the same spec — serial or clustered, plaintext or TLS, fresh or
-#: resumed from a cancelled sweep's checkpoint — serialize to the very
-#: same bytes.  That is what lets CI ``cmp`` result files across legs.
+#: the same spec — plaintext or TLS, fresh or resumed from a
+#: cancelled sweep's checkpoint — serialize to the very same bytes.  That is what lets CI ``cmp`` result files across legs.
 RESULT_SCHEMA = "repro-mct-service-result/2"
 JOB_SCHEMA = "repro-mct-service-job/1"
 
@@ -121,8 +119,8 @@ class JobSpec:
     and :class:`~repro.mct.MctOptions` are materialized eagerly so every
     defect surfaces as an :class:`~repro.errors.OptionsError` *before*
     a job exists.  The cache key deliberately excludes resource knobs
-    (``work_budget``, ``time_limit``) and everything execution-side
-    (jobs, workers, retries): it hashes the engine's own
+    (``work_budget``, ``time_limit``) and every deployment knob of the
+    daemon: it hashes the engine's own
     :func:`~repro.mct.options_fingerprint`, the same invariant the
     checkpoint resume contract is built on.
     """
@@ -360,10 +358,9 @@ def result_document(spec: JobSpec, result) -> dict:
 
     Determinism is the contract here: nothing wall-clock- or
     telemetry-dependent (``elapsed_seconds``, ``ite_calls``,
-    ``decisions_run``, supervision history) enters the document, so
-    identical specs serialize to identical bytes whether the sweep ran
-    serial or clustered, over plaintext or TLS, fresh or resumed from
-    a cancelled predecessor's checkpoint.
+    ``decisions_run``) enters the document, so identical specs
+    serialize to identical bytes whether the sweep ran over plaintext
+    or TLS, fresh or resumed from a cancelled predecessor's checkpoint.
     """
     checkpoint = result.checkpoint
     if checkpoint is None:
@@ -413,7 +410,6 @@ class JobManager:
         cache: ResultCache | None = None,
         stats: ServiceStats | None = None,
         max_inflight: int = 2,
-        transport=None,
         job_ttl: float | None = None,
         max_jobs: int | None = None,
     ):
@@ -425,10 +421,6 @@ class JobManager:
             raise OptionsError("max_jobs must be positive or None")
         self.cache = cache or ResultCache()
         self.stats = stats or ServiceStats()
-        #: Where every sweep decides its windows (``None``: in the
-        #: sweep's own thread).  The operator's, never the submitter's:
-        #: the client describes an analysis, the operator owns the fleet.
-        self.transport = transport
         self.job_ttl = job_ttl
         self.max_jobs = max_jobs
         self._jobs: dict[str, Job] = {}
@@ -603,7 +595,6 @@ class JobManager:
             spec.delays,
             spec.options,
             resume_from=resume_from,
-            transport=self.transport,
             progress=on_record,
             cancel=cancel_event,
         )

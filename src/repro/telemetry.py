@@ -10,8 +10,8 @@ dataclasses of cheap, always-on counters.  Each subclasses
 the dataclass fields:
 
 * :meth:`Counters.merge` — numbers add, nested records merge;
-* :meth:`Counters.as_dict` — the one JSON form (checkpoints, worker
-  snapshots, table rows, the daemon's ``/stats``): nested records
+* :meth:`Counters.as_dict` — the one JSON form (checkpoints, table
+  rows, the daemon's ``/stats``): nested records
   recursively, floats rounded to 6 places, lists sorted;
 * :meth:`Counters.from_dict` — its inverse, used when counters cross a
   process boundary or come back from a checkpoint: each value is cast

@@ -1,12 +1,10 @@
 """Checkpoint merge algebra and schema-v2 compatibility.
 
-``SweepCheckpoint.merge`` is the distributed sweep's recovery
-primitive: shards of the same deterministic sweep checkpoint
-independently, and the coordinator joins whatever subset survives.
-For "any subset of hosts dying still yields the exact serial answer"
-to hold, the join must be a semilattice — commutative, associative,
-idempotent — and resuming from any merged subset must reproduce the
-serial bound.  Both are property-tested here with hypothesis over
+``SweepCheckpoint.merge`` joins checkpoints of the same deterministic
+sweep, interrupted at different points.  For "resuming from any subset
+yields the exact uninterrupted answer" to hold, the join must be a
+semilattice — commutative, associative, idempotent — and resuming from
+any merged subset must reproduce the serial bound.  Both are property-tested here with hypothesis over
 random record partitions; the schema-v2 satellites (version bump,
 ``schema`` tag, v1 backward compatibility, measurement-free
 ``canonical`` form) ride along.
@@ -48,8 +46,7 @@ _POOL = tuple(
         elapsed_seconds=0.25 * i,
         rung=("exact", "m-capped")[i % 2],
         ite_calls=10 * i,
-        attempts=1 + i % 2,
-        quarantined=(i % 5 == 0),
+        lp_solves=i % 3,
     )
     for i in range(12)
 )
@@ -69,7 +66,7 @@ def shard(indices, *, reason="budget", stats=None) -> SweepCheckpoint:
         rung="exact",
         reason=reason,
         fingerprint=_FINGERPRINT,
-        supervision=stats,
+        bdd_stats=stats,
     )
 
 
@@ -77,7 +74,6 @@ def content(ckpt: SweepCheckpoint) -> str:
     """Canonical JSON for structural equality of two checkpoints."""
     data = ckpt.to_dict()
     data["bdd_stats"] = ckpt.bdd_stats and dict(ckpt.bdd_stats)
-    data["supervision"] = ckpt.supervision and dict(ckpt.supervision)
     return json.dumps(data, sort_keys=True)
 
 
@@ -134,12 +130,12 @@ class TestMergeAlgebra:
         taus = [_POOL[i].tau for i in a | b]
         assert merged.last_tau == (min(taus) if taus else None)
 
-    def test_supervision_counters_join_by_max(self):
-        a = shard({0, 1}, stats={"crashes": 2, "retries": 1})
-        b = shard({1, 2}, stats={"crashes": 1, "timeouts": 3})
+    def test_telemetry_counters_join_by_max(self):
+        a = shard({0, 1}, stats={"ite_calls": 2, "nodes_created": 1})
+        b = shard({1, 2}, stats={"ite_calls": 1, "cache_hits": 3})
         merged = a.merge(b)
-        assert merged.supervision == {
-            "crashes": 2, "retries": 1, "timeouts": 3,
+        assert merged.bdd_stats == {
+            "cache_hits": 3, "ite_calls": 2, "nodes_created": 1,
         }
 
     def test_merge_rejects_different_sweeps(self):
@@ -221,6 +217,32 @@ class TestShardResume:
         assert resumed.failing_window == serial.failing_window
         assert resumed.notes == serial.notes
 
+    def test_retired_supervision_keys_load_merge_and_resume(
+        self, widened, serial, shards
+    ):
+        # Files written while sweeps could decide windows on worker
+        # processes carry per-record attempts/quarantined keys and a
+        # supervision block: they load, merge and resume, and re-save
+        # without them.
+        data = shards[0].to_dict()
+        for record in data["records"]:
+            record.update(attempts=2, quarantined=True)
+        data["supervision"] = {"crashes": 1, "unreachable_workers": ["h:1"]}
+        old = SweepCheckpoint.from_dict(data)
+        saved = json.loads(old.to_json())
+        assert "supervision" not in saved
+        assert not any(
+            {"attempts", "quarantined"} & set(r) for r in saved["records"]
+        )
+        assert old.canonical() == shards[0].canonical()
+        circuit, delays = widened
+        for merged in (old.merge(shards[1]), shards[1].merge(old)):
+            resumed = minimum_cycle_time(circuit, delays, resume_from=merged)
+            assert resumed.mct_upper_bound == serial.mct_upper_bound
+            assert [
+                (r.tau, r.status, r.m, r.rung) for r in resumed.candidates
+            ] == [(r.tau, r.status, r.m, r.rung) for r in serial.candidates]
+
     def test_merged_checkpoint_roundtrips_json(self, shards):
         merged = merge_checkpoints(shards)
         again = SweepCheckpoint.from_json(merged.to_json())
@@ -260,8 +282,8 @@ class TestSchema:
         loaded = SweepCheckpoint.from_dict(v1)
         assert loaded.version == 1
         assert loaded.last_tau == Fraction(7, 3)
-        assert loaded.bdd_stats is None and loaded.supervision is None
-        assert [r.attempts for r in loaded.records] == [1, 1]
+        assert loaded.bdd_stats is None and loaded.lp_stats is None
+        assert [r.ite_calls for r in loaded.records] == [0, 0]
         # And it re-serializes as a self-consistent v1 file.
         assert loaded.to_dict()["schema"] == "repro-mct-checkpoint/1"
 
@@ -279,7 +301,7 @@ class TestSchema:
             })
 
     def test_canonical_strips_measurements(self):
-        noisy = shard({0, 1, 2}, stats={"crashes": 5})
+        noisy = shard({0, 1, 2}, stats={"ite_calls": 5})
         quiet = SweepCheckpoint(
             circuit_name=noisy.circuit_name,
             L=noisy.L,
@@ -287,8 +309,7 @@ class TestSchema:
             records=tuple(
                 CandidateRecord(
                     tau=r.tau, status=r.status, m=r.m, rung=r.rung,
-                    elapsed_seconds=123.0, ite_calls=999, attempts=7,
-                    quarantined=not r.quarantined,
+                    elapsed_seconds=123.0, ite_calls=999, lp_solves=7,
                 )
                 for r in noisy.records
             ),

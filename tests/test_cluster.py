@@ -1,12 +1,10 @@
-"""The socket transport: cluster sweeps, heartbeats, lease recovery.
+"""The socket transport: suite rows over a fleet, heartbeats, lease recovery.
 
-The contract under test is the ISSUE's acceptance criterion: a
-three-worker loopback cluster in which one worker is killed mid-run
-and another silently drops its heartbeats must still produce a bound,
-candidate sequence, and checkpoint identical to the serial sweep, with
-``MctResult.supervision`` recording the reclaimed leases.  Worker
-death is a throughput event, never a correctness event — exactly the
-PR 5 supervision contract, lifted across a process/host boundary.
+The contract under test: a loopback fleet in which one worker is killed
+mid-table and another silently drops its heartbeats must still produce
+the serial table, row for row, with the session's
+:class:`~repro.parallel.SupervisionStats` recording the reclaimed
+leases.  Worker death is a throughput event, never a correctness event.
 """
 
 from __future__ import annotations
@@ -15,15 +13,14 @@ import contextlib
 import os
 import signal
 import socket
-from fractions import Fraction
+import threading
+import time
 
 import pytest
 
-from repro.benchgen import S27_BENCH, paper_example2
 from repro.benchgen.suite import suite_cases
 from repro.cli import main
 from repro.errors import AnalysisError, OptionsError
-from repro.mct import MctOptions, minimum_cycle_time
 from repro.parallel import (
     RetryPolicy,
     SocketTransport,
@@ -40,26 +37,52 @@ FAST = RetryPolicy(max_retries=2, backoff_base=0.001, backoff_cap=0.005)
 #: so partition detection happens in milliseconds, fast retry ladder.
 CLUSTER = dict(retry=FAST, heartbeat_interval=0.05, heartbeat_timeout=0.2)
 
+#: The rows every fleet test measures: s27 plus two suite rows, so a
+#: fleet of two or three workers leases every worker a row.
+CASES = [c for c in suite_cases() if c.name in ("g444", "g526")]
 
-def candidate_keys(result):
-    """The deterministic fields of the candidate sequence.
 
-    ``elapsed_seconds``/``ite_calls``/``attempts``/``quarantined`` are
-    measurements of one particular execution and legitimately differ
-    between a disturbed and an undisturbed run.
+def row_key(row):
+    """The deterministic cells of a table row (CPU columns excluded)."""
+    return (
+        row.name,
+        row.flags,
+        row.topological,
+        row.floating,
+        row.transition,
+        row.mct,
+        row.mct_partial,
+        row.mct_rung,
+    )
+
+
+@pytest.fixture(scope="module")
+def serial():
+    from repro.report.harness import run_suite
+
+    return [row_key(r) for r in run_suite(cases=CASES, include_s27=True)]
+
+
+def sharded(tp):
+    """The rows of ``CASES`` (with s27) measured over ``tp``.
+
+    Returns ``(row keys, worker stats, session stats)``: the session's
+    :class:`~repro.parallel.SupervisionStats` are read from the one
+    session ``run_suite_sharded`` opens on the transport.
     """
-    return [(r.tau, r.status, r.m, r.rung) for r in result.candidates]
+    sessions = []
+    open_suite = tp.open_suite
 
+    def recording_open(**kwargs):
+        sessions.append(open_suite(**kwargs))
+        return sessions[-1]
 
-def assert_equivalent(serial, disturbed):
-    assert disturbed.mct_upper_bound == serial.mct_upper_bound
-    assert candidate_keys(disturbed) == candidate_keys(serial)
-    assert disturbed.failure_found == serial.failure_found
-    assert disturbed.failing_window == serial.failing_window
-    assert disturbed.failing_sigmas == serial.failing_sigmas
-    assert disturbed.failing_roots == serial.failing_roots
-    assert disturbed.exhausted == serial.exhausted
-    assert disturbed.notes == serial.notes
+    tp.open_suite = recording_open
+    rows, workers = run_suite_sharded(
+        cases=CASES, include_s27=True, transport=tp
+    )
+    assert len(sessions) == 1
+    return [row_key(r) for r in rows], workers, sessions[0].stats
 
 
 @contextlib.contextmanager
@@ -134,162 +157,136 @@ class TestValidation:
             SocketTransport(["h:1"], heartbeat_interval=0.0).open_suite()
 
     def test_no_reachable_workers_is_analysis_error(self):
-        circuit, delays = paper_example2()
         transport = SocketTransport(
             ["127.0.0.1:%d" % free_port()], connect_timeout=0.5
         )
         with pytest.raises(AnalysisError, match="no cluster workers"):
-            minimum_cycle_time(
-                circuit, delays, MctOptions(),
-                transport=transport,
-            )
+            run_suite_sharded(cases=CASES, transport=transport)
 
 
 # ----------------------------------------------------------------------
-# Cluster sweeps (the tentpole's acceptance criterion)
+# Fleet faults, measured on suite rows
 # ----------------------------------------------------------------------
 class TestClusterSweep:
-    @pytest.fixture(scope="class")
-    def widened(self):
-        circuit, delays = paper_example2()
-        return circuit, delays.widen(Fraction(9, 10))
-
-    @pytest.fixture(scope="class")
-    def serial(self, widened):
-        circuit, delays = widened
-        return minimum_cycle_time(circuit, delays)
-
-    def test_clean_cluster_matches_serial(self, widened, serial):
-        circuit, delays = widened
-        with fleet(WorkerServer(), WorkerServer(), WorkerServer()) as tp:
-            result = minimum_cycle_time(
-                circuit, delays, MctOptions(), transport=tp
-            )
-        assert_equivalent(serial, result)
-        assert result.supervision is not None
-        assert result.supervision.crashes == 0
-        assert result.supervision.workers_lost == 0
-        assert all(r.attempts == 1 for r in result.candidates)
-        assert not any(r.quarantined for r in result.candidates)
-
-    @pytest.mark.parametrize("kind", ["windows", "suite"])
-    def test_sessions_of_one_process_keep_separate_telemetry(
-        self, widened, kind
-    ):
+    def test_sessions_of_one_process_keep_separate_telemetry(self):
         # The coordinator keeps one telemetry entry per worker label;
         # two sessions in one process (this loopback fleet) must not
-        # share a label, or one's counters overwrite (windows) or merge
-        # into (suite rows) the other's.
-        from repro.mct.discretize import build_discretized_machine
-
-        circuit, delays = widened
-        if kind == "windows":
-            machine = build_discretized_machine(circuit, delays)
-            tau = machine.L / 2
-            task = (machine.regime(tau), (tau, machine.L))
-        else:
-            task = None  # the s27 row
+        # share a label, or one's row counters merge into the other's.
         labels = []
         with fleet(WorkerServer()) as tp:
             for _ in range(2):
-                if kind == "windows":
-                    session = tp.open_windows(circuit, delays, MctOptions())
-                else:
-                    session = tp.open_suite()
+                session = tp.open_suite()
                 try:
-                    payload = session.result(session.submit(task))
+                    payload = session.result(session.submit(None))
                 finally:
                     session.shutdown()
-                labels.append(
-                    payload["worker"]["pid"] if kind == "windows"
-                    else payload["pid"]
-                )
+                labels.append(payload["pid"])
         assert labels[0] != labels[1]
 
-    def test_host_kill_reclaims_leases(self, widened, serial):
-        # One worker dies after its first decide; its leased window is
-        # reclaimed and re-dispatched, and the answer never changes.
-        circuit, delays = widened
+    def test_host_kill_reclaims_leases(self, serial):
+        # One worker dies on its first row; its leased row is reclaimed
+        # and re-dispatched, and the table never changes.
         with fleet(WorkerServer(), WorkerServer(kill_at=1)) as tp:
-            result = minimum_cycle_time(
-                circuit, delays, MctOptions(), transport=tp
-            )
-        assert_equivalent(serial, result)
-        sup = result.supervision
+            rows, _, sup = sharded(tp)
+        assert rows == serial
         assert sup.workers_lost >= 1
         assert sup.crashes >= 1
         assert sup.leases_reclaimed >= 1
         assert sup.retries >= 1
 
-    def test_heartbeat_partition_detected(self, widened, serial):
+    def test_heartbeat_partition_detected(self, serial):
         # The partitioned worker still computes but sends nothing; only
         # heartbeat liveness can notice (the socket never EOFs).
-        circuit, delays = widened
         with fleet(WorkerServer(), WorkerServer(drop_heartbeats_after=0)) as tp:
-            result = minimum_cycle_time(
-                circuit, delays, MctOptions(), transport=tp
-            )
-        assert_equivalent(serial, result)
-        sup = result.supervision
+            rows, _, sup = sharded(tp)
+        assert rows == serial
         assert sup.heartbeat_failures >= 1
         assert sup.workers_lost >= 1
         assert sup.leases_reclaimed >= 1
 
-    def test_mixed_faults_three_workers(self, widened, serial):
-        # The acceptance scenario: one healthy worker, one killed, one
-        # silently partitioned — answer identical to serial, leases
-        # reclaimed from both casualties.
-        circuit, delays = widened
+    def test_mixed_faults_three_workers(self, serial):
+        # One healthy worker, one killed, one silently partitioned: the
+        # table is the serial one, leases reclaimed from both casualties.
         with fleet(
             WorkerServer(),
             WorkerServer(kill_at=1),
             WorkerServer(drop_heartbeats_after=0),
         ) as tp:
-            result = minimum_cycle_time(
-                circuit, delays, MctOptions(), transport=tp
-            )
-        assert_equivalent(serial, result)
-        sup = result.supervision
+            rows, _, sup = sharded(tp)
+        assert rows == serial
         assert sup.workers_lost == 2
         assert sup.crashes >= 1
         assert sup.heartbeat_failures >= 1
         assert sup.leases_reclaimed >= 2
 
-    def test_all_workers_partitioned_falls_back_serial(self, widened, serial):
+    def test_stuck_task_loses_its_lease(self, serial, monkeypatch):
+        # A worker that stays alive (its pongs keep coming) but sits on
+        # a row past RetryPolicy.task_timeout loses the lease; the row
+        # is re-dispatched and the table does not change.
+        from repro.parallel import cluster
+
+        measure_row = cluster.measure_row
+        stalled = threading.Event()
+
+        def stall_once(state, case):
+            if case is None and not stalled.is_set():
+                stalled.set()
+                time.sleep(2.0)
+            return measure_row(state, case)
+
+        monkeypatch.setattr(cluster, "measure_row", stall_once)
+        policy = RetryPolicy(
+            max_retries=2, task_timeout=1.0,
+            backoff_base=0.001, backoff_cap=0.005,
+        )
+        with fleet(WorkerServer(), WorkerServer(), retry=policy) as tp:
+            rows, _, sup = sharded(tp)
+        assert rows == serial
+        assert sup.timeouts >= 1
+        assert sup.leases_reclaimed >= 1
+
+    def test_task_out_of_attempts_is_quarantined(self, serial):
+        # No retries: the killed worker's leased row is out of attempts
+        # at once, so the parent measures it while the survivor serves
+        # the rest.
+        policy = RetryPolicy(max_retries=0)
+        with fleet(
+            WorkerServer(), WorkerServer(kill_at=1), retry=policy
+        ) as tp:
+            rows, workers, sup = sharded(tp)
+        assert rows == serial
+        assert sup.workers_lost == 1
+        assert sup.retries == 0 and sup.quarantined == 1
+        parent = [w for w in workers if w.pid == os.getpid()]
+        assert parent and parent[0].quarantined == 1
+
+    def test_all_workers_partitioned_falls_back_serial(self, serial):
         # Every worker goes silent: retries cannot help, so the ladder
-        # escalates to quarantine and the parent decides every window
-        # in-process — the sweep still finishes with the serial answer.
-        circuit, delays = widened
+        # escalates to quarantine and the parent measures the rows
+        # in-process — the table still comes out serial.
         with fleet(
             WorkerServer(drop_heartbeats_after=0),
             WorkerServer(drop_heartbeats_after=0),
         ) as tp:
-            result = minimum_cycle_time(
-                circuit, delays, MctOptions(), transport=tp
-            )
-        assert_equivalent(serial, result)
-        sup = result.supervision
+            rows, workers, sup = sharded(tp)
+        assert rows == serial
         assert sup.heartbeat_failures >= 2
         assert sup.workers_lost == 2
         assert sup.quarantined >= 1
-        assert any(r.quarantined for r in result.candidates)
+        parent = [w for w in workers if w.pid == os.getpid()]
+        assert parent and parent[0].quarantined == sup.quarantined
 
-    def test_all_workers_dead_falls_back_serial(self, widened, serial):
-        circuit, delays = widened
+    def test_all_workers_dead_falls_back_serial(self, serial):
         with fleet(WorkerServer(kill_at=1), WorkerServer(kill_at=1)) as tp:
-            result = minimum_cycle_time(
-                circuit, delays, MctOptions(), transport=tp
-            )
-        assert_equivalent(serial, result)
-        assert result.supervision.workers_lost == 2
-        assert result.supervision.quarantined >= 1
+            rows, _, sup = sharded(tp)
+        assert rows == serial
+        assert sup.workers_lost == 2
+        assert sup.quarantined >= 1
 
-    def test_unreachable_worker_is_recorded_not_silent(self, widened, serial):
-        # Satellite (PR 9): a partially reachable fleet must not
-        # silently degrade — the dead address shows up in the
-        # supervision stats (and hence --stats / result telemetry),
-        # while the sweep still runs to the serial answer on survivors.
-        circuit, delays = widened
+    def test_unreachable_worker_is_recorded_not_silent(self, serial):
+        # A partially reachable fleet must not silently degrade: the
+        # dead address shows up in the supervision stats, while the
+        # table still comes out serial on the survivors.
         dead = "127.0.0.1:%d" % free_port()
         server = WorkerServer().start()
         try:
@@ -298,24 +295,17 @@ class TestClusterSweep:
                 connect_timeout=0.5,
                 **CLUSTER,
             )
-            result = minimum_cycle_time(
-                circuit, delays, MctOptions(), transport=tp
-            )
+            rows, _, sup = sharded(tp)
         finally:
             server.stop()
-        assert_equivalent(serial, result)
-        sup = result.supervision
+        assert rows == serial
         assert sup.unreachable_workers == [dead]
         assert f"unreachable=1({dead})" in sup.summary()
         assert sup.as_dict()["unreachable_workers"] == [dead]
 
-    def test_reachable_fleet_reports_no_unreachable(self, widened):
-        circuit, delays = widened
+    def test_reachable_fleet_reports_no_unreachable(self):
         with fleet(WorkerServer()) as tp:
-            result = minimum_cycle_time(
-                circuit, delays, MctOptions(), transport=tp
-            )
-        sup = result.supervision
+            _, _, sup = sharded(tp)
         assert sup.unreachable_workers == []
         assert "unreachable" not in sup.summary()
         assert "unreachable_workers" not in sup.as_dict()
@@ -333,70 +323,34 @@ class TestClusterSweep:
         assert clean.drop_heartbeats_after is None
         clean.stop()
 
-    def test_serial_checkpoint_resumes_on_cluster(self, widened, serial):
-        # Satellite: the fingerprint excludes execution knobs, so a
-        # checkpoint written by a serial run resumes over any transport.
-        circuit, delays = widened
-        partial = minimum_cycle_time(
-            circuit, delays, MctOptions(work_budget=120)
-        )
-        assert partial.checkpoint is not None
-        with fleet(WorkerServer(), WorkerServer()) as tp:
-            resumed = minimum_cycle_time(
-                circuit,
-                delays,
-                MctOptions(),
-                resume_from=partial.checkpoint,
-                transport=tp,
-            )
-        assert_equivalent(serial, resumed)
-
 
 # ----------------------------------------------------------------------
 # Authenticated + TLS wire (the hardening tentpole)
 # ----------------------------------------------------------------------
 class TestClusterSecurity:
-    @pytest.fixture(scope="class")
-    def widened(self):
-        circuit, delays = paper_example2()
-        return circuit, delays.widen(Fraction(9, 10))
-
-    @pytest.fixture(scope="class")
-    def serial(self, widened):
-        circuit, delays = widened
-        return minimum_cycle_time(circuit, delays)
-
-    def test_authenticated_fleet_matches_serial(self, widened, serial):
-        circuit, delays = widened
+    def test_authenticated_fleet_matches_serial(self, serial):
         with fleet(
             WorkerServer(secret=b"s3cret"), WorkerServer(secret=b"s3cret"),
             secret=b"s3cret",
         ) as tp:
-            result = minimum_cycle_time(
-                circuit, delays, MctOptions(), transport=tp
-            )
-        assert_equivalent(serial, result)
-        sup = result.supervision
+            rows, _, sup = sharded(tp)
+        assert rows == serial
         assert sup.auth_failures == 0
         assert "auth_failures" not in sup.as_dict()
         assert "auth_failures" not in sup.summary()
 
-    def test_wrong_secret_is_permanent_not_retried(self, widened, serial):
+    def test_wrong_secret_is_permanent_not_retried(self, serial):
         # One impostor worker among good ones: the handshake refusal is
         # recorded as an auth failure (permanent — no lease, no retry,
         # no quarantine ladder), and the survivors still produce the
-        # exact serial answer.
-        circuit, delays = widened
+        # serial table.
         with fleet(
             WorkerServer(secret=b"s3cret"), WorkerServer(secret=b"WRONG"),
             secret=b"s3cret",
         ) as tp:
             bad = "%s:%d" % tp.addresses[1]
-            result = minimum_cycle_time(
-                circuit, delays, MctOptions(), transport=tp
-            )
-        assert_equivalent(serial, result)
-        sup = result.supervision
+            rows, _, sup = sharded(tp)
+        assert rows == serial
         assert sup.auth_failures == 1
         assert sup.unreachable_workers == [bad]
         assert sup.as_dict()["auth_failures"] == 1
@@ -406,62 +360,44 @@ class TestClusterSecurity:
         assert sup.retries == 0
         assert sup.quarantined == 0
 
-    def test_all_wrong_secrets_is_clean_analysis_error(self, widened):
-        circuit, delays = widened
+    def test_all_wrong_secrets_is_clean_analysis_error(self):
         with fleet(WorkerServer(secret=b"WRONG"), secret=b"s3cret") as tp:
             with pytest.raises(AnalysisError, match="no cluster workers"):
-                minimum_cycle_time(
-                    circuit, delays, MctOptions(), transport=tp
-                )
+                sharded(tp)
 
-    def test_secretless_client_refused_by_secret_worker(self, widened):
-        circuit, delays = widened
+    def test_secretless_client_refused_by_secret_worker(self):
         with fleet(WorkerServer(secret=b"s3cret")) as tp:
             with pytest.raises(AnalysisError, match="no cluster workers"):
-                minimum_cycle_time(
-                    circuit, delays, MctOptions(), transport=tp
-                )
+                sharded(tp)
 
-    def test_secret_client_refuses_secretless_worker(self, widened):
+    def test_secret_client_refuses_secretless_worker(self):
         # The expectation is mutual: a coordinator configured for auth
         # must not ship pickles to a worker that never proved itself.
-        circuit, delays = widened
         with fleet(WorkerServer(), secret=b"s3cret") as tp:
             with pytest.raises(AnalysisError, match="no cluster workers"):
-                minimum_cycle_time(
-                    circuit, delays, MctOptions(), transport=tp
-                )
+                sharded(tp)
 
-    def test_worker_survives_auth_probe(self, widened, serial):
+    def test_worker_survives_auth_probe(self, serial):
         # A refused peer must not wedge the worker: after the impostor
-        # is turned away, a correct coordinator gets the full answer.
-        circuit, delays = widened
+        # is turned away, a correct coordinator gets the full table.
         server = WorkerServer(secret=b"s3cret").start()
         try:
             address = "%s:%d" % server.address
             with pytest.raises(AnalysisError, match="no cluster workers"):
-                minimum_cycle_time(
-                    circuit, delays, MctOptions(),
-                    transport=SocketTransport(
-                        [address], connect_timeout=2.0, secret=b"WRONG",
-                        **CLUSTER,
-                    ),
-                )
-            result = minimum_cycle_time(
-                circuit, delays, MctOptions(),
-                transport=SocketTransport(
-                    [address], connect_timeout=2.0, secret=b"s3cret",
+                sharded(SocketTransport(
+                    [address], connect_timeout=2.0, secret=b"WRONG",
                     **CLUSTER,
-                ),
-            )
+                ))
+            rows, _, _ = sharded(SocketTransport(
+                [address], connect_timeout=2.0, secret=b"s3cret", **CLUSTER,
+            ))
         finally:
             server.stop()
-        assert_equivalent(serial, result)
+        assert rows == serial
 
-    def test_tls_fleet_matches_serial(self, widened, serial, tls_certs):
+    def test_tls_fleet_matches_serial(self, serial, tls_certs):
         from repro.netsec import build_client_context, build_server_context
 
-        circuit, delays = widened
         with fleet(
             WorkerServer(
                 ssl_context=build_server_context(
@@ -475,15 +411,12 @@ class TestClusterSecurity:
             ),
             ssl_context=build_client_context(tls_certs["ca"]),
         ) as tp:
-            result = minimum_cycle_time(
-                circuit, delays, MctOptions(), transport=tp
-            )
-        assert_equivalent(serial, result)
+            rows, _, _ = sharded(tp)
+        assert rows == serial
 
-    def test_tls_and_auth_compose(self, widened, serial, tls_certs):
+    def test_tls_and_auth_compose(self, serial, tls_certs):
         from repro.netsec import build_client_context, build_server_context
 
-        circuit, delays = widened
         with fleet(
             WorkerServer(
                 secret=b"s3cret",
@@ -494,14 +427,11 @@ class TestClusterSecurity:
             secret=b"s3cret",
             ssl_context=build_client_context(tls_certs["ca"]),
         ) as tp:
-            result = minimum_cycle_time(
-                circuit, delays, MctOptions(), transport=tp
-            )
-        assert_equivalent(serial, result)
-        assert result.supervision.auth_failures == 0
+            rows, _, sup = sharded(tp)
+        assert rows == serial
+        assert sup.auth_failures == 0
 
-    def test_untrusted_worker_cert_is_refused(self, widened, tls_certs,
-                                              tmp_path):
+    def test_untrusted_worker_cert_is_refused(self, tls_certs, tmp_path):
         # The client trusts exactly its CA bundle: a worker presenting
         # a certificate from outside it is unreachable, not trusted.
         import shutil
@@ -520,7 +450,6 @@ class TestClusterSecurity:
              "-days", "2", "-nodes", "-subj", "/CN=untrusted"],
             capture_output=True, check=True,
         )
-        circuit, delays = widened
         with fleet(
             WorkerServer(
                 ssl_context=build_server_context(other_cert, other_key)
@@ -529,18 +458,14 @@ class TestClusterSecurity:
             connect_timeout=2.0,
         ) as tp:
             with pytest.raises(AnalysisError, match="no cluster workers"):
-                minimum_cycle_time(
-                    circuit, delays, MctOptions(), transport=tp
-                )
+                sharded(tp)
 
-    def test_half_open_worker_bounded_by_connect_timeout(self, widened,
-                                                         serial):
+    def test_half_open_worker_bounded_by_connect_timeout(self, serial):
         # A listener that accepts TCP but never answers the handshake
         # (a SYN-blackholed or wedged host): the dial must give up in
         # --connect-timeout seconds, not hang on an unbounded read.
         import time as _time
 
-        circuit, delays = widened
         silent = socket.socket()
         silent.bind(("127.0.0.1", 0))
         silent.listen(8)  # backlog ACKs the connect; nobody ever reads
@@ -553,15 +478,13 @@ class TestClusterSecurity:
                 **CLUSTER,
             )
             began = _time.monotonic()
-            result = minimum_cycle_time(
-                circuit, delays, MctOptions(), transport=tp
-            )
+            rows, _, sup = sharded(tp)
             elapsed = _time.monotonic() - began
         finally:
             server.stop()
             silent.close()
-        assert_equivalent(serial, result)
-        assert len(result.supervision.unreachable_workers) == 1
+        assert rows == serial
+        assert len(sup.unreachable_workers) == 1
         assert elapsed < 10.0  # bounded: one 0.5s dial, not a hang
 
     def test_transport_validates_connect_timeout(self):
@@ -573,104 +496,65 @@ class TestClusterSecurity:
 # Suite rows over the cluster
 # ----------------------------------------------------------------------
 class TestClusterSuite:
-    @staticmethod
-    def row_key(row):
-        return (
-            row.name,
-            row.flags,
-            row.topological,
-            row.floating,
-            row.transition,
-            row.mct,
-            row.mct_partial,
-            row.mct_rung,
-        )
-
-    def test_rows_match_serial(self):
-        from repro.report.harness import run_suite
-
-        cases = [c for c in suite_cases() if c.name in ("g444", "g526")]
-        serial = run_suite(cases=cases, include_s27=False)
+    def test_rows_match_serial(self, serial):
         with fleet(WorkerServer(), WorkerServer()) as tp:
-            rows, workers = run_suite_sharded(
-                cases=cases, include_s27=False, transport=tp
-            )
-        assert [self.row_key(r) for r in rows] == [
-            self.row_key(r) for r in serial
-        ]
+            rows, workers, sup = sharded(tp)
+        assert rows == serial
         # Cluster worker stats carry a host:pid label, not a local pid.
         remote = [w for w in workers if isinstance(w.pid, str)]
         assert remote and all(":" in w.pid for w in remote)
         assert sum(w.tasks for w in workers) == len(rows)
+        assert sup.crashes == 0 and sup.workers_lost == 0
 
-    def test_killed_suite_worker_recovers(self):
-        from repro.report.harness import run_suite
-
-        cases = [c for c in suite_cases() if c.name in ("g444", "g526")]
-        serial = run_suite(cases=cases, include_s27=False)
+    def test_killed_suite_worker_recovers(self, serial):
         with fleet(WorkerServer(), WorkerServer(kill_at=1)) as tp:
-            rows, workers = run_suite_sharded(
-                cases=cases, include_s27=False, transport=tp
-            )
-        assert [self.row_key(r) for r in rows] == [
-            self.row_key(r) for r in serial
-        ]
+            rows, _, _ = sharded(tp)
+        assert rows == serial
 
 
 # ----------------------------------------------------------------------
 # CLI surface
 # ----------------------------------------------------------------------
 class TestClusterCli:
-    @pytest.fixture()
-    def bench(self, tmp_path):
-        path = tmp_path / "s27.bench"
-        path.write_text(S27_BENCH)
-        return str(path)
+    #: ``table`` over one fast row; every flag check runs before a row.
+    TABLE = ["table", "--rows", "g444", "--no-s27", "--no-cpu"]
 
-    def test_analyze_over_cluster(self, bench, capsys):
+    def test_table_over_cluster(self, capsys):
+        assert main(self.TABLE) == 0
+        serial_out = capsys.readouterr().out
         with fleet(WorkerServer(), WorkerServer()) as tp:
             addresses = ",".join("%s:%d" % a for a in tp.addresses)
             code = main([
-                "analyze", bench, "--widen", "0.9", "--stats",
+                *self.TABLE,
                 "--workers", addresses,
                 "--heartbeat-interval", "0.05",
                 "--heartbeat-timeout", "0.2",
             ])
-        out = capsys.readouterr().out
         assert code == 0
-        assert "minimum cycle time" in out
+        assert capsys.readouterr().out == serial_out
 
-    def test_analyze_rejects_zero_heartbeat_interval(self, bench, capsys):
-        code = main(["analyze", bench, "--heartbeat-interval", "0"])
-        assert code == 1
-        assert "--heartbeat-interval" in capsys.readouterr().err
-
-    def test_analyze_rejects_timeout_below_interval(self, bench, capsys):
+    def test_table_rejects_timeout_below_interval(self, capsys):
         code = main([
-            "analyze", bench,
+            *self.TABLE,
             "--heartbeat-interval", "0.5", "--heartbeat-timeout", "0.1",
         ])
         assert code == 1
         assert "--heartbeat-timeout" in capsys.readouterr().err
 
-    def test_analyze_rejects_bad_worker_address(self, bench, capsys):
-        code = main(["analyze", bench, "--workers", "nonsense"])
+    def test_table_rejects_bad_worker_address(self, capsys):
+        code = main([*self.TABLE, "--workers", "nonsense"])
         assert code == 1
         assert "--workers" in capsys.readouterr().err
 
-    def test_analyze_unreachable_workers_clean_error(self, bench, capsys):
+    def test_table_unreachable_workers_clean_error(self, capsys):
         code = main([
-            "analyze", bench,
-            "--workers", "127.0.0.1:%d" % free_port(),
+            *self.TABLE, "--workers", "127.0.0.1:%d" % free_port(),
         ])
         assert code == 1
         assert "no cluster workers" in capsys.readouterr().err
 
     def test_table_rejects_zero_heartbeat_interval(self, capsys):
-        code = main([
-            "table", "--rows", "g444", "--no-s27",
-            "--heartbeat-interval", "0",
-        ])
+        code = main([*self.TABLE, "--heartbeat-interval", "0"])
         assert code == 1
         assert "--heartbeat-interval" in capsys.readouterr().err
 
@@ -682,7 +566,9 @@ class TestClusterCli:
         assert main(["worker", "--kill-at", "-1"]) == 1
         assert main(["worker", "--drop-heartbeats-after", "-2"]) == 1
 
-    def test_analyze_authenticated_cluster(self, bench, tmp_path, capsys):
+    def test_table_authenticated_cluster(self, tmp_path, capsys):
+        assert main(self.TABLE) == 0
+        serial_out = capsys.readouterr().out
         secret = tmp_path / "secret"
         secret.write_text("cli-secret\n")
         with fleet(
@@ -691,23 +577,21 @@ class TestClusterCli:
         ) as tp:
             addresses = ",".join("%s:%d" % a for a in tp.addresses)
             code = main([
-                "analyze", bench, "--widen", "0.9",
+                *self.TABLE,
                 "--workers", addresses,
                 "--secret-file", str(secret),
                 "--heartbeat-interval", "0.05",
                 "--heartbeat-timeout", "0.2",
             ])
-        out = capsys.readouterr().out
         assert code == 0
-        assert "minimum cycle time" in out
+        assert capsys.readouterr().out == serial_out
 
-    def test_analyze_wrong_secret_exits_cleanly(self, bench, tmp_path,
-                                                capsys):
+    def test_table_wrong_secret_exits_cleanly(self, tmp_path, capsys):
         secret = tmp_path / "secret"
         secret.write_text("WRONG")
         with fleet(WorkerServer(secret=b"cli-secret")) as tp:
             code = main([
-                "analyze", bench,
+                *self.TABLE,
                 "--workers", "%s:%d" % tp.addresses[0],
                 "--secret-file", str(secret),
             ])
@@ -716,26 +600,24 @@ class TestClusterCli:
         assert "no cluster workers" in err
         assert "Traceback" not in err
 
-    def test_analyze_rejects_connect_timeout_zero(self, bench, capsys):
-        code = main(["analyze", bench, "--connect-timeout", "0"])
+    def test_table_rejects_connect_timeout_zero(self, capsys):
+        code = main([*self.TABLE, "--connect-timeout", "0"])
         assert code == 1
         assert "--connect-timeout" in capsys.readouterr().err
 
-    def test_analyze_rejects_missing_secret_file(self, bench, capsys):
-        code = main([
-            "analyze", bench, "--secret-file", "/nonexistent/secret",
-        ])
+    def test_table_rejects_missing_secret_file(self, capsys):
+        code = main([*self.TABLE, "--secret-file", "/nonexistent/secret"])
         assert code == 1
         assert "secret" in capsys.readouterr().err
 
-    def test_analyze_rejects_tls_flags_without_workers(self, bench, capsys):
-        code = main(["analyze", bench, "--tls-ca", "ca.pem"])
+    def test_table_rejects_tls_flags_without_workers(self, capsys):
+        code = main([*self.TABLE, "--tls-ca", "ca.pem"])
         assert code == 1
         assert "--workers" in capsys.readouterr().err
 
-    def test_analyze_rejects_unpaired_client_cert(self, bench, capsys):
+    def test_table_rejects_unpaired_client_cert(self, capsys):
         code = main([
-            "analyze", bench, "--workers", "h:1", "--tls-ca", "ca.pem",
+            *self.TABLE, "--workers", "h:1", "--tls-ca", "ca.pem",
             "--tls-cert", "c.pem",
         ])
         assert code == 1

@@ -1,7 +1,5 @@
 """Unit tests for the exception hierarchy and resource budgets."""
 
-from fractions import Fraction
-
 import pytest
 
 from repro import errors
@@ -92,36 +90,6 @@ class TestBudget:
             except errors.ResourceBudgetExceeded:
                 pass
             assert budget.used <= 10
-
-    def test_child_budget_shares_parent(self):
-        parent = errors.Budget(limit=100, resource="work")
-        child = parent.child(Fraction(1, 2))
-        assert child.limit == 50
-        child.charge(30)
-        assert child.used == 30
-        assert parent.used == 30  # charges propagate upward
-        parent.charge(60)
-        # parent now at 90; child has 20 nominal but only 10 real
-        with pytest.raises(errors.ResourceBudgetExceeded):
-            child.charge(11)
-        assert parent.used == 90
-        assert child.used == 30
-
-    def test_child_of_unlimited_budget(self):
-        parent = errors.Budget()
-        child = parent.child(0.25)
-        assert child.limit is None
-        child.charge(10**6)
-        assert parent.used == 10**6
-
-    def test_child_fraction_validation(self):
-        parent = errors.Budget(limit=10)
-        with pytest.raises(ValueError):
-            parent.child(0)
-        with pytest.raises(ValueError):
-            parent.child(1.5)
-        # a tiny fraction still yields a usable budget of at least 1
-        assert parent.child(0.001).limit == 1
 
 
 class TestCombinationalCycle:

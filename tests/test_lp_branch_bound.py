@@ -706,54 +706,3 @@ class TestKnobs:
         out = capsys.readouterr().out
         assert "LP stats" in out
         assert "LP solves" in out
-
-
-# ----------------------------------------------------------------------
-# Serial vs pooled vs clustered: identical bounds under --exact
-# ----------------------------------------------------------------------
-class TestParallelIdentity:
-    @pytest.fixture(scope="class")
-    def widened(self):
-        circuit, delays = paper_example2()
-        return circuit, delays.widen(Fraction(9, 10))
-
-    @pytest.fixture(scope="class")
-    def serial(self, widened):
-        circuit, delays = widened
-        return minimum_cycle_time(
-            circuit, delays, MctOptions(exact_feasibility=True)
-        )
-
-    def assert_same(self, serial, other):
-        assert other.mct_upper_bound == serial.mct_upper_bound
-        assert [
-            (r.tau, r.status, r.m, r.rung) for r in other.candidates
-        ] == [(r.tau, r.status, r.m, r.rung) for r in serial.candidates]
-        assert other.failing_window == serial.failing_window
-        assert other.failure_found == serial.failure_found
-
-    def test_pool_matches_serial(self, widened, serial):
-        circuit, delays = widened
-        pooled = minimum_cycle_time(
-            circuit, delays, MctOptions(exact_feasibility=True), jobs=2
-        )
-        self.assert_same(serial, pooled)
-        assert pooled.lp_stats is not None
-        assert pooled.lp_stats.solves == serial.lp_stats.solves
-
-    def test_cluster_matches_serial(self, widened, serial):
-        from repro.parallel import WorkerServer
-
-        from tests.test_cluster import fleet
-
-        circuit, delays = widened
-        with fleet(WorkerServer(), WorkerServer()) as transport:
-            clustered = minimum_cycle_time(
-                circuit,
-                delays,
-                MctOptions(exact_feasibility=True),
-                transport=transport,
-            )
-        self.assert_same(serial, clustered)
-        assert clustered.lp_stats is not None
-        assert clustered.lp_stats.solves == serial.lp_stats.solves

@@ -179,15 +179,13 @@ class TestCheckOrder:
         assert resumed.notes == "breakpoint stream exhausted (τ floor)"
         assert resumed.mct_upper_bound == Fraction(15, 4)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_cancel_wins_over_age_cap(self, jobs):
+    def test_cancel_wins_over_age_cap(self):
         # Example 2 commits 5, 4 and 5/2; the next window needs age 3.
         circuit, delays = paper_example2()
         options = MctOptions(max_age=2, tau_floor=Fraction(1, 20))
         progress, cancel = self.cancel_after(3)
         result = minimum_cycle_time(
-            circuit, delays, options,
-            jobs=jobs, progress=progress, cancel=cancel,
+            circuit, delays, options, progress=progress, cancel=cancel
         )
         assert result.cancelled
         assert len(result.candidates) == 3

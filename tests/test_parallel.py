@@ -1,53 +1,28 @@
-"""The parallel subsystem: resource plumbing, determinism, resilience.
+"""The parallel subsystem: the sharded suite harness and its CLI.
 
-The contract under test is the ISSUE's acceptance criterion: ``jobs >
-1`` must be a pure resource knob — same bound, same candidate
-sequence, same table rows, interchangeable checkpoints — with the only
-observable differences being wall-clock and per-worker telemetry.
+The contract under test: ``jobs > 1`` on the suite table is a pure
+resource knob — same rows in the same order, byte-identical
+``--no-cpu`` tables — with the only observable differences being
+wall-clock and per-worker telemetry.  τ-sweeps decide every window in
+the calling process, so the sweep's execution flags are gone from
+``analyze`` and ``serve``, and the analysis path never loads the pool.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.benchgen import paper_example2
 from repro.benchgen.suite import suite_cases
-from repro.errors import Budget
-from repro.mct import MctOptions, minimum_cycle_time
-from repro.parallel import (
-    deadline_payload,
-    resolve_jobs,
-    restore_deadline,
-    run_suite_sharded,
-    worker_budget_limit,
-)
-from repro.resilience import Deadline
-
-
-def candidate_keys(result):
-    """The deterministic fields of the candidate sequence.
-
-    ``elapsed_seconds``/``ite_calls`` are measurements (each worker
-    warms its own BDD caches) and legitimately differ run to run.
-    """
-    return [(r.tau, r.status, r.m, r.rung) for r in result.candidates]
-
-
-def assert_equivalent(serial, parallel):
-    assert parallel.mct_upper_bound == serial.mct_upper_bound
-    assert candidate_keys(parallel) == candidate_keys(serial)
-    assert parallel.failure_found == serial.failure_found
-    assert parallel.failing_window == serial.failing_window
-    assert parallel.failing_sigmas == serial.failing_sigmas
-    assert parallel.failing_roots == serial.failing_roots
-    assert parallel.exhausted == serial.exhausted
-    assert parallel.notes == serial.notes
+from repro.cli import main
+from repro.parallel import resolve_jobs, run_suite_sharded
 
 
 # ----------------------------------------------------------------------
-# Resource plumbing (repro.parallel.pool)
+# Worker count
 # ----------------------------------------------------------------------
 class TestPool:
     def test_resolve_jobs(self):
@@ -57,127 +32,6 @@ class TestPool:
         assert resolve_jobs(7) == 7
         with pytest.raises(ValueError):
             resolve_jobs(-2)
-
-    def test_deadline_payload_roundtrip(self):
-        deadline = Deadline(5.0)
-        restored = restore_deadline(deadline_payload(deadline))
-        # The absolute expiry survives: same seconds, same monotonic
-        # start, so both sides expire at the same instant.
-        assert restored.seconds == deadline.seconds
-        assert restored.start == deadline.start
-        assert not restored.expired()
-        assert restore_deadline(deadline_payload(None)) is None
-
-    def test_expired_deadline_stays_expired_after_transfer(self):
-        deadline = Deadline(0.0, start=-1000.0)
-        restored = restore_deadline(deadline_payload(deadline))
-        assert restored.expired()
-
-    def test_worker_budget_limit(self):
-        assert worker_budget_limit(None, 4) is None
-        assert worker_budget_limit(Budget(limit=None), 4) is None
-        budget = Budget(limit=1000, resource="mct work")
-        assert worker_budget_limit(budget, 4) == 250
-        # Splitting must never charge or attach to the parent.
-        assert budget.used == 0
-        # Tiny budgets still give every worker at least one unit.
-        assert worker_budget_limit(Budget(limit=2), 8) == 1
-
-
-# ----------------------------------------------------------------------
-# Parallel sweep determinism (the tentpole's acceptance criterion)
-# ----------------------------------------------------------------------
-class TestParallelSweep:
-    def test_example2_fixed_delays(self):
-        circuit, delays = paper_example2()
-        serial = minimum_cycle_time(circuit, delays)
-        parallel = minimum_cycle_time(circuit, delays, jobs=2)
-        assert serial.mct_upper_bound == Fraction(5, 2)  # published value
-        assert_equivalent(serial, parallel)
-
-    def test_example2_interval_delays(self):
-        circuit, delays = paper_example2()
-        delays = delays.widen(Fraction(9, 10))
-        serial = minimum_cycle_time(circuit, delays)
-        parallel = minimum_cycle_time(circuit, delays, jobs=3)
-        assert_equivalent(serial, parallel)
-
-    def test_example2_exact_feasibility(self):
-        circuit, delays = paper_example2()
-        delays = delays.widen(Fraction(9, 10))
-        options = MctOptions(exact_feasibility=True)
-        serial = minimum_cycle_time(circuit, delays, options)
-        parallel = minimum_cycle_time(circuit, delays, options, jobs=2)
-        assert_equivalent(serial, parallel)
-
-    @pytest.mark.parametrize(
-        "case", suite_cases(), ids=lambda c: c.name
-    )
-    def test_every_suite_case(self, case):
-        from repro.benchgen.suite import build_case
-
-        circuit, delays = build_case(case)
-        delays = delays.widen(Fraction(9, 10))
-        options = MctOptions(work_budget=case.mct_budget)
-        serial = minimum_cycle_time(circuit, delays, options)
-        parallel = minimum_cycle_time(circuit, delays, options, jobs=2)
-        assert parallel.mct_upper_bound == serial.mct_upper_bound
-        assert candidate_keys(parallel) == candidate_keys(serial)
-        assert parallel.failure_found == serial.failure_found
-
-    def test_ladder_falls_back_to_serial(self):
-        # The degradation ladder is stateful across windows, so jobs
-        # must be ignored (and the result identical) when one is set.
-        circuit, delays = paper_example2()
-        options = MctOptions(degradation_ladder=("relaxed",))
-        serial = minimum_cycle_time(circuit, delays, options)
-        parallel = minimum_cycle_time(circuit, delays, options, jobs=4)
-        assert_equivalent(serial, parallel)
-        assert parallel.decisions_run == serial.decisions_run
-
-    def test_parallel_telemetry_present(self):
-        circuit, delays = paper_example2()
-        parallel = minimum_cycle_time(circuit, delays, jobs=2)
-        assert parallel.decisions_run > 0
-        assert parallel.bdd_stats is not None
-        assert parallel.bdd_stats.ite_calls > 0
-
-
-# ----------------------------------------------------------------------
-# Parallel resilience: budgets, deadlines, checkpoints
-# ----------------------------------------------------------------------
-class TestParallelResilience:
-    def test_small_budget_interrupts_with_checkpoint(self):
-        circuit, delays = paper_example2()
-        # Enough to discretize, far too little to decide any window
-        # (the serial sweep needs ~1500 units for the first decision).
-        options = MctOptions(work_budget=120)
-        result = minimum_cycle_time(circuit, delays, options, jobs=2)
-        assert result.interrupted
-        assert result.budget_exceeded
-        assert result.checkpoint is not None
-
-    def test_parallel_checkpoint_resumes_serially(self):
-        circuit, delays = paper_example2()
-        partial = minimum_cycle_time(
-            circuit, delays, MctOptions(work_budget=120), jobs=2
-        )
-        assert partial.checkpoint is not None
-        # jobs/work_budget are resource knobs, not fingerprinted: a
-        # parallel checkpoint resumes in a serial unlimited run.
-        resumed = minimum_cycle_time(
-            circuit, delays, resume_from=partial.checkpoint
-        )
-        baseline = minimum_cycle_time(circuit, delays)
-        assert resumed.mct_upper_bound == baseline.mct_upper_bound
-        assert candidate_keys(resumed) == candidate_keys(baseline)
-
-    def test_expired_deadline_interrupts(self):
-        circuit, delays = paper_example2()
-        options = MctOptions(time_limit=0.0)
-        result = minimum_cycle_time(circuit, delays, options, jobs=2)
-        assert result.deadline_exceeded
-        assert result.interrupted
 
 
 # ----------------------------------------------------------------------
@@ -234,30 +88,11 @@ class TestSuiteSharding:
 # CLI surface
 # ----------------------------------------------------------------------
 class TestCliJobs:
-    @pytest.fixture()
-    def bench(self, tmp_path):
-        from repro.benchgen import S27_BENCH
-
-        path = tmp_path / "s27.bench"
-        path.write_text(S27_BENCH)
-        return path
-
-    def test_analyze_jobs_matches_serial_bound(self, bench, capsys):
-        from repro.cli import main
-
-        assert main(["analyze", str(bench), "--jobs", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "minimum cycle time: 11.5" in out
-
-    def test_analyze_rejects_negative_jobs(self, bench, capsys):
-        from repro.cli import main
-
-        assert main(["analyze", str(bench), "--jobs", "-1"]) == 1
+    def test_table_rejects_negative_jobs(self, capsys):
+        assert main(["table", "--rows", "g444", "--jobs", "-1"]) == 1
         assert "--jobs must be non-negative" in capsys.readouterr().err
 
     def test_table_no_cpu_parallel_identical(self, capsys):
-        from repro.cli import main
-
         argv = ["table", "--rows", "g444", "--no-s27", "--no-cpu"]
         assert main(argv) == 0
         serial_out = capsys.readouterr().out
@@ -266,34 +101,74 @@ class TestCliJobs:
         assert parallel_out == serial_out
         assert "0.00" not in serial_out  # CPU columns really dashed
 
-    def test_fault_injection_forces_serial(self, bench, capsys):
-        from repro.cli import main
 
-        rc = main([
-            "analyze", str(bench),
-            "--fail-budget-at", "300", "--jobs", "2",
-        ])
-        out = capsys.readouterr().out
-        assert rc == 3  # the fault fired in-process: partial result
-        assert "fault injection forces a serial sweep" in out
+#: The execution flags ``analyze`` and ``serve`` had while sweeps could
+#: decide windows on other processes, each with a well-formed value.
+_SWEEP_FLAGS = {
+    "--jobs": "2",
+    "--max-retries": "1",
+    "--task-timeout": "5",
+    "--workers": "127.0.0.1:9",
+    "--heartbeat-interval": "0.5",
+    "--heartbeat-timeout": "2.5",
+    "--connect-timeout": "10",
+    "--secret-file": "secret",
+}
+_REMOVED = [
+    ("analyze", flag, value)
+    for flag, value in {
+        **_SWEEP_FLAGS,
+        "--kill-worker-at": "1",
+        "--tls-ca": "ca.pem",
+        "--tls-cert": "c.pem",
+        "--tls-key": "k.pem",
+    }.items()
+] + [
+    ("serve", flag, value)
+    for flag, value in {
+        **_SWEEP_FLAGS,
+        "--worker-tls-ca": "ca.pem",
+        "--worker-tls-cert": "c.pem",
+        "--worker-tls-key": "k.pem",
+    }.items()
+]
 
-    @pytest.mark.parametrize(
-        "flags", [["--jobs", "2"], ["--workers", "127.0.0.1:9"]]
+
+@pytest.mark.parametrize(
+    "command, flag, value", _REMOVED, ids=[f"{c}{f}" for c, f, _ in _REMOVED]
+)
+def test_removed_sweep_flag_is_usage_error(command, flag, value, capsys):
+    """Every sweep decides its windows in-process: the flags that chose
+    a pool or a fleet for them are argparse usage errors (exit 2)."""
+    argv = [command, "s27.bench"] if command == "analyze" else [command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_analysis_path_loads_no_pool():
+    """Importing the analysis path loads neither ``repro.parallel`` nor
+    the process-pool machinery; only ``table --jobs/--workers`` and
+    ``repro-mct worker`` import them.  The daemon package imports
+    :mod:`asyncio`, which loads :mod:`concurrent.futures` itself, so it
+    is checked for the other two only."""
+    heavy = ("repro.parallel", "multiprocessing", "concurrent.futures")
+    script = (
+        "import sys\n"
+        "import repro, repro.mct, repro.report, repro.benchgen, repro.cli\n"
+        f"print(sorted(m for m in {heavy!r} if m in sys.modules))\n"
+        "import repro.service\n"
+        f"print(sorted(m for m in {heavy[:2]!r} if m in sys.modules))\n"
     )
-    def test_degrade_forces_serial(self, bench, capsys, flags):
-        # A ladder sweep never opens a pool or a fleet; the CLI says so
-        # instead of silently ignoring the flag.
-        from repro.cli import main
-
-        rc = main(["analyze", str(bench), "--degrade", "--stats", *flags])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert (
-            "note: the degradation ladder (--degrade) forces a serial "
-            "sweep; ignoring --jobs/--workers"
-        ) in out
-        assert "minimum cycle time: 11.5" in out
-        assert "supervision" not in out
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert out.splitlines() == ["[]", "[]"]
 
 
 # ----------------------------------------------------------------------

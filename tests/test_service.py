@@ -1013,14 +1013,6 @@ class TestServeCli:
         assert main(["serve", "--port", "-1"]) == 1
         assert "--port" in capsys.readouterr().err
         assert main(["serve", "--port", "70000"]) == 1
-        assert main(["serve", "--jobs", "-1"]) == 1
-        assert main(["serve", "--max-retries", "-1"]) == 1
-        assert main(["serve", "--task-timeout", "0"]) == 1
-        assert main(["serve", "--heartbeat-interval", "0"]) == 1
-        assert main([
-            "serve", "--heartbeat-interval", "0.5",
-            "--heartbeat-timeout", "0.1",
-        ]) == 1
 
     def test_rejects_bad_hardening_flags(self, capsys):
         assert main(["serve", "--job-ttl", "0"]) == 1
@@ -1029,20 +1021,12 @@ class TestServeCli:
         assert "--max-jobs" in capsys.readouterr().err
         assert main(["serve", "--cache-max-bytes", "0"]) == 1
         assert "--cache-max-bytes" in capsys.readouterr().err
-        assert main(["serve", "--connect-timeout", "0"]) == 1
-        assert "--connect-timeout" in capsys.readouterr().err
 
     def test_rejects_unpaired_tls_flags(self, capsys):
         assert main(["serve", "--tls-cert", "c.pem"]) == 1
         assert "--tls-key" in capsys.readouterr().err
         assert main(["serve", "--tls-ca", "ca.pem"]) == 1
         assert "--tls-cert" in capsys.readouterr().err
-
-    def test_worker_tls_flags_need_workers(self, capsys):
-        # Without --workers there is no fleet to dial: the daemon exits
-        # 1 with the message analyze/table give for --tls-*.
-        assert main(["serve", "--worker-tls-ca", "ca.pem"]) == 1
-        assert "--worker-tls-* flags need --workers" in capsys.readouterr().err
 
     def test_rejects_broken_secret_sources(self, tmp_path, capsys):
         assert main([

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.benchgen import paper_example2, s27, suite_cases
 from repro.delay import floating_delay, transition_delay, validity, validity_report
 from repro.errors import AnalysisError
+from repro.logic.delays import ZERO
 from repro.mct import MctOptions, build_discretized_machine, minimum_cycle_time
 from repro.report import analyze_circuit, harness, run_case
 from repro.timed.expansion import ConePrograms
@@ -159,8 +160,10 @@ def test_row_compiles_each_cone_once(monkeypatch, row):
 
 
 def test_validity_report_shares_one_table(monkeypatch):
+    """The floating, transition and register-path analyses read one
+    table: each ``(root, extra)`` cone compiles once per report."""
     tables = []
-    for name in ("floating_delay", "transition_delay"):
+    for name in ("floating_delay", "transition_delay", "min_register_path"):
         analysis = getattr(validity, name)
 
         def spy(*args, analysis=analysis, **kwargs):
@@ -168,7 +171,21 @@ def test_validity_report_shares_one_table(monkeypatch):
             return analysis(*args, **kwargs)
 
         monkeypatch.setattr(validity, name, spy)
+    compiled = []
+    real_compile = ConePrograms._compile
+
+    def tracking_compile(self, root, extra, budget, deadline):
+        compiled.append((root, extra))
+        return real_compile(self, root, extra, budget, deadline)
+
+    monkeypatch.setattr(ConePrograms, "_compile", tracking_compile)
     report = validity_report(*paper_example2())
     assert (report.floating, report.transition) == (4, 2)
-    assert len(tables) == 2 and tables[0] is tables[1]
+    assert len(tables) == 3 and tables[0] is tables[1] is tables[2]
     assert isinstance(tables[0], ConePrograms)
+    assert ("g", ZERO) in compiled
+    assert compiled and len(compiled) == len(set(compiled))
+    compiled.clear()
+    circuit, delays = s27()
+    validity_report(circuit, delays.widen(Fraction(9, 10)))
+    assert compiled and len(compiled) == len(set(compiled))

@@ -619,20 +619,21 @@ class TestCompileBudgetAndDeadline:
         assert 0 < plan.deadline_calls <= self.LIMIT + 1
         assert budget.used == 0
 
-    def test_parent_budget_bounds_compile(self):
+    def test_spent_budget_bounds_compile(self):
+        # A budget mostly spent before the compile leaves it only the
+        # remaining units.
         circuit, delays = reconvergent_ladder(24)
-        parent = Budget(limit=1000, resource="parent")
-        child = parent.child(1.0, resource="child")
-        for _ in range(1000 - self.LIMIT):
-            parent.charge()
+        budget = Budget(limit=1000, resource="spent")
+        budget.charge(1000 - self.LIMIT)
         with observe_calls() as plan:
             with pytest.raises(ResourceBudgetExceeded) as info:
                 collect_leaf_instances(
-                    circuit, delays, circuit.outputs, budget=child,
+                    circuit, delays, circuit.outputs, budget=budget,
                     deadline=Deadline(3600.0),
                 )
-        assert "parent" in str(info.value)
-        assert plan.deadline_calls <= self.LIMIT + 1
+        assert "spent" in str(info.value)
+        assert 0 < plan.deadline_calls <= self.LIMIT + 1
+        assert budget.used == 1000 - self.LIMIT
 
     def test_deadline_fault_fires_during_compile(self):
         circuit, delays = reconvergent_ladder(24)
