@@ -744,11 +744,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dash the CPU columns (deterministic output "
                         "for run-to-run comparison)")
     p.add_argument("--max-retries", type=int, default=2, metavar="N",
-                   help="resubmissions per row after a worker crash "
-                        "before measuring it serially in-process")
+                   help="re-dispatches per row after its worker is lost "
+                        "(crash, heartbeat silence) before measuring it "
+                        "serially in-process")
     p.add_argument("--kill-worker-at", type=int, default=None, metavar="N",
-                   help="fault injection: each pool worker kills itself "
-                        "on its Nth task (exercises crash recovery)")
+                   help="fault injection: each --jobs child exits on "
+                        "its Nth task (exercises crash recovery)")
     _add_cluster_args(p)
     p.set_defaults(func=cmd_table)
 

@@ -89,7 +89,7 @@ class OptionsError(AnalysisError, ValueError):
     the cluster heartbeat knobs validate eagerly, so a negative task
     timeout or a heartbeat timeout below its interval fails with a
     clean diagnostic (CLI exit code 1) instead of a deep traceback
-    from inside a pool or a socket thread.  Doubles as a
+    from inside a worker or a session thread.  Doubles as a
     :class:`ValueError` for callers that treat bad dataclass fields
     pythonically.
     """

@@ -5,18 +5,20 @@ pure task.  One executor contract runs the rows
 (:mod:`repro.parallel.transport`): a :class:`Transport` says where and
 how tasks run, and opens one session per table.
 
-* :class:`LocalTransport` — a supervised process pool on this host
-  (``jobs=N`` is sugar for ``LocalTransport(N)``);
-* :class:`SocketTransport` (:mod:`repro.parallel.cluster`) — remote
-  ``repro-mct worker`` processes, with heartbeat liveness detection
-  and lease-based work stealing.
+* :class:`LocalTransport` — ``jobs`` children forked on this host,
+  each on a private socketpair (``jobs=N`` is sugar for
+  ``LocalTransport(N)``);
+* :class:`SocketTransport` — remote ``repro-mct worker`` processes
+  over TCP.
 
 Each carries its :class:`RetryPolicy` (the socket transport also its
 heartbeat cadence).  :func:`run_suite_sharded`
 (:mod:`repro.parallel.suite`) measures one table row per task and
 returns the rows in serial order with per-worker :class:`WorkerStats`.
-Both transports run under the same retry → quarantine ladder
-(:mod:`repro.parallel.supervise`): a quarantined row is measured by the
+Both transports open the same :class:`ClusterSession`
+(:mod:`repro.parallel.cluster`): one lease queue with heartbeat
+liveness, lease reclamation and the retry → quarantine ladder of
+:mod:`repro.parallel.supervise`.  A quarantined row is measured by the
 caller in its own process, so the table stays byte-identical to an
 in-process run whichever workers survive.
 
@@ -31,6 +33,7 @@ import it when they run.
 from repro.netsec import AuthenticationError, ProtocolError
 from repro.parallel.cluster import (
     ClusterSession,
+    LocalTransport,
     SocketTransport,
     WorkerServer,
     parse_worker_address,
@@ -42,14 +45,8 @@ from repro.parallel.supervise import (
     Quarantined,
     RetryPolicy,
     SupervisionStats,
-    Supervisor,
 )
-from repro.parallel.transport import (
-    LocalTransport,
-    Transport,
-    TransportSession,
-    resolve_jobs,
-)
+from repro.parallel.transport import Transport, resolve_jobs
 
 __all__ = [
     "AuthenticationError",
@@ -61,9 +58,7 @@ __all__ = [
     "RetryPolicy",
     "SocketTransport",
     "SupervisionStats",
-    "Supervisor",
     "Transport",
-    "TransportSession",
     "WorkerServer",
     "WorkerStats",
     "parse_worker_address",

@@ -3,8 +3,9 @@
 Suite rows are fully independent analyses, so the harness shards
 trivially: each task (:func:`measure_row`) builds and measures one
 circuit with the same :func:`repro.report.harness.run_case` path the
-serial harness uses, on a worker with its own BDD manager — a local pool process or a socket worker, whichever
-the transport (:mod:`repro.parallel.transport`) provides.
+serial harness uses, on a worker with its own BDD manager — a forked
+local child or a socket worker, whichever the transport
+(:mod:`repro.parallel.transport`) provides.
 :func:`run_suite_sharded` submits every row to one session and collects
 them in submission order, so the rows come back in exactly the serial
 order regardless of which worker finished first.  A row the session
@@ -34,9 +35,9 @@ from repro.telemetry import Counters
 class WorkerStats(Counters):
     """What one worker contributed to a sharded suite run.
 
-    ``pid`` is the worker label: the OS pid for local pool processes
-    (and the parent's quarantine entry), a ``host:pid:session`` string
-    for socket worker sessions.
+    ``pid`` is the worker label: a ``host:pid:session`` string for
+    every worker session, local child or socket worker, and this
+    process's OS pid for the parent's quarantine entry.
     """
 
     pid: int | str
@@ -45,7 +46,7 @@ class WorkerStats(Counters):
     wall_seconds: float = 0.0
     #: Merged BDD counters of the MCT sweeps this worker ran.
     bdd: BddStats = dataclasses.field(default_factory=BddStats)
-    #: Resubmissions the supervisor charged before this worker finally
+    #: Re-dispatches the session charged before this worker finally
     #: delivered a row (attempts beyond the first).
     retries: int = 0
     #: Rows whose attempt budget ran out and were measured serially in
@@ -101,7 +102,8 @@ def run_suite_sharded(
     from repro.report.harness import run_suite
 
     if transport is None:
-        from repro.parallel.transport import LocalTransport, resolve_jobs
+        from repro.parallel.cluster import LocalTransport
+        from repro.parallel.transport import resolve_jobs
 
         jobs = resolve_jobs(jobs)
         if jobs <= 1:

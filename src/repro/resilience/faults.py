@@ -28,15 +28,14 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import os
 
 from repro import errors
 from repro.errors import DeadlineExceeded, ResourceBudgetExceeded
 
 #: The innermost active :class:`FaultPlan` (see :func:`inject_faults`).
-#: Worker-kill injection is read from here by the suite pool when it
-#: configures its workers — the hook state itself cannot cross a
-#: process boundary, but a task-count threshold can.
+#: Worker-kill injection is read from here by a local suite session
+#: before it forks its children — the hook state itself does not cross
+#: a process boundary, but a task-count threshold can.
 _ACTIVE_PLAN: "FaultPlan | None" = None
 
 
@@ -49,9 +48,9 @@ class FaultPlan:
     single time and then disarms, so a degraded retry or a resumed run
     inside the same block proceeds unfaulted; otherwise every call from
     the N-th on fails.  ``kill_worker_at`` arms *worker crash*
-    injection instead: every pool worker process spawned while the plan
-    is active kills itself (``os._exit``) on its N-th task, exercising
-    the supervisor's crash-recovery path deterministically.
+    injection instead: every local child forked while the plan is
+    active exits (``os._exit(113)``) on its N-th task, exercising the
+    lease queue's crash recovery deterministically.
     """
 
     budget_at: int | None = None
@@ -120,9 +119,11 @@ def inject_faults(
     Yields the :class:`FaultPlan`, whose counters keep updating while
     the block runs.  Hooks are restored on exit, even on error; nesting
     restores the previously installed hooks.  ``kill_worker_at=N``
-    additionally arms worker-crash injection: pools started inside the
-    block configure each worker process to die on its N-th task (see
-    :func:`worker_kill_limit` / :func:`maybe_kill_worker`).
+    additionally arms worker-crash injection: local suite sessions
+    (``LocalTransport``, ``run_suite(jobs=N)``) opened inside the block
+    fork children that exit with status 113 on their N-th task, a hard
+    death indistinguishable from an OOM kill (see
+    :func:`worker_kill_limit`).
     ``kill_host_at``/``drop_heartbeats_after`` arm the analogous
     cluster faults for socket workers *started inside the block* (see
     :func:`host_kill_limit` / :func:`heartbeat_drop_limit`); the
@@ -151,30 +152,14 @@ def inject_faults(
 def worker_kill_limit() -> int | None:
     """The armed ``kill_worker_at`` threshold, or ``None``.
 
-    Called by the parallel pools in the *parent* process when they
-    build a worker's configuration: the threshold is shipped across
-    the process boundary in the pool initargs (the hook globals
-    themselves never propagate to workers).  0 arms the counters but
-    never fires, mirroring the budget/deadline flags.
+    Read by a local suite session in the *parent* process when it
+    opens, and handed to each child it forks as the child's
+    ``kill_at``.  0 arms the counters but never fires, mirroring the
+    budget/deadline flags.
     """
     if _ACTIVE_PLAN is None:
         return None
     return _ACTIVE_PLAN.kill_worker_at
-
-
-def maybe_kill_worker(task_index: int, kill_at: int | None) -> None:
-    """Worker-side crash injection: die on the configured task.
-
-    ``task_index`` is the 1-based count of tasks this worker process
-    has started.  The death is an ``os._exit`` — no exception, no
-    cleanup — exactly what an OOM kill or segfault looks like from the
-    parent's side (``BrokenExecutor`` on every pending future).  Every
-    *fresh* worker dies at the same count, so ``kill_at=1`` produces a
-    pool that can never finish a task (the quarantine/serial-fallback
-    path), while larger values let respawned workers make progress.
-    """
-    if kill_at is not None and kill_at > 0 and task_index == kill_at:
-        os._exit(113)
 
 
 def host_kill_limit() -> int | None:

@@ -161,7 +161,7 @@ class ConePrograms:
     cached on the delay map: a compile polls the deadline once per
     entry, so a table warmed by an earlier analysis would move where a
     counted deadline fires.  It is never shipped either: a pickled
-    table carries only its delay map, so a pool or cluster worker
+    table carries only its delay map, so a local or socket worker
     compiles its own.
 
     The compile walk adds integer-scaled offsets (the map's pin delays

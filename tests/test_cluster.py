@@ -245,6 +245,29 @@ class TestClusterSweep:
         assert sup.timeouts >= 1
         assert sup.leases_reclaimed >= 1
 
+    def test_backed_off_lease_does_not_wait_for_a_ping(self):
+        # The killed worker's row backs off for a millisecond or two;
+        # the idle survivor must get it then, not at the next
+        # heartbeat two seconds later.
+        policy = RetryPolicy(backoff_base=0.001, backoff_cap=0.002)
+        with fleet(
+            WorkerServer(kill_at=1), WorkerServer(), retry=policy,
+            heartbeat_interval=2.0, heartbeat_timeout=10.0,
+        ) as tp:
+            session = tp.open_suite()
+            try:
+                # Both workers configured and idle: the first in the
+                # fleet, the one that dies, leases the row.
+                time.sleep(0.3)
+                began = time.monotonic()
+                outcome = session.result(session.submit(None))
+                elapsed = time.monotonic() - began
+            finally:
+                session.shutdown()
+        assert outcome["row"].name == "s27"
+        assert session.stats.retries == 1
+        assert elapsed < 1.0
+
     def test_task_out_of_attempts_is_quarantined(self, serial):
         # No retries: the killed worker's leased row is out of attempts
         # at once, so the parent measures it while the survivor serves

@@ -147,28 +147,36 @@ def test_removed_sweep_flag_is_usage_error(command, flag, value, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_analysis_path_loads_no_pool():
-    """Importing the analysis path loads neither ``repro.parallel`` nor
-    the process-pool machinery; only ``table --jobs/--workers`` and
-    ``repro-mct worker`` import them.  The daemon package imports
-    :mod:`asyncio`, which loads :mod:`concurrent.futures` itself, so it
-    is checked for the other two only."""
-    heavy = ("repro.parallel", "multiprocessing", "concurrent.futures")
-    script = (
-        "import sys\n"
-        "import repro, repro.mct, repro.report, repro.benchgen, repro.cli\n"
-        f"print(sorted(m for m in {heavy!r} if m in sys.modules))\n"
-        "import repro.service\n"
-        f"print(sorted(m for m in {heavy[:2]!r} if m in sys.modules))\n"
-    )
+def _loaded(script: str) -> list[str]:
+    """Each line ``script`` prints, run in a fresh interpreter."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.path.abspath(src)
-    out = subprocess.run(
-        [sys.executable, "-c", script],
+    return subprocess.run(
+        [sys.executable, "-c", "import sys\n" + script],
         capture_output=True, text=True, env=env, check=True,
-    ).stdout
-    assert out.splitlines() == ["[]", "[]"]
+    ).stdout.splitlines()
+
+
+def test_analysis_path_loads_no_pool():
+    """Importing the analysis path loads neither ``repro.parallel`` nor
+    the process-pool machinery; only ``table --jobs/--workers`` and
+    ``repro-mct worker`` import them.  ``repro.parallel`` itself loads
+    no pool either: local children are forked on socketpairs.  The
+    daemon package imports :mod:`asyncio`, which loads
+    :mod:`concurrent.futures` itself, so it is checked for the other
+    two only."""
+    heavy = ("repro.parallel", "multiprocessing", "concurrent.futures")
+    report = "print(sorted(m for m in {!r} if m in sys.modules))\n"
+    assert _loaded(
+        "import repro, repro.mct, repro.report, repro.benchgen, repro.cli\n"
+        + report.format(heavy)
+        + "import repro.service\n"
+        + report.format(heavy[:2])
+    ) == ["[]", "[]"]
+    assert _loaded(
+        "import repro.parallel\n" + report.format(heavy[1:])
+    ) == ["[]"]
 
 
 # ----------------------------------------------------------------------
