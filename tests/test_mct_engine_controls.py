@@ -8,7 +8,7 @@ import pytest
 from repro.benchgen import paper_example2
 from repro.benchgen.generators import hold_loop, toggle_loop
 from repro.errors import AnalysisError, OptionsError
-from repro.mct import MctOptions, minimum_cycle_time
+from repro.mct import MctOptions, engine, minimum_cycle_time
 from repro.mct.engine import CandidateRecord
 from repro.resilience.faults import inject_faults
 
@@ -161,6 +161,56 @@ class TestCheckOrder:
                 cancel.set()
 
         return progress, cancel
+
+    @staticmethod
+    def expire_after_first_commit(monkeypatch, cancel=None):
+        """A progress hook that expires the sweep's deadline (and sets
+        ``cancel``, when given) once the first record commits."""
+        held = []
+        after = engine.Deadline.after
+
+        def hold(seconds, **kwargs):
+            held.append(after(seconds, **kwargs))
+            return held[-1]
+
+        def progress(record):
+            held[0].seconds = -1
+            if cancel is not None:
+                cancel.set()
+
+        monkeypatch.setattr(engine.Deadline, "after", staticmethod(hold))
+        return progress
+
+    def test_deadline_stops_between_windows(self, monkeypatch):
+        circuit, delays = paper_example2()
+        options = MctOptions(time_limit=3600)
+        progress = self.expire_after_first_commit(monkeypatch)
+        result = minimum_cycle_time(circuit, delays, options, progress=progress)
+        monkeypatch.undo()
+        assert result.deadline_exceeded and result.exhausted
+        assert not result.cancelled
+        assert result.notes == "time limit reached"
+        assert [r.tau for r in result.candidates] == [5]
+        baseline = minimum_cycle_time(circuit, delays, options)
+        resumed = minimum_cycle_time(
+            circuit, delays, options, resume_from=result.checkpoint
+        )
+        assert resumed.mct_upper_bound == baseline.mct_upper_bound
+        assert [(r.tau, r.status, r.m) for r in resumed.candidates] == [
+            (r.tau, r.status, r.m) for r in baseline.candidates
+        ]
+
+    def test_cancel_wins_over_deadline(self, monkeypatch):
+        circuit, delays = paper_example2()
+        cancel = threading.Event()
+        progress = self.expire_after_first_commit(monkeypatch, cancel)
+        result = minimum_cycle_time(
+            circuit, delays, MctOptions(time_limit=3600),
+            progress=progress, cancel=cancel,
+        )
+        assert result.cancelled
+        assert not result.deadline_exceeded
+        assert [r.tau for r in result.candidates] == [5]
 
     def test_cancel_before_floor_window_stops_there(self):
         circuit, delays = paper_example2()
