@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.bdd import BddManager, Function
 from repro.errors import AnalysisError, Budget
 from repro.logic.netlist import Circuit
-from repro.timed.expansion import CombinationalBdd
+from repro.timed.expansion import next_state_programs
 
 
 def _primed(q: str) -> str:
@@ -60,10 +60,11 @@ def reachable_states(
     for u in circuit.inputs:
         manager.var(u)
 
-    leaf_map = {q: manager.var(q) for q in circuit.latches}
-    leaf_map.update({u: manager.var(u) for u in circuit.inputs})
-    cones = CombinationalBdd(circuit, leaf_map, manager)
-    next_state = cones.next_state()
+    leaf_refs = {net: manager.ref(manager.var(net)) for net in circuit.leaves}
+    next_state = {
+        q: manager.function(program.run(manager, leaf_refs))
+        for q, program in next_state_programs(circuit).items()
+    }
 
     # Partitioned transition relation: one conjunct per latch.
     partitions = [

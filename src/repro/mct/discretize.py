@@ -109,11 +109,6 @@ class DiscretizedMachine:
         default=(), compare=False, repr=False
     )
 
-    def __reduce__(self):
-        # The leaf ids index the instances of this machine's own cone
-        # table, which pickles as its delay map alone: rebuild both.
-        return (build_discretized_machine, (self.circuit, self.delays))
-
     def fold(self, instance: LeafInstance, dest_phase: Fraction = Fraction(0)) -> TimedLeaf:
         """Total *effective* loop delay of a raw instance.
 

@@ -252,10 +252,10 @@ def minimum_cycle_time(
     and time limit are intentionally *not* part of that fingerprint —
     resuming with fresh resources is the point.
 
-    The sweep is one loop over the planned breakpoint events, and it
-    decides every window in this process: the sweep stops at the first
-    failing window, so windows decided ahead of it elsewhere would be
-    work the answer may never use.
+    The sweep is one loop over the breakpoints, and it decides every
+    window in this process: the sweep stops at the first failing
+    window, so windows decided ahead of it elsewhere would be work the
+    answer may never use.
 
     ``progress`` is an optional callable invoked with each
     :class:`CandidateRecord` as it commits (records replayed from a
@@ -434,69 +434,15 @@ _BUDGET_OUT = "work budget exhausted; last passing bound reported"
 _DEADLINE_OUT = "time limit exceeded mid-window; last passing bound reported"
 
 
-def decide_window(
-    context,
-    regime,
-    window,
-    options: MctOptions,
-    oracle_factory=None,
-    deadline=None,
-) -> _Verdict:
-    """Decision + feasibility pass for one breakpoint window.
-
-    The rung-agnostic core of :meth:`Decider.decide`, which every
-    ladder rung of the sweep calls.  ``oracle_factory``
-    lazily builds the exact gate-coupled LP oracle; it is only invoked
-    when failing combinations actually need filtering.
-    """
-    outcome = context.decide(regime)
-    if outcome.passed_structurally:
-        return _Verdict("pass", outcome.m)
-    window_top = window[1]
-    if not outcome.has_choices:
-        return _Verdict(
-            "fail",
-            outcome.m,
-            bound=window_top,
-            sigmas=tuple(
-                (sigma, window_top) for sigma in outcome.failing_options
-            ),
-            roots=outcome.failing_roots,
-        )
-    oracle = oracle_factory() if oracle_factory is not None else None
-    feasible = []
-    for sigma in outcome.failing_options:
-        sup = sigma_sup_tau(sigma, window, deadline=deadline)
-        if sup is None:
-            continue
-        if oracle is not None:
-            exact_sup = _exact_sup(oracle, sigma, window, options, deadline)
-            if exact_sup is _RELAXED:
-                pass  # fell back: keep the relaxed sup
-            elif exact_sup is None:
-                continue  # coupled LP proves σ unrealizable
-            else:
-                sup = exact_sup
-        feasible.append((sigma, sup))
-    if not feasible:
-        return _Verdict("pass-infeasible", outcome.m)
-    return _Verdict(
-        "fail",
-        outcome.m,
-        bound=max(sup for _, sup in feasible),
-        sigmas=tuple(feasible),
-        roots=outcome.failing_roots,
-    )
-
-
 class Decider:
     """One decision unit: a context, its lazy exact-LP oracle, its counters.
 
     The sweep builds one per ladder rung, so a window is decided, and
-    its work counted, the same way on every rung.  ``exact`` arms the gate-coupled LP oracle, built
-    at most once and only when failing combinations need filtering; it
-    charges this decider's :class:`LpStats`.  ``reachable`` is the
-    reachability care set (``None``: every state is cared for).
+    its work counted, the same way on every rung.  ``exact`` arms the
+    gate-coupled LP oracle, built at most once and only when failing
+    combinations need filtering; it charges this decider's
+    :class:`LpStats`.  ``reachable`` is the reachability care set
+    (``None``: every state is cared for).
     """
 
     def __init__(
@@ -539,14 +485,56 @@ class Decider:
         return self._oracle
 
     def decide(self, regime, window) -> _Verdict:
-        """Decide one window at this decider's settings."""
-        return decide_window(
-            self.context,
-            regime,
-            window,
-            self.options,
-            oracle_factory=self.oracle if self.exact else None,
-            deadline=self.context.deadline,
+        """Decision + feasibility pass for one breakpoint window.
+
+        The exact oracle is consulted only when failing combinations
+        need filtering; where it gives up on a σ (an
+        :class:`~repro.errors.AnalysisError`, e.g. the combination
+        cap), that σ keeps its relaxed sup.
+        """
+        context = self.context
+        outcome = context.decide(regime)
+        if outcome.passed_structurally:
+            return _Verdict("pass", outcome.m)
+        window_top = window[1]
+        if not outcome.has_choices:
+            return _Verdict(
+                "fail",
+                outcome.m,
+                bound=window_top,
+                sigmas=tuple(
+                    (sigma, window_top) for sigma in outcome.failing_options
+                ),
+                roots=outcome.failing_roots,
+            )
+        oracle = self.oracle() if self.exact else None
+        feasible = []
+        for sigma in outcome.failing_options:
+            sup = sigma_sup_tau(sigma, window, deadline=context.deadline)
+            if sup is None:
+                continue
+            if oracle is not None:
+                try:
+                    exact = oracle.sup_tau_options(
+                        sigma,
+                        window,
+                        max_combinations=self.options.max_exact_combinations,
+                        deadline=context.deadline,
+                    )
+                except AnalysisError:
+                    exact = sup  # the oracle gave up: keep the relaxed sup
+                if exact is None:
+                    continue  # coupled LP proves σ unrealizable
+                sup = exact
+            feasible.append((sigma, sup))
+        if not feasible:
+            return _Verdict("pass-infeasible", outcome.m)
+        return _Verdict(
+            "fail",
+            outcome.m,
+            bound=max(sup for _, sup in feasible),
+            sigmas=tuple(feasible),
+            roots=outcome.failing_roots,
         )
 
     @property
@@ -621,16 +609,18 @@ class _Sweep:
         if self.progress is not None:
             self.progress(record)
 
-    def _check_cancelled(self) -> None:
-        """Honour an external cancel request between windows.
+    def _poll(self) -> None:
+        """Honour a cancel request, then the deadline, between windows.
 
-        Raising :class:`KeyboardInterrupt` reuses the operator-interrupt
-        contract verbatim: the sweep keeps every committed record,
-        attaches a resume checkpoint, and reports ``cancelled`` (the
-        CLI's exit-3 partial-result shape).
+        Cancel raises :class:`KeyboardInterrupt`, which reuses the
+        operator-interrupt contract verbatim: the sweep keeps every
+        committed record, attaches a resume checkpoint, and reports
+        ``cancelled`` (the CLI's exit-3 partial-result shape).
         """
         if self.cancel is not None and self.cancel.is_set():
             raise KeyboardInterrupt
+        if self.deadline is not None and self.deadline.expired():
+            raise _SweepStop("time limit reached", deadline=True, exhausted=True)
 
     def _checkpoint(
         self,
@@ -703,49 +693,21 @@ class _Sweep:
     # The sweep
     # ------------------------------------------------------------------
     def run(self) -> MctResult:
-        """Walk the planned events in breakpoint order, committing each.
+        """Walk the breakpoints in descending order, committing each window.
 
-        Each window is decided in this process as its event comes up, so
-        the next event is planned only once this one is committed (its
-        rung decides the next age cap).  At each breakpoint the checks
-        run in one order: candidate cap, cancel, deadline, then the
-        active rung's age cap.  Cancel and deadline are also polled
-        before the τ-floor window.
+        At each breakpoint the checks run in one order: candidate cap,
+        cancel, deadline, then the active rung's age cap, read afresh so
+        that an escalation to "reduced-age" holds from the next
+        breakpoint on.  A breakpoint with the last one's regime only
+        moves ``prev_tau``; any other commits one record, so the record
+        count is the candidate count (a resumed sweep starts from the
+        checkpoint's records).  The sweep stops at the first failing
+        window.
         """
         failing = stop = None
         cancelled = False
         try:
-            for event in self._plan_events():
-                kind = event[0]
-                if kind == "stop":
-                    raise _SweepStop(event[1], exhausted=True)
-                self._check_cancelled()
-                if self.deadline is not None and self.deadline.expired():
-                    raise _SweepStop(
-                        "time limit reached", deadline=True, exhausted=True
-                    )
-                if kind == "age-cap":
-                    raise self._age_cap_stop()
-                if kind == "skip":
-                    self.prev_tau = event[1]
-                    continue
-                if kind == "steady":
-                    _, tau, m = event
-                    self._commit(
-                        CandidateRecord(
-                            tau, "steady", m, 0.0,
-                            self.rungs[self.rung_idx].name,
-                        )
-                    )
-                    self.prev_tau = tau
-                    continue
-                _, tau, window, regime, m = event
-                verdict = self._decide_here(regime, m, tau, window)
-                if verdict.status != "fail":
-                    self.prev_tau = tau
-                    continue
-                failing = (verdict, window)
-                break
+            failing = self._walk()
         except _SweepStop as exc:
             stop = exc
         except KeyboardInterrupt:
@@ -755,76 +717,74 @@ class _Sweep:
             cancelled = True
         return self._finalize(failing, stop, cancelled)
 
-    def _plan_events(self):
-        """The sweep's events in breakpoint order, without any verdict.
-
-        Which windows need a decision — their regimes, unrolling depths
-        and window tops — is a pure function of the breakpoint stream;
-        a verdict only decides *whether the sweep goes on*, and
-        :meth:`run` draws events one at a time.  The age cap is read
-        from the active rung at each breakpoint, so a ladder escalation
-        to "reduced-age" holds from the next breakpoint on.  Events::
-
-            ("skip", tau)                      same regime: advance prev_tau
-            ("steady", tau, m)                 steady window: no decision
-            ("decide", tau, window, regime, m) undecided window
-            ("age-cap",)                       the active rung's age cap
-            ("stop", notes)                    candidate cap or τ floor
-        """
+    def _walk(self):
+        """The breakpoint loop; ``(verdict, window)`` of the first
+        failing window, or a :class:`_SweepStop`."""
         options = self.options
         machine = self.machine
         tau_floor = options.tau_floor
         if tau_floor is None:
             tau_floor = machine.L / options.max_age
         steady = machine.steady_regime()
-        planned = len(self.records)
-        prev_tau = self.prev_tau
-        prev_regime = None if prev_tau is None else machine.regime(prev_tau)
+        prev_regime = (
+            None if self.prev_tau is None else machine.regime(self.prev_tau)
+        )
         for tau in tau_breakpoints(machine.endpoint_values, tau_floor):
             if self.resume_below is not None and tau >= self.resume_below:
                 continue  # already examined before the checkpoint
-            if planned >= options.max_candidates:
-                yield ("stop", "candidate cap reached")
-                return
+            if len(self.records) >= options.max_candidates:
+                raise _SweepStop("candidate cap reached", exhausted=True)
+            self._poll()
             regime = machine.regime(tau)
             m = max(max(ages) for ages in regime.values())
             if m > self.rungs[self.rung_idx].max_age:
-                yield ("age-cap",)
-                return
-            if regime == prev_regime:
-                yield ("skip", tau)
-            elif regime == steady:
-                yield ("steady", tau, m)
-                planned += 1
-            else:
-                window_top = prev_tau if prev_tau is not None else machine.L
-                yield ("decide", tau, (tau, window_top), regime, m)
-                planned += 1
-            prev_tau, prev_regime = tau, regime
+                raise self._age_cap_stop()
+            if regime != prev_regime:
+                failing = self._window(tau, regime, m, steady)
+                if failing is not None:
+                    return failing
+            self.prev_tau, prev_regime = tau, regime
         # The stream yields only breakpoints strictly above the floor.
         # Examine the window [τ floor, prev_tau) too, so an exhausted
         # sweep reports the grid-independent floor rather than the
         # smallest breakpoint the delay values happened to put on the
         # grid (which is not monotone under widening: adding a setup
         # guard band could shrink the bound of a more pessimistic
-        # machine — hypothesis seed 2476).
+        # machine — hypothesis seed 2476).  There is no floor window
+        # when it is capped or has the last window's machine.
         if (
-            prev_tau is not None
-            and 0 < tau_floor < prev_tau
-            and planned < options.max_candidates
+            self.prev_tau is not None
+            and 0 < tau_floor < self.prev_tau
+            and len(self.records) < options.max_candidates
         ):
             regime = machine.regime(tau_floor)
             m = max(max(ages) for ages in regime.values())
-            capped = m > self.rungs[self.rung_idx].max_age
-            # No floor window when it is capped or has the last
-            # window's machine.
-            if not capped and regime != prev_regime:
-                if regime == steady:
-                    yield ("steady", tau_floor, m)
-                else:
-                    window = (tau_floor, prev_tau)
-                    yield ("decide", tau_floor, window, regime, m)
-        yield ("stop", "breakpoint stream exhausted (τ floor)")
+            if m <= self.rungs[self.rung_idx].max_age and regime != prev_regime:
+                self._poll()
+                failing = self._window(tau_floor, regime, m, steady)
+                if failing is not None:
+                    return failing
+                self.prev_tau = tau_floor
+        raise _SweepStop("breakpoint stream exhausted (τ floor)", exhausted=True)
+
+    def _window(self, tau: Fraction, regime, m: int, steady):
+        """Commit the window ``[tau, prev_tau)`` (``[tau, L)`` first).
+
+        A steady regime commits without a decision; any other is
+        decided via the ladder.  Returns ``(verdict, window)`` when the
+        window fails, ``None`` otherwise.
+        """
+        if regime == steady:
+            self._commit(
+                CandidateRecord(
+                    tau, "steady", m, 0.0, self.rungs[self.rung_idx].name
+                )
+            )
+            return None
+        top = self.prev_tau if self.prev_tau is not None else self.machine.L
+        window = (tau, top)
+        verdict = self._decide_here(regime, m, tau, window)
+        return (verdict, window) if verdict.status == "fail" else None
 
     def _age_cap_stop(self) -> _SweepStop:
         """The stop at the active rung's age cap.
@@ -932,7 +892,7 @@ class _Sweep:
             rung = self.rungs[self.rung_idx]
             if m > rung.max_age:
                 # Only reachable after an escalation to "reduced-age"
-                # (the planner vetted m against the cap on entry).
+                # (the loop vetted m against the cap on entry).
                 raise self._age_cap_stop()
             try:
                 return self._decider(self.rung_idx).decide(regime, window)
@@ -963,20 +923,3 @@ class _Sweep:
             DegradationStep(tau, old, self.rungs[self.rung_idx].name, str(exc))
         )
         return True
-
-
-#: Sentinel: the exact oracle punted and the relaxed bound applies.
-_RELAXED = object()
-
-
-def _exact_sup(oracle, sigma, window, options: MctOptions, deadline=None):
-    """Exact τ(σ) over an age-option set; ``_RELAXED`` on fallback."""
-    try:
-        return oracle.sup_tau_options(
-            sigma,
-            window,
-            max_combinations=options.max_exact_combinations,
-            deadline=deadline,
-        )
-    except AnalysisError:
-        return _RELAXED

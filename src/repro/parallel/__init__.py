@@ -1,9 +1,8 @@
 """Multi-process execution for the report harness.
 
 Each row of the suite table is an independent analysis, so it is a
-pure task.  One executor contract runs the rows
-(:mod:`repro.parallel.transport`): a :class:`Transport` says where and
-how tasks run, and opens one session per table.
+pure task.  A transport says where and how the rows run, and opens one
+session per table:
 
 * :class:`LocalTransport` — ``jobs`` children forked on this host,
   each on a private socketpair (``jobs=N`` is sugar for
@@ -37,6 +36,7 @@ from repro.parallel.cluster import (
     SocketTransport,
     WorkerServer,
     parse_worker_address,
+    resolve_jobs,
     serve_worker,
 )
 from repro.parallel.suite import WorkerStats, run_suite_sharded
@@ -46,7 +46,6 @@ from repro.parallel.supervise import (
     RetryPolicy,
     SupervisionStats,
 )
-from repro.parallel.transport import Transport, resolve_jobs
 
 __all__ = [
     "AuthenticationError",
@@ -58,7 +57,6 @@ __all__ = [
     "RetryPolicy",
     "SocketTransport",
     "SupervisionStats",
-    "Transport",
     "WorkerServer",
     "WorkerStats",
     "parse_worker_address",

@@ -51,9 +51,20 @@ on:
   computes it serially in-process.  A session whose every worker is
   lost still produces the exact serial table.
 
-Tasks are pure functions of their payload, so a re-dispatched or
-twice-computed task (a lease reclaimed from a silent-but-alive worker
-whose late result is then discarded) can never change the answer.
+Every session keeps the three promises its callers rely on for
+byte-identical-to-serial tables:
+
+1. tasks are pure: the same payload always produces the same answer,
+   so a re-dispatched or twice-computed task (a lease reclaimed from a
+   silent-but-alive worker whose late result is then discarded), or a
+   quarantined one, can never change it;
+2. ``result`` returns the payload dict of the *given* handle (or a
+   :class:`~repro.parallel.supervise.Quarantined` marker — the caller
+   then computes that task in its own process), never some other
+   task's; each dict carries the ``host:pid:session`` label of the
+   worker that produced it beside its telemetry;
+3. transport identity is an execution detail: it never enters a table
+   row, so a table is the same whichever transport measured it.
 """
 
 from __future__ import annotations
@@ -87,7 +98,6 @@ from repro.parallel.supervise import (
     RetryPolicy,
     SupervisionStats,
 )
-from repro.parallel.transport import Transport, resolve_jobs
 from repro.resilience.faults import (
     heartbeat_drop_limit,
     host_kill_limit,
@@ -1085,7 +1095,22 @@ class ClusterSession:
                     self._worker_down(worker, "crash")
 
 
-class LocalTransport(Transport):
+def resolve_jobs(jobs: int | None) -> int:
+    """Normalize a ``--jobs`` value to a worker count ≥ 1.
+
+    ``None`` and 0 mean "serial" (1); negative counts are rejected —
+    there is no "all cores" convention here, an explicit count keeps
+    runs reproducible across machines.
+    """
+    if jobs is None:
+        return 1
+    jobs = int(jobs)
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
+    return max(1, jobs)
+
+
+class LocalTransport:
     """Suite rows on ``jobs`` children forked here when a table opens.
 
     ``retry`` is the lease ladder's attempt budget, task timeout and
@@ -1093,8 +1118,6 @@ class LocalTransport(Transport):
     heartbeat cadence (:data:`HEARTBEAT_INTERVAL`,
     :data:`HEARTBEAT_TIMEOUT`).
     """
-
-    name = "local"
 
     def __init__(self, jobs: int, *, retry: RetryPolicy | None = None):
         self.jobs = resolve_jobs(jobs)
@@ -1108,7 +1131,7 @@ class LocalTransport(Transport):
         )
 
 
-class SocketTransport(Transport):
+class SocketTransport:
     """Suite rows on remote socket workers.
 
     Configuration only: addresses and settings are checked eagerly (so
@@ -1119,8 +1142,6 @@ class SocketTransport(Transport):
     ``heartbeat_interval`` seconds and declares one dead after
     ``heartbeat_timeout`` seconds of silence.
     """
-
-    name = "socket"
 
     def __init__(
         self,

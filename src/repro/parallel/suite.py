@@ -5,7 +5,7 @@ trivially: each task (:func:`measure_row`) builds and measures one
 circuit with the same :func:`repro.report.harness.run_case` path the
 serial harness uses, on a worker with its own BDD manager — a forked
 local child or a socket worker, whichever the transport
-(:mod:`repro.parallel.transport`) provides.
+(:mod:`repro.parallel.cluster`) provides.
 :func:`run_suite_sharded` submits every row to one session and collects
 them in submission order, so the rows come back in exactly the serial
 order regardless of which worker finished first.  A row the session
@@ -102,8 +102,7 @@ def run_suite_sharded(
     from repro.report.harness import run_suite
 
     if transport is None:
-        from repro.parallel.cluster import LocalTransport
-        from repro.parallel.transport import resolve_jobs
+        from repro.parallel.cluster import LocalTransport, resolve_jobs
 
         jobs = resolve_jobs(jobs)
         if jobs <= 1:

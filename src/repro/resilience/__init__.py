@@ -28,7 +28,6 @@ from repro.resilience.checkpoint import (
     SUPPORTED_VERSIONS,
     SweepCheckpoint,
     fsync_directory,
-    merge_checkpoints,
 )
 from repro.resilience.deadline import Deadline
 from repro.resilience.faults import FaultPlan, inject_faults, observe_calls
@@ -44,6 +43,5 @@ __all__ = [
     "SUPPORTED_VERSIONS",
     "SweepCheckpoint",
     "inject_faults",
-    "merge_checkpoints",
     "observe_calls",
 ]

@@ -21,10 +21,7 @@ Schema v2 (this build) adds optional ``bdd_stats``/``lp_stats``
 telemetry and the ``schema`` tag; v1 files from earlier builds load
 unchanged.  Files written while sweeps could decide windows on worker
 processes also carry per-record ``attempts``/``quarantined`` keys and a
-``supervision`` block; they load, merge and resume, and the keys are
-dropped.  :meth:`SweepCheckpoint.merge` joins checkpoints of *the same
-sweep* written by different runs: resuming from the union of any
-subset reproduces the uninterrupted answer (see docs/ROBUSTNESS.md).
+``supervision`` block; they load and resume, and the keys are dropped.
 """
 
 from __future__ import annotations
@@ -108,10 +105,11 @@ class SweepCheckpoint:
     #: :func:`repro.mct.engine.options_fingerprint`).
     fingerprint: Mapping[str, object] = dataclasses.field(default_factory=dict)
     version: int = CHECKPOINT_VERSION
-    #: Optional telemetry (v2+): merged BDD / exact-LP counters at
-    #: interruption time.  Measurements, not state — resume ignores
-    #: them, and :meth:`canonical` strips them.  ``lp_stats`` is a late
-    #: v2 addition; older v2 files simply lack the key.
+    #: Optional telemetry (v2+): the sweep's BDD / exact-LP counters,
+    #: summed over its ladder rungs, at interruption time.
+    #: Measurements, not state — resume ignores them, and
+    #: :meth:`canonical` strips them.  ``lp_stats`` is a late v2
+    #: addition; older v2 files simply lack the key.
     bdd_stats: Mapping[str, object] | None = None
     lp_stats: Mapping[str, object] | None = None
 
@@ -303,91 +301,6 @@ class SweepCheckpoint:
                 "resume with the options the checkpoint was created with"
             )
 
-    # ------------------------------------------------------------------
-    # Distributed merge
-    # ------------------------------------------------------------------
-    def _progress_key(self):
-        """Total order on sweep progress (smaller = further along).
-
-        The sweep descends, so a smaller ``last_tau`` means more
-        breakpoints examined; ``None`` (no window examined yet) sorts
-        last.  Rung and reason break exact ties deterministically so
-        the merge stays order-independent.
-        """
-        head = (1,) if self.last_tau is None else (0, self.last_tau)
-        return (head, self.rung, self.reason)
-
-    def merge(self, other: "SweepCheckpoint") -> "SweepCheckpoint":
-        """Join two checkpoints of the *same* sweep into one.
-
-        Runs of the same deterministic sweep, interrupted at different
-        points, each hold a checkpoint; merging any subset and resuming
-        reproduces exactly the uninterrupted answer.
-
-        The operation is a semilattice join — commutative, associative
-        and idempotent (property-tested in
-        ``tests/test_checkpoint_merge.py``):
-
-        * records are united keyed by τ; two records for the same τ
-          are verdict-identical by determinism, so the duplicate is
-          resolved by the smallest canonical tuple (measurement fields
-          included only to keep resolution deterministic);
-        * ``last_tau`` is the minimum — the furthest the sweep got on
-          any host — and rung/reason follow the checkpoint that got
-          there; resume restarts from the first breakpoint below it,
-          so a gap in one checkpoint's records is always re-examined;
-        * telemetry dicts join key-wise by maximum (counters are
-          cumulative, so max is the idempotent union);
-        * circuit, L and fingerprint must match
-          (:class:`~repro.errors.CheckpointError` otherwise).
-        """
-        if self.circuit_name != other.circuit_name:
-            raise CheckpointError(
-                f"cannot merge checkpoints of circuits "
-                f"{self.circuit_name!r} and {other.circuit_name!r}"
-            )
-        if self.L != other.L:
-            raise CheckpointError(
-                f"cannot merge checkpoints with L={self.L} and L={other.L} "
-                "(different delays?)"
-            )
-        if dict(self.fingerprint) != dict(other.fingerprint):
-            mismatched = sorted(
-                k
-                for k in set(self.fingerprint) | set(other.fingerprint)
-                if dict(self.fingerprint).get(k)
-                != dict(other.fingerprint).get(k)
-            )
-            raise CheckpointError(
-                "cannot merge checkpoints with different analysis options "
-                f"(differ on {', '.join(mismatched)})"
-            )
-        by_tau: dict = {}
-        for record in (*self.records, *other.records):
-            have = by_tau.get(record.tau)
-            if have is None or _record_key(record) < _record_key(have):
-                by_tau[record.tau] = record
-        # Commit order is strictly descending τ, so sorting restores it.
-        records = tuple(
-            by_tau[tau] for tau in sorted(by_tau, reverse=True)
-        )
-        taus = [
-            c.last_tau for c in (self, other) if c.last_tau is not None
-        ]
-        winner = min(self, other, key=SweepCheckpoint._progress_key)
-        return SweepCheckpoint(
-            circuit_name=self.circuit_name,
-            L=self.L,
-            last_tau=min(taus) if taus else None,
-            records=records,
-            rung=winner.rung,
-            reason=winner.reason,
-            fingerprint=dict(self.fingerprint),
-            version=max(self.version, other.version),
-            bdd_stats=_join_counters(self.bdd_stats, other.bdd_stats),
-            lp_stats=_join_counters(self.lp_stats, other.lp_stats),
-        )
-
     def canonical(self) -> dict:
         """The checkpoint's *decision content*, measurement-free.
 
@@ -415,44 +328,3 @@ class SweepCheckpoint:
                 for r in self.records
             ],
         }
-
-
-def _record_key(record) -> tuple:
-    """Deterministic total order used to resolve same-τ duplicates."""
-    return (
-        record.status,
-        record.m,
-        record.rung,
-        record.ite_calls,
-        record.lp_solves,
-        record.elapsed_seconds,
-    )
-
-
-def _join_counters(
-    ours: Mapping | None, theirs: Mapping | None
-) -> dict | None:
-    """Key-wise join of two counter dicts (idempotent union).
-
-    Counters are cumulative, so max is their idempotent join.
-    """
-    if ours is None and theirs is None:
-        return None
-    ours = dict(ours or {})
-    theirs = dict(theirs or {})
-    return {
-        key: max(ours.get(key) or 0, theirs.get(key) or 0)
-        for key in sorted(set(ours) | set(theirs))
-    }
-
-
-def merge_checkpoints(checkpoints) -> SweepCheckpoint:
-    """Fold :meth:`SweepCheckpoint.merge` over a nonempty iterable."""
-    iterator = iter(checkpoints)
-    try:
-        merged = next(iterator)
-    except StopIteration:
-        raise CheckpointError("nothing to merge: no checkpoints") from None
-    for checkpoint in iterator:
-        merged = merged.merge(checkpoint)
-    return merged

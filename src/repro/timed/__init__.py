@@ -29,7 +29,6 @@ from repro.timed.tbf import (
     or_,
 )
 from repro.timed.expansion import (
-    CombinationalBdd,
     LeafInstance,
     TimedExpander,
     collect_leaf_instances,
@@ -49,7 +48,6 @@ __all__ = [
     "dff_sample_time",
     "TimedExpander",
     "LeafInstance",
-    "CombinationalBdd",
     "collect_leaf_instances",
     "TimedPath",
     "enumerate_paths",

@@ -48,7 +48,7 @@ from fractions import Fraction
 from repro.bdd import BddManager, Function
 from repro.errors import AnalysisError, Budget, TbfError
 from repro.logic.delays import DelayMap, Interval, ZERO
-from repro.logic.gate import BDD_OPS, gate_bdd
+from repro.logic.gate import BDD_OPS
 from repro.logic.netlist import Circuit
 
 
@@ -160,9 +160,9 @@ class ConePrograms:
     a single table to all three analyses (``programs=``).  It is never
     cached on the delay map: a compile polls the deadline once per
     entry, so a table warmed by an earlier analysis would move where a
-    counted deadline fires.  It is never shipped either: a pickled
-    table carries only its delay map, so a local or socket worker
-    compiles its own.
+    counted deadline fires.  It never leaves its process either: a
+    suite worker compiles the tables of the rows it measures, and the
+    daemon runs its sweeps on threads.
 
     The compile walk adds integer-scaled offsets (the map's pin delays
     and ``extra`` over their common denominator), so it hashes and sums
@@ -186,9 +186,6 @@ class ConePrograms:
         self._layout: dict[str, tuple] = {}
         #: leaf slots compiled so far (the next slot's instance index)
         self.leaf_slots = 0
-
-    def __reduce__(self):
-        return (ConePrograms, (self.delays,))
 
     def __len__(self) -> int:
         return len(self._programs)
@@ -502,50 +499,3 @@ def combinational_bdd(
             raise AnalysisError(f"no leaf value supplied for {leaf!r}") from None
         leaf_refs[leaf] = manager.ref(value)
     return manager.function(program.run(manager, leaf_refs))
-
-
-class CombinationalBdd:
-    """Convenience wrapper building all root cones of a circuit at once.
-
-    Leaves are mapped through ``leaf_map``; cones share a node cache, so
-    common subcircuits are built once.
-    """
-
-    def __init__(
-        self,
-        circuit: Circuit,
-        leaf_map: Mapping[str, Function],
-        manager: BddManager,
-    ):
-        self.circuit = circuit
-        self.manager = manager
-        self._leaf_map = dict(leaf_map)
-        self._cache: dict[str, Function] = {}
-
-    def root(self, net: str) -> Function:
-        """BDD of ``net`` in terms of the mapped leaves."""
-        hit = self._cache.get(net)
-        if hit is not None:
-            return hit
-        if self.circuit.is_leaf(net):
-            try:
-                result = self._leaf_map[net]
-            except KeyError:
-                raise AnalysisError(f"no leaf value supplied for {net!r}") from None
-            self._cache[net] = result
-            return result
-        for gate_net in self.circuit.cone(net):
-            if gate_net in self._cache:
-                continue
-            gate = self.circuit.gates[gate_net]
-            operands = [self.root(child) for child in gate.inputs]
-            self._cache[gate_net] = gate_bdd(gate.gtype, self.manager, operands)
-        return self._cache[net]
-
-    def next_state(self) -> dict[str, Function]:
-        """BDDs of every flip-flop's data input (the next-state function)."""
-        return {q: self.root(latch.data) for q, latch in self.circuit.latches.items()}
-
-    def outputs(self) -> dict[str, Function]:
-        """BDDs of every primary output."""
-        return {net: self.root(net) for net in self.circuit.outputs}

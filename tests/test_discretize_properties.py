@@ -6,7 +6,6 @@ between consecutive breakpoints the discretized machine is constant.
 """
 
 import math
-import pickle
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
@@ -162,17 +161,3 @@ def test_leaf_ids_hold_each_fold(seed, widen, skew):
     for phase, row in machine.leaf_ids.items():
         assert len(row) == machine.programs.leaf_slots
         assert {i for i, v in enumerate(row) if v is not None} == folded[phase]
-
-
-def test_pickled_machine_rebuilds_its_leaf_ids():
-    """A machine pickles as its circuit and delays: the clone's cone
-    table numbers its instances afresh, and its leaf ids follow."""
-    circuit, delays = random_fsm(7, n_inputs=1, n_latches=2, n_gates=6)
-    machine = build_discretized_machine(circuit, delays.widen(Fraction(9, 10)))
-    clone = pickle.loads(pickle.dumps(machine))
-    assert clone.timed_leaves == machine.timed_leaves
-    assert clone.leaf_ids == machine.leaf_ids
-    regime = machine.regime(machine.L / 3)
-    assert DecisionContext(clone).decide(regime) == DecisionContext(
-        machine
-    ).decide(regime)

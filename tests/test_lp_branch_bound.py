@@ -11,7 +11,6 @@ prescreen_skips + bound_prunes == combinations in the product``.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import os
@@ -41,7 +40,6 @@ from repro.mct.lp_exact import ExactFeasibility
 from repro.mct.lp_stats import LpStats
 from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.deadline import Deadline
-from repro.resilience.faults import inject_faults
 
 from tests.test_paths_and_exact_lp import shared_stem_circuit
 
@@ -590,13 +588,12 @@ class TestLpStats:
         assert legacy.lp_stats is None
         assert all(r.lp_solves == 0 for r in legacy.records)
 
-    def test_checkpoint_with_retired_counter_merges_and_resumes(self):
+    def test_checkpoint_with_retired_counter_loads_and_resumes(self):
         """A checkpoint written while ``LpStats`` still counted shard
         dispatches (``tests/fixtures/exact_checkpoint_v2.json``: an
         exact sweep of ``random_fsm(2)`` at 0.5-widened delays, stopped
-        by a budget fault after two LP-decided windows) loads, merges
-        with a checkpoint of the same sweep written now, and resumes to
-        the uninterrupted bound."""
+        by a budget fault after two LP-decided windows) loads and
+        resumes to the uninterrupted bound."""
         fixtures = Path(__file__).parent / "fixtures"
         old = SweepCheckpoint.load(fixtures / "exact_checkpoint_v2.json")
         assert "shard_dispatches" in old.lp_stats
@@ -605,32 +602,14 @@ class TestLpStats:
         delays = delays.widen(Fraction(1, 2))
         options = MctOptions(exact_feasibility=True, work_budget=10**9)
         baseline = minimum_cycle_time(circuit, delays, options)
-        with inject_faults(budget_at=1000):
-            partial = minimum_cycle_time(circuit, delays, options)
-        new = partial.checkpoint
-        assert new is not None
-        assert "shard_dispatches" not in new.lp_stats
-        assert new.last_tau > old.last_tau  # the fixture got further
-        for merged in (old.merge(new), new.merge(old)):
-            assert merged.last_tau == old.last_tau
-            assert merged.lp_stats["solves"] == 16
-            resumed = minimum_cycle_time(
-                circuit, delays, options, resume_from=merged
-            )
-            assert resumed.mct_upper_bound == baseline.mct_upper_bound
-            assert resumed.failing_window == baseline.failing_window
-            assert [
-                (r.tau, r.status, r.m, r.rung) for r in resumed.candidates
-            ] == [(r.tau, r.status, r.m, r.rung) for r in baseline.candidates]
-
-    def test_checkpoint_merge_joins_lp_counters(self):
-        ours = self.checkpoint()
-        theirs = SweepCheckpoint.from_dict(ours.to_dict())
-        bumped = dict(theirs.lp_stats)
-        bumped["solves"] = bumped["solves"] + 5
-        theirs = dataclasses.replace(theirs, lp_stats=bumped)
-        merged = ours.merge(theirs)
-        assert merged.lp_stats["solves"] == bumped["solves"]
+        resumed = minimum_cycle_time(
+            circuit, delays, options, resume_from=old
+        )
+        assert resumed.mct_upper_bound == baseline.mct_upper_bound
+        assert resumed.failing_window == baseline.failing_window
+        assert [
+            (r.tau, r.status, r.m, r.rung) for r in resumed.candidates
+        ] == [(r.tau, r.status, r.m, r.rung) for r in baseline.candidates]
 
 
 # ----------------------------------------------------------------------

@@ -94,16 +94,16 @@ class TestOperatorInterrupt:
         circuit, delays = paper_example2()
         delays = delays.widen(Fraction(9, 10))
         baseline = minimum_cycle_time(circuit, delays)
-        real = engine.decide_window
+        real = engine.Decider.decide
         calls = {"n": 0}
 
-        def interrupt_on_third(*args, **kwargs):
+        def interrupt_on_third(self, *args, **kwargs):
             calls["n"] += 1
             if calls["n"] == 3:
                 raise KeyboardInterrupt
-            return real(*args, **kwargs)
+            return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(engine, "decide_window", interrupt_on_third)
+        monkeypatch.setattr(engine.Decider, "decide", interrupt_on_third)
         result = minimum_cycle_time(circuit, delays)
         monkeypatch.undo()
         assert result.cancelled

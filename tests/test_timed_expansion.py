@@ -27,7 +27,6 @@ from repro.mct import minimum_cycle_time
 from repro.resilience import Deadline
 from repro.resilience.faults import inject_faults, observe_calls
 from repro.timed import (
-    CombinationalBdd,
     LeafInstance,
     TimedExpander,
     collect_leaf_instances,
@@ -719,17 +718,6 @@ class TestProgramLifetime:
         assert state == "done" and kept is not None
         assert tables and alive == []
 
-    def test_pickled_table_carries_only_its_delay_map(self):
-        import pickle
-
-        circuit, delays = fig2_circuit()
-        programs = ConePrograms(delays)
-        collect_leaf_instances(circuit, delays, ["g"], programs=programs)
-        assert len(programs) == 1
-        clone = pickle.loads(pickle.dumps(programs))
-        assert len(clone) == 0
-        assert clone.circuit.name == circuit.name
-
 
 def reference_combinational_bdd(circuit, root, leaf_map, manager):
     """The per-call zero-delay cone walk the compiled program replaced:
@@ -913,22 +901,3 @@ class TestCombinationalBdd:
         with pytest.raises(AnalysisError):
             combinational_bdd(circuit, "a", {}, mgr)
 
-    def test_wrapper_next_state_and_outputs(self):
-        gates = [Gate("d", GateType.NOT, ("q",)), Gate("y", GateType.BUF, ("q",))]
-        circuit = Circuit("t", [], ["y"], gates, [Latch("q", "d")])
-        mgr = BddManager()
-        wrapper = CombinationalBdd(circuit, {"q": mgr.var("q")}, mgr)
-        assert wrapper.next_state() == {"q": ~mgr.var("q")}
-        assert wrapper.outputs() == {"y": mgr.var("q")}
-
-    def test_wrapper_shares_cache(self):
-        gates = [
-            Gate("shared", GateType.AND, ("a", "b")),
-            Gate("y1", GateType.NOT, ("shared",)),
-            Gate("y2", GateType.BUF, ("shared",)),
-        ]
-        circuit = Circuit("c", ["a", "b"], ["y1", "y2"], gates)
-        mgr = BddManager()
-        wrapper = CombinationalBdd(circuit, {v: mgr.var(v) for v in "ab"}, mgr)
-        outs = wrapper.outputs()
-        assert outs["y1"] == ~outs["y2"]
