@@ -204,9 +204,22 @@ class TestClusterSweep:
         assert sup.workers_lost >= 1
         assert sup.leases_reclaimed >= 1
 
-    def test_mixed_faults_three_workers(self, serial):
+    def test_mixed_faults_three_workers(self, serial, monkeypatch):
         # One healthy worker, one killed, one silently partitioned: the
         # table is the serial one, leases reclaimed from both casualties.
+        # Each row takes at least 50 ms, so every worker holds a lease
+        # before the healthy one finishes its first row; otherwise it
+        # can drain the three-row queue before a faulty worker is
+        # configured, and that worker never fails.
+        from repro.parallel import cluster
+
+        measure_row = cluster.measure_row
+
+        def slow_row(state, case):
+            time.sleep(0.05)
+            return measure_row(state, case)
+
+        monkeypatch.setattr(cluster, "measure_row", slow_row)
         with fleet(
             WorkerServer(),
             WorkerServer(kill_at=1),
@@ -668,28 +681,29 @@ class TestWorkerShutdown:
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env["PYTHONPATH"] = os.path.abspath(src)
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "worker",
              "--listen", "127.0.0.1:0"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
             env=env,
-        )
-        try:
-            line = proc.stdout.readline()
-            assert line.startswith("listening on "), line
-            host, port = parse_worker_address(line.split()[-1])
-            # The worker is genuinely serving: the hello handshake works.
-            with socket.create_connection((host, port), timeout=2.0):
-                pass
-            proc.send_signal(signum)
-            code = proc.wait(timeout=10)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
-        assert code == 0, proc.stderr.read()
+        ) as proc:
+            try:
+                line = proc.stdout.readline()
+                assert line.startswith("listening on "), line
+                host, port = parse_worker_address(line.split()[-1])
+                # The worker is genuinely serving: the hello handshake
+                # works.
+                with socket.create_connection((host, port), timeout=2.0):
+                    pass
+                proc.send_signal(signum)
+                code = proc.wait(timeout=10)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=10)
+            assert code == 0, proc.stderr.read()
         # The listener is really gone, not leaked to a zombie thread.
         with pytest.raises(OSError):
             with socket.create_connection((host, port), timeout=0.5):
