@@ -10,6 +10,7 @@ sequence of an uninterrupted run.
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -217,7 +218,7 @@ class TestCheckpoint:
             # The temp file must already be fully written and in the
             # target's directory when the rename happens.
             assert os.path.dirname(src) == str(tmp_path)
-            SweepCheckpoint.from_json(open(src).read())  # complete JSON
+            SweepCheckpoint.from_json(Path(src).read_text())  # complete JSON
             replaced.append((src, dst))
             return real_replace(src, dst)
 
