@@ -725,9 +725,6 @@ class ClusterSession:
         self._next_id = 0
         self._workers: list[_ClusterWorker] = []
         self._threads: list[threading.Thread] = []
-        #: ``host:port`` → reason, for every configured address that
-        #: could not be connected when this session opened.
-        self.unreachable: dict[str, str] = {}
         # Read once, in the parent: the plan active when the table
         # opens arms every child it forks.
         kill_at = worker_kill_limit()
@@ -743,13 +740,11 @@ class ClusterSession:
                 _ClusterWorker(name=f"child-{pid}", sock=sock, pid=pid)
             )
         for address in addresses:
-            worker, error, auth_failed = self._connect(
-                address, connect_timeout
-            )
+            worker, _, auth_failed = self._connect(address, connect_timeout)
             if worker is None:
                 # A table run on fewer hosts than configured must
-                # never be silent: record the address (and why) so the
-                # stats ladder / --stats surfaces it to the operator.
+                # never be silent: record the address so the stats
+                # ladder / --stats surfaces it to the operator.
                 # Auth failures are counted separately — they are
                 # *permanent* (a wrong secret cannot heal), and because
                 # the worker is never admitted to the pool, no task is
@@ -758,7 +753,6 @@ class ClusterSession:
                 self.stats.unreachable_workers.append(name)
                 if auth_failed:
                     self.stats.auth_failures += 1
-                self.unreachable[name] = error
                 continue
             self._workers.append(worker)
         if not self._workers:
@@ -795,8 +789,8 @@ class ClusterSession:
 
         Returns ``(worker, "", False)`` on success, else ``(None,
         reason, auth_failed)``.  A per-address failure is *reported*,
-        not swallowed: the caller records the address and reason so a
-        table running on fewer hosts than configured is visible in the
+        not swallowed: the caller records the address so a table
+        running on fewer hosts than configured is visible in the
         supervision stats.  ``timeout`` bounds every step — TCP
         connect, TLS handshake, and each handshake frame read — so a
         SYN-blackholed or accept-then-silent (half-open) worker is

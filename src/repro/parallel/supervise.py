@@ -89,7 +89,7 @@ class SupervisionStats(Counters):
     #: configured on only one side, refusal frame).  Permanent by
     #: construction — unlike liveness loss, no retry or backoff is ever
     #: attempted and no lease is ever granted; these addresses also
-    #: appear in ``unreachable_workers`` with an ``auth:`` reason.
+    #: appear in ``unreachable_workers``, as bare ``host:port`` entries.
     auth_failures: int = 0
 
     def summary(self) -> str:
