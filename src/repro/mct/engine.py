@@ -771,8 +771,8 @@ class _Sweep:
         """Commit the window ``[tau, prev_tau)`` (``[tau, L)`` first).
 
         A steady regime commits without a decision; any other is
-        decided via the ladder.  Returns ``(verdict, window)`` when the
-        window fails, ``None`` otherwise.
+        decided in this process, via the ladder.  Returns ``(verdict,
+        window)`` when the window fails, ``None`` otherwise.
         """
         if regime == steady:
             self._commit(
@@ -783,7 +783,22 @@ class _Sweep:
             return None
         top = self.prev_tau if self.prev_tau is not None else self.machine.L
         window = (tau, top)
-        verdict = self._decide_here(regime, m, tau, window)
+        window_start = time.monotonic()
+        before = self._counters()
+        verdict = self._examine(regime, m, tau, window)
+        elapsed = time.monotonic() - window_start
+        after = self._counters()
+        self._commit(
+            CandidateRecord(
+                tau,
+                verdict.status,
+                verdict.m,
+                elapsed,
+                self.rungs[self.rung_idx].name,
+                after.bdd.ite_calls - before.bdd.ite_calls,
+                lp_solves=after.lp.solves - before.lp.solves,
+            )
+        )
         return (verdict, window) if verdict.status == "fail" else None
 
     def _age_cap_stop(self) -> _SweepStop:
@@ -804,26 +819,6 @@ class _Sweep:
             deadline=self._degraded_by == "deadline",
             exhausted=True,
         )
-
-    def _decide_here(self, regime, m: int, tau: Fraction, window) -> _Verdict:
-        """Decide one window in this process, via the ladder; commit it."""
-        window_start = time.monotonic()
-        before = self._counters()
-        verdict = self._examine(regime, m, tau, window)
-        elapsed = time.monotonic() - window_start
-        after = self._counters()
-        self._commit(
-            CandidateRecord(
-                tau,
-                verdict.status,
-                verdict.m,
-                elapsed,
-                self.rungs[self.rung_idx].name,
-                after.bdd.ite_calls - before.bdd.ite_calls,
-                lp_solves=after.lp.solves - before.lp.solves,
-            )
-        )
-        return verdict
 
     def _finalize(self, failing, stop, cancelled: bool) -> MctResult:
         """Assemble the :class:`MctResult` from how the walk ended."""
