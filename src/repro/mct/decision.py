@@ -76,7 +76,8 @@ class SweepCounters(Counters):
 
     One record per :class:`~repro.mct.engine.Decider`; a sweep sums its
     rungs' records into :attr:`~repro.mct.engine.MctResult.bdd_stats`,
-    ``lp_stats`` and ``decisions_run``.
+    ``lp_stats`` and ``decisions_run``, and a committed window's
+    ``ite_calls``/``lp_solves`` are that sum's growth across the window.
     """
 
     bdd: BddStats = dataclasses.field(default_factory=BddStats)

@@ -160,9 +160,11 @@ class ConePrograms:
     a single table to all three analyses (``programs=``).  It is never
     cached on the delay map: a compile polls the deadline once per
     entry, so a table warmed by an earlier analysis would move where a
-    counted deadline fires.  It never leaves its process either: a
-    suite worker compiles the tables of the rows it measures, and the
-    daemon runs its sweeps on threads.
+    counted deadline fires.  It never leaves its process either, and
+    once a cone compiles it does not pickle (its steps hold
+    :data:`~repro.logic.gate.BDD_OPS` lambdas): a suite worker compiles
+    the tables of the rows it measures, and the daemon runs its sweeps
+    on threads.
 
     The compile walk adds integer-scaled offsets (the map's pin delays
     and ``extra`` over their common denominator), so it hashes and sums
