@@ -605,6 +605,7 @@ class TestLpStats:
         resumed = minimum_cycle_time(
             circuit, delays, options, resume_from=old
         )
+        assert "shard_dispatches" not in resumed.lp_stats.as_dict()
         assert resumed.mct_upper_bound == baseline.mct_upper_bound
         assert resumed.failing_window == baseline.failing_window
         assert [
