@@ -7,15 +7,29 @@ that share gates share variables, so some relaxed-feasible failing
 combinations are actually unrealizable.  This module builds and solves
 that program:
 
-    τ(σ) = max τ
-           τ(a_p - 1) + ε ≤ Σ_{pin ∈ p} d_pin (+ d_ff + τ_s) ≤ τ·a_p
+    τ(σ) = sup τ
+           τ(a_p - 1) < Σ_{pin ∈ p} d_pin (+ d_ff) ≤ τ·a_p
            d_min ≤ d_pin ≤ d_max            for every pin variable
 
 with one constraint pair per *concrete path* ``p`` (a timed leaf may
 cover several paths; σ assigns them all the same age, exactly as the
-flattened TBF does).  Solved with scipy's HiGHS; exponential path
-enumeration is budget-capped, so this is an opt-in refinement for
-small circuits (``MctOptions(exact_feasibility=True)``).
+flattened TBF does; the left inequality is strict only for ages ≥ 2).
+Exponential path enumeration is budget-capped, so this is an opt-in
+refinement for small circuits (``MctOptions(exact_feasibility=True)``).
+
+Each σ's program is solved exactly, over integers, by a dense simplex
+(:class:`_Tableau`, Bland's rule):
+
+* **presolve**: fixed delays (``lo == hi``) are constants; variables
+  whose columns are identical (the same count on the same paths) merge
+  into one whose bounds are the sums of theirs; a row the bounds
+  already satisfy (strictly, for a strict row) is dropped.
+* **strictness**: the strict system is feasible iff ``max t`` is
+  positive subject to ``(a-1)τ + t ≤ Σd`` on every strict row,
+  ``0 ≤ t ≤ 1`` and the other rows of the closure.  ``t ≥ 0`` makes
+  that program's feasible set project onto the closure, so
+* **supremum**: the same tableau then maximizes τ: the supremum of a
+  feasible strict system is the maximum over its closure.
 
 ``sup_tau_options`` — the max over a cartesian product of age options —
 is a branch and bound that never builds the product:
@@ -47,8 +61,7 @@ exact case.
 Work accounting lives in :class:`repro.mct.lp_stats.LpStats`; every
 ``sup_tau_options`` call preserves the identity ``solves +
 prescreen_skips + bound_prunes == combinations in the product``.  A
-"solve" is one σ's LP — its ε-strict feasibility phase plus the ε = 0
-supremum phase count as a single unit of charged work.
+"solve" is one σ's LP, whatever the phases it takes.
 """
 
 from __future__ import annotations
@@ -56,9 +69,7 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-
-import numpy as np
-from scipy.optimize import linprog
+from typing import NamedTuple
 
 from repro.errors import AnalysisError
 from repro.logic.delays import Interval
@@ -72,11 +83,6 @@ from repro.mct.feasibility import (
 from repro.mct.lp_stats import LpStats
 from repro.timed.paths import TimedPath, enumerate_paths
 
-#: Strictness slack for the τ(a-1) < k constraints.  Must sit above the
-#: LP solver's feasibility tolerance (HiGHS defaults to 1e-7) or strict
-#: inequalities silently degrade to non-strict ones.
-EPSILON = 1e-6
-
 #: Sentinel: the caller did not precompute the relaxed supremum.
 _UNSET = object()
 
@@ -85,9 +91,9 @@ class ExactFeasibility:
     """Path-coupled feasibility/τ(σ) oracle for one discretized machine.
 
     Enumerate the machine's paths once; then answer per-σ queries.  The
-    constraint *skeleton* — one coefficient row per (path, age) pair —
-    is built once and cached, so each σ's program is assembled by row
-    selection instead of re-walking the paths.
+    constraint *skeleton* — one row pair per (path, age) — is built
+    once and cached, so each σ's program is assembled by row selection
+    instead of re-walking the paths.
     """
 
     def __init__(
@@ -121,27 +127,30 @@ class ExactFeasibility:
         self._paths = all_paths
         # Variable index assignment: pin variables + latch variables.
         self._var_index: dict[tuple, int] = {}
-        self._bounds: list[tuple[float, float]] = []
-        for _, path in all_paths:
-            for edge in path.edges:
-                self._pin_var(edge)
-            if path.leaf in circuit.latches:
-                self._latch_var(path.leaf)
-        # Constraint skeleton: each path's variable-occurrence vector
-        # (over delay vars + the τ column), fixed for the oracle's
+        self._bounds: list[Interval] = []
+        # Constraint skeleton: each path's fixed-delay constant and its
+        # free variables with their counts, fixed for the oracle's
         # lifetime.  Per-(path, age) rows derive from it on demand and
         # are memoized in ``_row_cache``.
-        n_vars = len(self._bounds)
-        self._tau_index = n_vars
-        self._path_base: list[np.ndarray] = []
+        self._path_base: list[tuple[Fraction, tuple[tuple[int, int], ...]]] = []
         for _, path in all_paths:
-            base = np.zeros(n_vars + 1)
+            counts: dict[int, int] = {}
             for edge in path.edges:
-                base[self._pin_var(edge)] += 1.0
+                var = self._pin_var(edge)
+                counts[var] = counts.get(var, 0) + 1
             if path.leaf in circuit.latches:
-                base[self._latch_var(path.leaf)] += 1.0
-            self._path_base.append(base)
-        self._row_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+                var = self._latch_var(path.leaf)
+                counts[var] = counts.get(var, 0) + 1
+            constant = Fraction(0)
+            free = []
+            for var, count in counts.items():
+                bound = self._bounds[var]
+                if bound.is_point:
+                    constant += count * bound.lo
+                else:
+                    free.append((var, count))
+            self._path_base.append((constant, tuple(free)))
+        self._row_cache: dict[tuple[int, int], tuple[_Row, ...]] = {}
 
     def _fold(self, path: TimedPath) -> TimedLeaf:
         total = path.total
@@ -160,39 +169,43 @@ class ExactFeasibility:
                 "f": timing.fall,
             }[kind]
             self._var_index[key] = len(self._bounds)
-            self._bounds.append((float(interval.lo), float(interval.hi)))
+            self._bounds.append(interval)
         return self._var_index[key]
 
     def _latch_var(self, q: str) -> int:
         key = ("latch", q)
         if key not in self._var_index:
-            interval = self.machine.delays.latch(q)
             self._var_index[key] = len(self._bounds)
-            self._bounds.append((float(interval.lo), float(interval.hi)))
+            self._bounds.append(self.machine.delays.latch(q))
         return self._var_index[key]
 
-    def _rows_for(self, path_idx: int, age: int) -> tuple[np.ndarray, np.ndarray]:
-        """The (2, n_vars+1) constraint block of one (path, age) pair.
+    def _rows_for(self, path_idx: int, age: int) -> tuple[_Row, ...]:
+        """The two rows of one (path, age) pair.
 
-        ``Σ d - a·τ ≤ 0`` and ``(a-1)·τ - Σ d ≤ -ε`` (0 for age 1),
-        cached across σ's: the same pair recurs in every combination
-        that assigns this path's leaf the same age.
+        ``Σ d - a·τ ≤ 0`` and ``(a-1)·τ - Σ d < 0`` (``≤`` for age 1),
+        over the path's free variables with its fixed delays moved to
+        the right-hand side.  Cached across σ's: the same pair recurs
+        in every combination that assigns this path's leaf the same
+        age.
         """
         key = (path_idx, age)
         cached = self._row_cache.get(key)
         if cached is not None:
             self.stats.skeleton_hits += 1
             return cached
-        base = self._path_base[path_idx]
-        rows = np.empty((2, base.shape[0]))
-        rows[0] = base
-        rows[0, self._tau_index] = -float(age)
-        rows[1] = -base
-        rows[1, self._tau_index] = float(age - 1)
-        rhs = np.array([0.0, -EPSILON if age > 1 else 0.0])
-        entry = (rows, rhs)
-        self._row_cache[key] = entry
-        return entry
+        constant, free = self._path_base[path_idx]
+        bounds = self._bounds
+        lo = sum(count * bounds[var].lo for var, count in free)
+        hi = sum(count * bounds[var].hi for var, count in free)
+        rows = (
+            _Row(free, -age, -constant, False, hi),
+            _Row(
+                tuple((var, -count) for var, count in free),
+                age - 1, constant, age > 1, -lo,
+            ),
+        )
+        self._row_cache[key] = rows
+        return rows
 
     # ------------------------------------------------------------------
     def sup_tau(
@@ -201,82 +214,21 @@ class ExactFeasibility:
         window: TauRange | None = None,
         relaxed=_UNSET,
     ) -> Fraction | None:
-        """The paper's ``τ(σ) = max τ`` LP; ``None`` when infeasible.
+        """The paper's ``τ(σ) = sup τ`` LP; ``None`` when infeasible.
 
-        ``sigma`` must assign a single age per timed leaf.  Solved in
-        two phases: the ε-strict program decides *feasibility* (the
-        paper's inequalities are strict; a σ realizable only on the
-        boundary is unrealizable), then the program is re-solved with
-        ε = 0 — when the strict system is feasible its supremum equals
-        the maximum of its closure, so the second optimum is the true
-        τ(σ) rather than an ε-short stand-in.  The float optimum is
-        converted back to Fraction and clamped to the *relaxed* per-σ
-        supremum: exact is never more optimistic than relaxed, but
-        ``limit_denominator`` rounding of the solver's float could
-        otherwise drift above it.  ``relaxed`` lets the
-        branch-and-bound loop pass the value it already computed
-        (``None`` = unbounded above); when absent it is derived here,
-        and a relaxed-infeasible σ skips the LP outright.
+        ``sigma`` must assign a single age per timed leaf.  The strict
+        phase decides *feasibility* (the paper's inequalities are
+        strict; a σ realizable only on the boundary is unrealizable),
+        then the same tableau maximizes τ over the closure, which is
+        the strict system's supremum.  Raises :class:`AnalysisError`
+        when τ is unbounded, which only a window without a finite top
+        allows.  ``relaxed`` tells that the caller already ran the
+        relaxed prescreen (the branch-and-bound loop passes the
+        supremum it computed, ``None`` = unbounded above); when absent
+        the prescreen runs here, and a relaxed-infeasible σ skips the
+        LP outright.
         """
-        if relaxed is _UNSET:
-            feasible, relaxed = point_sigma_sup_tau(sigma, window)
-            if not feasible:
-                self.stats.prescreen_skips += 1
-                return None
-        n_delay_vars = len(self._bounds)
-        tau_index = self._tau_index
-        blocks: list[np.ndarray] = []
-        rhs_blocks: list[np.ndarray] = []
-        matched_any = False
-        for path_idx, (tl, path) in enumerate(self._paths):
-            age = sigma.get(tl)
-            if age is None:
-                raise AnalysisError(f"σ misses timed leaf {tl}")
-            matched_any = True
-            if age == 0:
-                # Only a genuinely zero path can have age 0; its sum is
-                # identically 0 within bounds, nothing to constrain.
-                continue
-            rows, rhs = self._rows_for(path_idx, age)
-            blocks.append(rows)
-            rhs_blocks.append(rhs)
-        if not matched_any:
-            return None
-        bounds = [b for b in self._bounds]
-        tau_lo = 0.0
-        tau_hi = None
-        if window is not None:
-            tau_lo = float(window[0])
-            tau_hi = float(window[1]) if window[1] is not None else None
-        bounds.append((tau_lo, tau_hi))
-        cost = np.zeros(n_delay_vars + 1)
-        cost[tau_index] = -1.0  # maximize τ
-        a_ub = np.vstack(blocks) if blocks else None
-        b_ub = np.concatenate(rhs_blocks) if rhs_blocks else None
-        self.stats.solves += 1
-        started = time.perf_counter()
-        result = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-        if result.success and b_ub is not None and b_ub.any():
-            # Phase 2: re-maximize over the closure (ε = 0).  The strict
-            # system is feasible, so its supremum equals this maximum;
-            # keeping ε in the objective phase would understate every
-            # age ≥ 2 σ by an ε-artifact and defeat the bound prune.
-            closed = linprog(
-                cost,
-                A_ub=a_ub,
-                b_ub=np.zeros_like(b_ub),
-                bounds=bounds,
-                method="highs",
-            )
-            if closed.success:
-                result = closed
-        self.stats.wall_seconds += time.perf_counter() - started
-        if not result.success:
-            return None
-        value = Fraction(result.x[tau_index]).limit_denominator(10**9)
-        if relaxed is not None and value > relaxed:
-            value = relaxed
-        return value
+        return self._solve(sigma, window, relaxed, maximize=True)
 
     def feasible(
         self,
@@ -284,7 +236,47 @@ class ExactFeasibility:
         window: TauRange | None = None,
     ) -> bool:
         """Path-coupled feasibility of a full combination σ."""
-        return self.sup_tau(sigma, window) is not None
+        return self._solve(sigma, window, _UNSET, maximize=False) is not None
+
+    def _solve(self, sigma, window, relaxed, maximize: bool):
+        """One σ's LP: ``None`` when infeasible, else τ(σ) when
+        ``maximize``, else the τ of a strictly feasible point."""
+        if relaxed is _UNSET:
+            feasible, _ = point_sigma_sup_tau(sigma, window)
+            if not feasible:
+                self.stats.prescreen_skips += 1
+                return None
+        rows: list[_Row] = []
+        for path_idx, (tl, _) in enumerate(self._paths):
+            age = sigma.get(tl)
+            if age is None:
+                raise AnalysisError(f"σ misses timed leaf {tl}")
+            if age == 0:
+                # Only a genuinely zero path can have age 0; its sum is
+                # identically 0 within bounds, nothing to constrain.
+                continue
+            rows.extend(self._rows_for(path_idx, age))
+        if not self._paths:
+            return None
+        tau_lo, tau_hi = window if window is not None else (Fraction(0), None)
+        self.stats.solves += 1
+        started = time.perf_counter()
+        try:
+            tableau = self._presolve(rows, tau_lo, tau_hi)
+            if not tableau.feasible():
+                return None
+            if len(tableau.objectives) > 1:
+                # Strict rows: feasible iff max t > 0 (t ≤ 1 bounds it).
+                tableau.maximize(_T)
+                if not tableau.value(_T):
+                    return None
+            if maximize and not tableau.maximize(_TAU):
+                raise AnalysisError(
+                    "τ(σ) is unbounded: the window has no finite top"
+                )
+            return tau_lo + tableau.value(_TAU)
+        finally:
+            self.stats.wall_seconds += time.perf_counter() - started
 
     def sup_tau_options(
         self,
@@ -342,6 +334,63 @@ class ExactFeasibility:
                 if value is not None and (best is None or value > best):
                     best = value
         return best
+
+    def _presolve(
+        self, rows: list[_Row], tau_lo: Fraction, tau_hi: Fraction | None
+    ) -> _Tableau:
+        """σ's rows as a tableau over shifted, merged free variables.
+
+        A row the bounds already satisfy is dropped; free variables
+        with identical columns over the kept rows merge, their bounds
+        adding up; each merged variable ``d`` becomes ``d - lo`` in
+        ``[0, hi - lo]`` and τ becomes ``τ - tau_lo``.
+        """
+        kept: list[_Row] = []
+        columns: dict[int, list[tuple[int, int]]] = {}
+        for row in rows:
+            peak = row.peak
+            if row.tau > 0:
+                if tau_hi is None:
+                    peak = None
+                else:
+                    peak += row.tau * tau_hi
+            else:
+                peak += row.tau * tau_lo
+            if peak is not None and (
+                peak < row.rhs or (peak == row.rhs and not row.strict)
+            ):
+                continue
+            for var, coef in row.free:
+                columns.setdefault(var, []).append((len(kept), coef))
+            kept.append(row)
+        merged: dict[tuple, list[Fraction]] = {}
+        bounds = self._bounds
+        for var, column in columns.items():
+            bound = bounds[var]
+            span = merged.setdefault(tuple(column), [Fraction(0), Fraction(0)])
+            span[0] += bound.lo
+            span[1] += bound.hi
+        n = len(merged)
+        strict = any(row.strict for row in kept)
+        shift = [row.rhs - row.tau * tau_lo for row in kept]
+        # Columns: the merged variables, τ, then t when a row is strict.
+        coefs: list[dict[int, int]] = [
+            {n: row.tau, n + 1: 1} if row.strict else {n: row.tau}
+            for row in kept
+        ]
+        constraints = []
+        for col, (column, (lo, hi)) in enumerate(merged.items()):
+            for i, coef in column:
+                coefs[i][col] = coef
+                shift[i] -= coef * lo
+            constraints.append(({col: 1}, hi - lo))
+        constraints += zip(coefs, shift)
+        if tau_hi is not None:
+            constraints.append(({n: 1}, tau_hi - tau_lo))
+        if strict:
+            constraints.append(({n + 1: 1}, Fraction(1)))
+            return _Tableau(n + 2, constraints, (n, n + 1))
+        return _Tableau(n + 1, constraints, (n,))
 
 
 def _age_ranges(
@@ -453,3 +502,137 @@ def _class_members(allowed: list[list[tuple[int, bool]]], hit: bool):
         else:
             cursor[depth] = 0
             depth -= 1
+
+
+class _Row(NamedTuple):
+    """One inequality ``Σ coef·d + tau·τ ≤ rhs`` (``<`` when strict)
+    over a path's free variables; ``peak`` is the largest value of
+    ``Σ coef·d`` within their bounds."""
+
+    free: tuple[tuple[int, int], ...]
+    tau: int
+    rhs: Fraction
+    strict: bool
+    peak: Fraction
+
+
+#: Objective indices of a :class:`_Tableau` built by ``_presolve``.
+_TAU, _T = 0, 1
+
+
+class _Tableau:
+    """Exact simplex for ``max x_j`` subject to ``A x ≤ b, x ≥ 0``.
+
+    Dense and over integers: each row is a list of ints — one per
+    column (the structural columns, then one slack per constraint),
+    the objective scale ``z`` (0 on a constraint row), then the
+    right-hand side — and stands for its entries divided by any
+    positive factor.  A pivot cross-multiplies and divides each changed
+    row by the gcd of its entries, so no ``Fraction`` is formed.  A
+    constraint row whose right-hand side is negative is negated and
+    starts with an artificial basic variable; artificial columns are
+    not stored, as they leave the basis for good.  Bland's rule picks
+    the entering column and breaks ratio ties, so no basis repeats.
+
+    ``objectives`` names the columns that can be maximized; each has
+    its own objective row, updated by every pivot, so one phase starts
+    from the basis the previous one left.
+    """
+
+    def __init__(self, width, constraints, objectives):
+        self.width = width + len(constraints)
+        self.rows: list[list[int]] = []
+        #: Basic column of each row; ``-1 - i`` is row i's artificial.
+        self.basis: list[int] = []
+        for i, (coefs, rhs) in enumerate(constraints):
+            row = [0] * (self.width + 2)
+            for col, coef in coefs.items():
+                row[col] = coef * rhs.denominator
+            row[width + i] = 1
+            row[-1] = rhs.numerator
+            if rhs < 0:
+                row = [-x for x in row]
+                self.basis.append(-1 - i)
+            else:
+                self.basis.append(width + i)
+            self.rows.append(row)
+        self.objectives = []
+        for col in objectives:
+            row = [0] * (self.width + 2)
+            row[col] = -1
+            row[-2] = 1
+            self.objectives.append(row)
+
+    def feasible(self) -> bool:
+        """Phase 1: reach a feasible basis with no artificial in it."""
+        artificial = [row for row, col in zip(self.rows, self.basis) if col < 0]
+        if not artificial:
+            return True
+        # max -Σ artificials, written over the non-artificial columns.
+        phase1 = [-sum(entries) for entries in zip(*artificial)]
+        phase1[-2] = 1
+        self.objectives.append(phase1)
+        self.maximize(len(self.objectives) - 1)
+        phase1 = self.objectives.pop()
+        if phase1[-1] < 0:
+            return False
+        # Artificials still basic sit at zero: pivot each out on any
+        # nonzero entry of its row, or drop the row when it has none
+        # (it is a combination of the others).
+        for i in reversed(range(len(self.rows))):
+            if self.basis[i] >= 0:
+                continue
+            row = self.rows[i]
+            col = next((c for c in range(self.width) if row[c]), None)
+            if col is None:
+                del self.rows[i], self.basis[i]
+            else:
+                self._pivot(i, col)
+        return True
+
+    def maximize(self, k: int) -> bool:
+        """Maximize objective ``k``; False when it is unbounded."""
+        objective = self.objectives[k]
+        rows, basis = self.rows, self.basis
+        while True:
+            col = next(
+                (c for c in range(self.width) if objective[c] < 0), None
+            )
+            if col is None:
+                return True
+            best = None
+            for i, row in enumerate(rows):
+                a = row[col]
+                if a > 0:
+                    if best is None:
+                        best, num, den = i, row[-1], a
+                        continue
+                    lhs, rhs = row[-1] * den, num * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                        best, num, den = i, row[-1], a
+            if best is None:
+                return False
+            self._pivot(best, col)
+            objective = self.objectives[k]
+
+    def value(self, k: int) -> Fraction:
+        """Objective ``k`` at the current basis."""
+        objective = self.objectives[k]
+        return Fraction(objective[-1], objective[-2])
+
+    def _pivot(self, r: int, col: int) -> None:
+        pivot = self.rows[r]
+        p = pivot[col]
+        if p < 0:
+            pivot = self.rows[r] = [-x for x in pivot]
+            p = -p
+        for rows in (self.rows, self.objectives):
+            for i, row in enumerate(rows):
+                f = row[col]
+                if f and row is not pivot:
+                    new = [x * p - f * y for x, y in zip(row, pivot)]
+                    g = math.gcd(*new)
+                    if g > 1:
+                        new = [x // g for x in new]
+                    rows[i] = new
+        self.basis[r] = col

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.benchgen import interval_bank, paper_example2, random_fsm
 from repro.errors import AnalysisError, DeadlineExceeded, OptionsError
-from repro.logic import Interval
+from repro.logic import Circuit, DelayMap, Gate, GateType, Interval, Latch, PinTiming
 from repro.mct.breakpoints import tau_breakpoints
 from repro.mct.discretize import TimedLeaf, build_discretized_machine
 from repro.mct.engine import (
@@ -148,38 +148,30 @@ def stem_oracle():
     return oracle, leaf_a, leaf_b
 
 
+def chain_oracle(intervals):
+    """``q -> BUF -> … -> q``, one pin interval per buffer: a single
+    register path whose total is the sum of the intervals."""
+    nets = ["q"] + [f"g{i}" for i in range(len(intervals))]
+    gates = [
+        Gate(nets[i + 1], GateType.BUF, (nets[i],))
+        for i in range(len(intervals))
+    ]
+    circuit = Circuit("chain", [], [], gates, [Latch("q", nets[-1])])
+    pins = {
+        (nets[i + 1], 0): PinTiming.symmetric(interval)
+        for i, interval in enumerate(intervals)
+    }
+    machine = build_discretized_machine(circuit, DelayMap(circuit, pins))
+    total = sum(intervals[1:], intervals[0])
+    return ExactFeasibility(machine), TimedLeaf("q", total)
+
+
 # ----------------------------------------------------------------------
-# Satellite: the limit_denominator clamp
+# Exact answers: no ε slack, no rounding, no clamp
 # ----------------------------------------------------------------------
 class TestRelaxedClamp:
-    def test_adversarial_denominator_is_clamped(self, monkeypatch):
-        """A float supremum a hair above the rational one used to
-        round *past* it: ``limit_denominator(10**9)`` picks the closest
-        fraction with a bounded denominator, which can exceed the true
-        relaxed supremum.  The clamp pins it back."""
-        oracle, leaf_a, leaf_b = stem_oracle()
-        sigma = {leaf_a: 1, leaf_b: 1}
-        window = (Fraction(5), Fraction(8))
-        feasible, relaxed = point_sigma_sup_tau(sigma, window)
-        assert feasible and relaxed is not None
-        # Adversarial drift: 3/(4e9) has denominator 4e9 > the 1e9
-        # limit, so the re-rationalized float lands strictly above the
-        # relaxed supremum — exactly the drift the clamp must absorb.
-        drift = float(relaxed + Fraction(3, 4 * 10**9))
-        assert Fraction(drift).limit_denominator(10**9) > relaxed
-
-        class _Fake:
-            success = True
-            x = [0.0] * (oracle._tau_index + 1)
-
-        _Fake.x[oracle._tau_index] = drift
-        monkeypatch.setattr(
-            "repro.mct.lp_exact.linprog", lambda *a, **k: _Fake()
-        )
-        assert oracle.sup_tau(sigma, window) == relaxed
-
     def test_exact_never_exceeds_relaxed_exactly(self):
-        """With the clamp the invariant is exact, no float tolerance."""
+        """The invariant holds exactly, with no clamp behind it."""
         oracle, leaf_a, leaf_b = stem_oracle()
         window = (Fraction(2), Fraction(6))
         for age_a in (1, 2, 3):
@@ -191,6 +183,61 @@ class TestRelaxedClamp:
                 feasible, relaxed = point_sigma_sup_tau(sigma, window)
                 assert feasible
                 assert relaxed is None or exact <= relaxed
+
+
+class TestFloatArtifacts:
+    """Answers the float solve got wrong (it decided strictness with a
+    1e-6 slack and rationalized its optimum with
+    ``limit_denominator(10**9)``)."""
+
+    def test_strict_margin_below_float_slack(self):
+        """Age 2 needs τ < k; the path tops out 1e-7 above the
+        window's bottom, so σ is feasible, with τ(σ) = k_hi."""
+        top = Fraction(4) + Fraction(1, 10**7)
+        oracle, leaf = chain_oracle([Interval.of(3, top)])
+        window = (Fraction(4), Fraction(5))
+        sigma = {leaf: 2}
+        assert point_sigma_sup_tau(sigma, window) == (True, top)
+        assert oracle.feasible(sigma, window)
+        assert oracle.sup_tau(sigma, window) == top
+
+    def test_denominator_above_rounding_limit(self):
+        """Two pins with coprime denominators: τ(σ) = k_hi has a
+        denominator of 1.6e9, and its float rounds to a neighbour below."""
+        oracle, leaf = chain_oracle([
+            Interval.of(1, 2 - Fraction(1, 40009)),
+            Interval.of(1, 2 - Fraction(1, 40037)),
+        ])
+        top = 4 - Fraction(1, 40009) - Fraction(1, 40037)
+        assert top.denominator > 10**9
+        assert Fraction(float(top)).limit_denominator(10**9) < top
+        sup = oracle.sup_tau({leaf: 2}, (Fraction(3), Fraction(5)))
+        assert sup == top
+
+
+class TestUnboundedTau:
+    """σ = (age 1, age 1) on the stem is relaxed-feasible with no top:
+    feasible, but τ(σ) has no finite value without a window top."""
+
+    def test_feasible(self):
+        oracle, leaf_a, leaf_b = stem_oracle()
+        sigma = {leaf_a: 1, leaf_b: 1}
+        assert point_sigma_sup_tau(sigma) == (True, None)
+        assert oracle.feasible(sigma)
+        assert oracle.stats.solves == 1
+
+    def test_single_sigma_raises(self):
+        oracle, leaf_a, leaf_b = stem_oracle()
+        with pytest.raises(AnalysisError, match="unbounded"):
+            oracle.sup_tau_options({leaf_a: (1,), leaf_b: (1,)})
+
+    def test_unbounded_sigma_is_not_dropped(self):
+        """Its bounded sibling (age 2 on the slow path, τ(σ) = 5) does
+        not stand in for the maximum."""
+        oracle, leaf_a, leaf_b = stem_oracle()
+        assert oracle.sup_tau({leaf_a: 2, leaf_b: 1}) == 5
+        with pytest.raises(AnalysisError, match="unbounded"):
+            oracle.sup_tau_options({leaf_a: (1, 2), leaf_b: (1,)})
 
 
 # ----------------------------------------------------------------------
@@ -314,6 +361,31 @@ class TestBranchAndBound:
             runs.append(json.loads(proc.stdout))
         assert runs[0] == runs[1]
         assert sum(solves for _, solves in runs[0]) > 0
+
+
+    def test_exact_sweep_imports_no_numpy_or_scipy(self):
+        """The exact LP is pure Python: a fresh interpreter that runs an
+        exact sweep has loaded neither package, even where they are
+        installed."""
+        script = (
+            "import sys\n"
+            "from repro.benchgen import interval_bank\n"
+            "from repro.mct import MctOptions, minimum_cycle_time\n"
+            "circuit, delays = interval_bank(n_holds=3)\n"
+            "result = minimum_cycle_time(circuit, delays,"
+            " MctOptions(exact_feasibility=True))\n"
+            "assert result.lp_stats.solves > 0\n"
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------------
@@ -474,11 +546,22 @@ class TestThresholdClasses:
         ids=["none", "wide", "tight", "high", "unbounded"],
     )
     def test_real_lp_matches_prescreen_walk(self, window):
+        """Same value, or the same refusal: without a finite window top
+        both visit the unbounded σ (age 1 on both leaves) first."""
         walked, leaf_a, leaf_b = stem_oracle()
         classed, _, _ = stem_oracle()
         options = {leaf_a: (3, 1, 2), leaf_b: (2, 1)}
-        expected = reference_sup_tau_options(walked, options, window)
-        assert classed.sup_tau_options(options, window) == expected
+
+        def outcome(search, oracle):
+            try:
+                return search(oracle, options, window)
+            except AnalysisError as exc:
+                return str(exc)
+
+        expected = outcome(reference_sup_tau_options, walked)
+        got = outcome(ExactFeasibility.sup_tau_options, classed)
+        assert got == expected
+        assert isinstance(got, str) == (window is None or window[1] is None)
         for name in (
             "solves", "prescreen_skips", "bound_prunes", "skeleton_hits"
         ):
