@@ -219,7 +219,7 @@ class TestExactVersusRelaxedFeasibility:
             rounds=1,
             iterations=1,
         )
-        assert exact.mct_upper_bound <= relaxed.mct_upper_bound + Fraction(1, 1000)
+        assert exact.mct_upper_bound <= relaxed.mct_upper_bound
 
 
 class TestCombinationEnumeration:
