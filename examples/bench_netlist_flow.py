@@ -40,7 +40,7 @@ def main() -> None:
     n_states = reachable_state_count(circuit)
     stg = extract_stg(circuit)
     print(f"reachable states  : {n_states} of {2 ** len(circuit.latches)}"
-          f" ({stg.number_of_edges()} STG edges)")
+          f" ({len(stg.edges)} STG edges)")
 
     # MCT, with and without the reachable-state don't cares.
     plain = minimum_cycle_time(circuit, delays)

@@ -30,7 +30,7 @@ def main() -> None:
 
     # --- explicit structure ---------------------------------------------
     stg = extract_stg(circuit)
-    print(f"STG: {stg.number_of_nodes()} states, {stg.number_of_edges()} edges")
+    print(f"STG: {len(stg.states)} states, {len(stg.edges)} edges")
     reachable = reachable_state_count(circuit)
     print(f"symbolic reachability: {reachable} of {2 ** len(circuit.latches)} "
           "states reachable")

@@ -23,12 +23,7 @@ from repro.benchgen.circuits import paper_example2
 from repro.benchgen.suite import suite_cases
 from repro.delay import floating_delay, transition_delay, validity_report
 from repro.logic import parse_bench_file, parse_blif_file
-from repro.logic.delays import (
-    as_fraction,
-    fanout_loaded_delays,
-    typed_delays,
-    unit_delays,
-)
+from repro.logic.delays import DELAY_MODELS, as_fraction
 from repro.errors import (
     AnalysisError,
     CheckpointError,
@@ -55,12 +50,6 @@ from repro.report import analyze_circuit, render_rows, run_suite
 from repro.report.tables import format_fraction
 from repro.sim import ClockedSimulator, sample_delay_map
 from repro.timed.expansion import ConePrograms
-
-_DELAY_MODELS = {
-    "unit": unit_delays,
-    "typed": typed_delays,
-    "fanout": fanout_loaded_delays,
-}
 
 
 @contextlib.contextmanager
@@ -195,7 +184,7 @@ def _load(args) -> tuple:
     except (OSError, UnicodeDecodeError, CircuitError) as exc:
         reason = getattr(exc, "strerror", None) or str(exc)
         raise _LoadError(f"{args.bench}: {reason}") from None
-    delays = _DELAY_MODELS[args.delay_model](circuit)
+    delays = DELAY_MODELS[args.delay_model](circuit)
     if args.widen is not None:
         delays = _delay_arg("--widen", args.widen, delays.widen)
     if args.setup or args.hold:
@@ -682,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_load_args(p):
         p.add_argument("bench", help="netlist file (.bench or .blif)")
-        p.add_argument("--delay-model", choices=sorted(_DELAY_MODELS), default="fanout")
+        p.add_argument("--delay-model", choices=sorted(DELAY_MODELS), default="fanout")
         p.add_argument("--widen", default=None,
                        help="scale delays into [factor, 1]·max (e.g. 0.9)")
         p.add_argument("--setup", type=float, default=None)

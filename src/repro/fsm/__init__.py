@@ -9,8 +9,9 @@ provides all three:
 * :mod:`~repro.fsm.reachability` — symbolic (BDD) reachable-state
   computation, powering the decision algorithm's sequential don't
   cares;
-* :mod:`~repro.fsm.stg` — explicit state-transition-graph extraction
-  for small machines (networkx graphs);
+* :mod:`~repro.fsm.stg` — explicit state-transition tables for small
+  machines (:class:`~repro.fsm.stg.Stg` records), built on the one
+  breadth-first walk every explicit consumer shares;
 * :mod:`~repro.fsm.equivalence` — product-machine equivalence and
   Hopcroft minimization, plus the *exact* τ-machine equivalence check
   that the paper rejects as too expensive in general but which we use
@@ -18,7 +19,7 @@ provides all three:
 """
 
 from repro.fsm.reachability import reachable_states, reachable_state_count
-from repro.fsm.stg import extract_stg, enumerate_reachable
+from repro.fsm.stg import Stg, extract_stg, enumerate_reachable
 from repro.fsm.equivalence import (
     ExplicitMealy,
     equivalent_to_steady,
@@ -37,6 +38,7 @@ from repro.fsm.dot import stg_to_dot
 __all__ = [
     "reachable_states",
     "reachable_state_count",
+    "Stg",
     "extract_stg",
     "enumerate_reachable",
     "ExplicitMealy",

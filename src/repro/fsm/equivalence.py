@@ -11,11 +11,14 @@ circuits:
   input vectors (the extra state cycles the decision algorithm hides
   inside BDD substitutions);
 * :func:`steady_machine` — the same construction at τ = L;
-* :func:`machines_equivalent` — product-machine BFS equivalence over
-  all pre-start input histories (pre-start inputs are free, exactly as
-  in the decision algorithm's base step);
+* :func:`machines_equivalent` — product-machine equivalence, one
+  breadth-first :func:`~repro.fsm.stg.walk` of the pair machine;
+* :func:`equivalent_to_steady` — the τ-machine against the steady one
+  over all pre-start input histories (pre-start inputs are free,
+  exactly as in the decision algorithm's base step);
 * :func:`minimize_mealy` — classic partition-refinement reduction
-  (Hopcroft/Ullman style), used to report minimal machine sizes.
+  (Hopcroft/Ullman style) of the tabulated machine, used to report
+  minimal machine sizes.
 
 Tests use this to validate that C_x is a sound, conservative
 approximation: whenever the exact machines are inequivalent at τ, the
@@ -26,38 +29,28 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 
 from repro.bdd import BddManager, Function
 from repro.errors import AnalysisError
+from repro.fsm.stg import (
+    ExplicitMealy,
+    InputVec,
+    OutputVec,
+    State,
+    input_vectors,
+    tabulate,
+    walk,
+)
 from repro.logic.delays import DelayMap, Interval
 from repro.logic.netlist import Circuit
-from repro.mct.discretize import build_discretized_machine
+from repro.mct.discretize import DiscretizedMachine, build_discretized_machine
 from repro.timed.expansion import TimedExpander
 
-#: Explicit machine state: an opaque hashable.
-State = tuple
-#: Input vector: tuple of bools in circuit.inputs order.
-InputVec = tuple[bool, ...]
-#: Output vector: tuple of bools in circuit.outputs order.
-OutputVec = tuple[bool, ...]
 
-
-@dataclasses.dataclass(frozen=True)
-class ExplicitMealy:
-    """An explicit Mealy machine given by an initial state and a step
-    function ``step(state, input) -> (next_state, output)``."""
-
-    initial: State
-    step: Callable[[State, InputVec], tuple[State, OutputVec]]
-    n_inputs: int
-
-
-def _build_root_bdds(
-    circuit: Circuit, delays: DelayMap, tau: Fraction
-) -> tuple[dict[str, Function], dict[str, Function], int, BddManager]:
-    """Discretized next-state and output BDDs over ``leaf@age`` vars."""
+def _discretize(circuit: Circuit, delays: DelayMap) -> DiscretizedMachine:
+    """The discretized machine, if explicit τ-machines can model it."""
     if delays.has_phases:
         raise AnalysisError("explicit τ-machines model a common clock only")
     machine = build_discretized_machine(circuit, delays)
@@ -66,9 +59,25 @@ def _build_root_bdds(
             "explicit τ-machines require fixed (point) delays; "
             "collapse intervals first (DelayMap.at_max())"
         )
+    return machine
+
+
+def _tau_mealy(
+    machine: DiscretizedMachine,
+    tau: Fraction,
+    initial_state: dict[str, bool] | None,
+) -> ExplicitMealy:
+    """The explicit τ-machine of ``machine``, pre-start inputs all-False.
+
+    Its state is ``(x(n-1)..x(n-m), u(n-1)..u(n-m))``, read by the
+    discretized next-state and output BDDs over ``leaf@age`` variables.
+    """
+    circuit = machine.circuit
     regime = machine.regime(tau)
     manager = BddManager()
-    expander = TimedExpander(circuit, delays, manager, programs=machine.programs)
+    expander = TimedExpander(
+        circuit, machine.delays, manager, programs=machine.programs
+    )
 
     def resolver(inst):
         tl = machine.fold(inst)
@@ -81,39 +90,16 @@ def _build_root_bdds(
         for q, latch in circuit.latches.items()
     }
     outputs = {po: expander.expand(po, resolver) for po in circuit.outputs}
-    m = max((max(ages) for ages in regime.values()), default=1)
-    return next_state, outputs, max(m, 1), manager
+    m = max([1] + [max(ages) for ages in regime.values()])
 
-
-def tau_machine(
-    circuit: Circuit,
-    delays: DelayMap,
-    tau: Fraction,
-    initial_state: dict[str, bool] | None = None,
-    pre_start_inputs: Sequence[InputVec] | None = None,
-) -> ExplicitMealy:
-    """The explicit Mealy machine of the τ-discretized circuit.
-
-    The machine state is ``(x(n-1)..x(n-m), u(n-1)..u(n-m))``; on input
-    ``u(n)`` it emits ``y(n)`` and advances the histories.
-
-    ``pre_start_inputs`` fixes the fictitious inputs ``u(0-m..-1)``
-    (newest first); they default to all-False — callers comparing
-    machines should sweep them (see :func:`equivalent_to_steady`).
-    """
     if initial_state is None:
         initial_state = {q: False for q in circuit.latches}
-    next_state, outputs, m, manager = _build_root_bdds(circuit, delays, tau)
     state_nets = circuit.state_nets
     n_in = len(circuit.inputs)
-    if pre_start_inputs is None:
-        pre_start_inputs = [(False,) * n_in] * m
-    if len(pre_start_inputs) != m:
-        raise AnalysisError(f"need exactly {m} pre-start input vectors")
     init_bits = tuple(bool(initial_state[q]) for q in state_nets)
     initial: State = (
         tuple(init_bits for _ in range(m)),
-        tuple(tuple(v) for v in pre_start_inputs),
+        tuple((False,) * n_in for _ in range(m)),
     )
 
     def assignment(xh, uh, u_now: InputVec | None) -> dict[str, bool]:
@@ -151,6 +137,40 @@ def tau_machine(
     return ExplicitMealy(initial=initial, step=step, n_inputs=n_in)
 
 
+def _with_history(
+    machine: ExplicitMealy, pre_start_inputs: Sequence[InputVec]
+) -> ExplicitMealy:
+    """``machine`` started after the given pre-start inputs (newest
+    first) instead of all-False ones."""
+    xh, uh = machine.initial
+    if len(pre_start_inputs) != len(uh):
+        raise AnalysisError(f"need exactly {len(uh)} pre-start input vectors")
+    history = tuple(tuple(v) for v in pre_start_inputs)
+    return dataclasses.replace(machine, initial=(xh, history))
+
+
+def tau_machine(
+    circuit: Circuit,
+    delays: DelayMap,
+    tau: Fraction,
+    initial_state: dict[str, bool] | None = None,
+    pre_start_inputs: Sequence[InputVec] | None = None,
+) -> ExplicitMealy:
+    """The explicit Mealy machine of the τ-discretized circuit.
+
+    The machine state is ``(x(n-1)..x(n-m), u(n-1)..u(n-m))``; on input
+    ``u(n)`` it emits ``y(n)`` and advances the histories.
+
+    ``pre_start_inputs`` fixes the fictitious inputs ``u(0-m..-1)``
+    (newest first); they default to all-False — callers comparing
+    machines should sweep them (see :func:`equivalent_to_steady`).
+    """
+    machine = _tau_mealy(_discretize(circuit, delays), tau, initial_state)
+    if pre_start_inputs is None:
+        return machine
+    return _with_history(machine, pre_start_inputs)
+
+
 def steady_machine(
     circuit: Circuit,
     delays: DelayMap,
@@ -158,13 +178,12 @@ def steady_machine(
     pre_start_inputs: Sequence[InputVec] | None = None,
 ) -> ExplicitMealy:
     """The steady-state machine: the τ-machine at τ = L (Def. 2)."""
-    machine = build_discretized_machine(circuit, delays)
+    discretized = _discretize(circuit, delays)
+    machine = _tau_mealy(discretized, discretized.L, initial_state)
     if pre_start_inputs is None:
-        pre_start_inputs = [(False,) * len(circuit.inputs)]
+        return machine
     # The steady machine has m = 1; reuse the first pre-start vector.
-    return tau_machine(
-        circuit, delays, machine.L, initial_state, [tuple(pre_start_inputs[0])]
-    )
+    return _with_history(machine, pre_start_inputs[:1])
 
 
 def machines_equivalent(
@@ -172,33 +191,23 @@ def machines_equivalent(
     right: ExplicitMealy,
     max_pairs: int = 1 << 16,
 ) -> bool:
-    """Product-machine BFS: identical I/O behaviour from the initials."""
+    """Identical I/O behaviour from the initials, by walking the
+    product machine.
+
+    Returns ``False`` at the first differing output, before the pair it
+    leads to counts against ``max_pairs``.
+    """
     if left.n_inputs != right.n_inputs:
         raise AnalysisError("machines have different input arity")
-    stimuli = [
-        tuple(bits)
-        for bits in itertools.product([False, True], repeat=left.n_inputs)
-    ]
-    seen = {(left.initial, right.initial)}
-    frontier = [(left.initial, right.initial)]
-    while frontier:
-        new_frontier = []
-        for ls, rs in frontier:
-            for u in stimuli:
-                ln, lo = left.step(ls, u)
-                rn, ro = right.step(rs, u)
-                if lo != ro:
-                    return False
-                pair = (ln, rn)
-                if pair not in seen:
-                    if len(seen) >= max_pairs:
-                        raise AnalysisError(
-                            f"product machine exceeds {max_pairs} pairs"
-                        )
-                    seen.add(pair)
-                    new_frontier.append(pair)
-        frontier = new_frontier
-    return True
+
+    def step(pair: State, u: InputVec) -> tuple[State, OutputVec]:
+        ls, rs = pair
+        ln, lo = left.step(ls, u)
+        rn, ro = right.step(rs, u)
+        return (ln, rn), (lo, ro)
+
+    product = ExplicitMealy((left.initial, right.initial), step, left.n_inputs)
+    return all(lo == ro for _, _, _, (lo, ro) in walk(product, max_pairs))
 
 
 def equivalent_to_steady(
@@ -214,25 +223,30 @@ def equivalent_to_steady(
     returns True iff the sampled *output* behaviour at τ equals the
     steady behaviour for all input streams and all pre-start input
     garbage.  Exponential in (pre-start depth × inputs): small circuits
-    only.
+    only.  Both machines are built once; a history changes only their
+    initial states.
     """
-    _, _, m, _ = _build_root_bdds(circuit, delays, tau)
-    n_in = len(circuit.inputs)
-    histories = itertools.product(
-        itertools.product([False, True], repeat=n_in), repeat=m
-    )
+    discretized = _discretize(circuit, delays)
+    left = _tau_mealy(discretized, tau, initial_state)
+    steady = _tau_mealy(discretized, discretized.L, initial_state)
+    _, uh = left.initial
+    histories = itertools.product(input_vectors(len(circuit.inputs)), repeat=len(uh))
     for history in histories:
-        left = tau_machine(
-            circuit, delays, tau, initial_state, [tuple(v) for v in history]
-        )
         # u(0) (the newest history entry) is a *real* input shared by
         # both machines; older entries are τ-machine-only garbage.
-        steady = steady_machine(
-            circuit, delays, initial_state, pre_start_inputs=[tuple(history[0])]
-        )
-        if not machines_equivalent(left, steady, max_pairs=max_pairs):
+        if not machines_equivalent(
+            _with_history(left, history),
+            _with_history(steady, history[:1]),
+            max_pairs=max_pairs,
+        ):
             return False
     return True
+
+
+def _first_seen_labels(keys) -> list[int]:
+    """Dense class labels, numbered in order of first appearance."""
+    ids: dict = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
 
 
 def minimize_mealy(
@@ -243,58 +257,18 @@ def minimize_mealy(
 
     Returns ``(number_of_classes, state -> class index)``.  Classic
     Moore-style refinement (the paper cites Hopcroft/Ullman for this
-    step); quadratic but ample for explicit machines.
+    step) over the tabulated machine; quadratic but ample for explicit
+    machines.
     """
-    stimuli = [
-        tuple(bits)
-        for bits in itertools.product([False, True], repeat=machine.n_inputs)
-    ]
-    # Explore the reachable state space and tabulate.
-    states: list[State] = [machine.initial]
-    index = {machine.initial: 0}
-    delta: dict[tuple[int, InputVec], int] = {}
-    lam: dict[tuple[int, InputVec], OutputVec] = {}
-    frontier = [machine.initial]
-    while frontier:
-        new_frontier = []
-        for s in frontier:
-            si = index[s]
-            for u in stimuli:
-                nxt, out = machine.step(s, u)
-                if nxt not in index:
-                    if len(states) >= max_states:
-                        raise AnalysisError(f"more than {max_states} states")
-                    index[nxt] = len(states)
-                    states.append(nxt)
-                    new_frontier.append(nxt)
-                delta[(si, u)] = index[nxt]
-                lam[(si, u)] = out
-        frontier = new_frontier
-
-    # Initial partition: by full output signature.
-    def out_signature(si: int) -> tuple:
-        return tuple(lam[(si, u)] for u in stimuli)
-
-    classes = {}
-    for si in range(len(states)):
-        classes.setdefault(out_signature(si), []).append(si)
-    labels = [0] * len(states)
-    for ci, members in enumerate(classes.values()):
-        for si in members:
-            labels[si] = ci
-    # Refine until stable.
-    changed = True
-    while changed:
-        changed = False
-        signature_map: dict[tuple, int] = {}
-        new_labels = [0] * len(states)
-        for si in range(len(states)):
-            sig = (labels[si],) + tuple(labels[delta[(si, u)]] for u in stimuli)
-            if sig not in signature_map:
-                signature_map[sig] = len(signature_map)
-            new_labels[si] = signature_map[sig]
-        if new_labels != labels:
-            labels = new_labels
-            changed = True
-    n_classes = len(set(labels))
-    return n_classes, {states[i]: labels[i] for i in range(len(states))}
+    stg = tabulate(machine, max_states)
+    # Initial partition: by full output row; refine until stable.
+    labels = _first_seen_labels(stg.out)
+    while True:
+        refined = _first_seen_labels(
+            (labels[s],) + tuple(labels[t] for t in row)
+            for s, row in enumerate(stg.succ)
+        )
+        if refined == labels:
+            break
+        labels = refined
+    return len(set(labels)), dict(zip(stg.states, labels))

@@ -360,6 +360,15 @@ def fanout_loaded_delays(
     return DelayMap(circuit, pins, latches)
 
 
+#: The deterministic delay models by name: the CLI's ``--delay-model``
+#: choices and the daemon's ``delays.model`` values.
+DELAY_MODELS = {
+    "unit": unit_delays,
+    "typed": typed_delays,
+    "fanout": fanout_loaded_delays,
+}
+
+
 def widen_to_intervals(delays: DelayMap, lo_factor: DelayLike | float = Fraction(9, 10)) -> DelayMap:
     """The paper's experimental variation: delays in [90%, 100%] of max."""
     return delays.widen(lo_factor, 1)

@@ -8,12 +8,13 @@ combinations are actually unrealizable.  This module builds and solves
 that program:
 
     τ(σ) = sup τ
-           τ(a_p - 1) < Σ_{pin ∈ p} d_pin (+ d_ff) ≤ τ·a_p
+           τ(a_p - 1) < Σ_{pin ∈ p} d_pin (+ d_ff) (+ setup) ≤ τ·a_p
            d_min ≤ d_pin ≤ d_max            for every pin variable
 
 with one constraint pair per *concrete path* ``p`` (a timed leaf may
 cover several paths; σ assigns them all the same age, exactly as the
 flattened TBF does; the left inequality is strict only for ages ≥ 2).
+A path into a latch's data input carries the setup time as a constant.
 Exponential path enumeration is budget-capped, so this is an opt-in
 refinement for small circuits (``MctOptions(exact_feasibility=True)``).
 
@@ -119,6 +120,7 @@ class ExactFeasibility:
                 circuit, delays, latch.data, extra=setup, max_paths=max_paths
             ):
                 all_paths.append((self._fold(path), path))
+        n_data_paths = len(all_paths)
         for po in circuit.outputs:
             for path in enumerate_paths(
                 circuit, delays, po, max_paths=max_paths
@@ -128,12 +130,13 @@ class ExactFeasibility:
         # Variable index assignment: pin variables + latch variables.
         self._var_index: dict[tuple, int] = {}
         self._bounds: list[Interval] = []
-        # Constraint skeleton: each path's fixed-delay constant and its
+        # Constraint skeleton: each path's fixed-delay constant (a
+        # latch-data path's starts at the setup guard band) and its
         # free variables with their counts, fixed for the oracle's
         # lifetime.  Per-(path, age) rows derive from it on demand and
         # are memoized in ``_row_cache``.
         self._path_base: list[tuple[Fraction, tuple[tuple[int, int], ...]]] = []
-        for _, path in all_paths:
+        for path_idx, (_, path) in enumerate(all_paths):
             counts: dict[int, int] = {}
             for edge in path.edges:
                 var = self._pin_var(edge)
@@ -141,7 +144,7 @@ class ExactFeasibility:
             if path.leaf in circuit.latches:
                 var = self._latch_var(path.leaf)
                 counts[var] = counts.get(var, 0) + 1
-            constant = Fraction(0)
+            constant = machine.setup if path_idx < n_data_paths else Fraction(0)
             free = []
             for var, count in counts.items():
                 bound = self._bounds[var]

@@ -50,12 +50,7 @@ from repro.benchgen.circuits import paper_example2, s27
 from repro.errors import AnalysisError, OptionsError, ReproError
 from repro.logic.bench import parse_bench
 from repro.logic.blif import parse_blif
-from repro.logic.delays import (
-    as_fraction,
-    fanout_loaded_delays,
-    typed_delays,
-    unit_delays,
-)
+from repro.logic.delays import DELAY_MODELS, as_fraction
 from repro.mct import (
     DEFAULT_LADDER,
     MctOptions,
@@ -79,12 +74,6 @@ JOB_SCHEMA = "repro-mct-service-job/1"
 MAX_RETAINED_CHECKPOINTS = 64
 #: Evicted job ids remembered so their 404s can say "evicted" (LRU).
 MAX_EVICTED_IDS = 4096
-
-_DELAY_MODELS = {
-    "unit": unit_delays,
-    "typed": typed_delays,
-    "fanout": fanout_loaded_delays,
-}
 
 _GENERATORS = ("example2", "s27")
 
@@ -186,10 +175,10 @@ class JobSpec:
                 )
         else:
             model = model or "fanout"
-            if model not in _DELAY_MODELS:
+            if model not in DELAY_MODELS:
                 raise OptionsError(
                     f"unknown delay model {model!r}; "
-                    f"choose one of {', '.join(sorted(_DELAY_MODELS))}"
+                    f"choose one of {', '.join(sorted(DELAY_MODELS))}"
                 )
         self.delay_model = model
         self.widen = _frac_field(delays.get("widen"), "delays.widen")
@@ -226,14 +215,14 @@ class JobSpec:
                 if self.source == "example2":
                     circuit, delays = paper_example2()
                 else:
-                    circuit, delays = s27(_DELAY_MODELS[self.delay_model])
+                    circuit, delays = s27(DELAY_MODELS[self.delay_model])
             else:
                 parse = parse_bench if self.kind == "bench" else parse_blif
                 circuit = parse(self.source, name=f"submitted-{self.kind}")
                 # A combinational cycle is refused here, not by a sweep
                 # whose cone walk would grow without bound.
                 circuit.topological_order()
-                delays = _DELAY_MODELS[self.delay_model](circuit)
+                delays = DELAY_MODELS[self.delay_model](circuit)
         except OptionsError:
             raise
         except (ReproError, ValueError) as exc:

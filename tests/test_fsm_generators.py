@@ -68,8 +68,8 @@ class TestTrafficLight:
     def test_stg_shape(self):
         circuit, _ = traffic_light()
         stg = extract_stg(circuit)
-        assert stg.number_of_nodes() == 3
-        assert stg.number_of_edges() == 6  # 3 states x 2 inputs
+        assert len(stg.states) == 3
+        assert len(stg.edges) == 6  # 3 states x 2 inputs
 
     def test_exactly_one_lamp_lit(self):
         circuit, _ = traffic_light()

@@ -1,12 +1,15 @@
 """Tests for reachability, STG extraction, and exact equivalence."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from repro.bdd import BddManager
 from repro.errors import AnalysisError
+from repro.benchgen import random_fsm
 from repro.fsm import (
+    ExplicitMealy,
     enumerate_reachable,
     equivalent_to_steady,
     extract_stg,
@@ -17,6 +20,7 @@ from repro.fsm import (
     steady_machine,
     tau_machine,
 )
+from repro.fsm.stg import input_vectors, walk
 from repro.logic import Circuit, DelayMap, Gate, GateType, Latch, PinTiming, unit_delays
 
 from tests.test_logic_netlist import make_sr_counter, make_toggle
@@ -86,18 +90,20 @@ class TestReachability:
 class TestStg:
     def test_toggle_stg(self):
         g = extract_stg(make_toggle())
-        assert g.number_of_nodes() == 2
-        assert g.number_of_edges() == 2
-        assert g.has_edge((False,), (True,))
-        assert g.has_edge((True,), (False,))
+        assert len(g.states) == 2
+        assert len(g.edges) == 2
+        arcs = {(src, dst) for src, _, dst, _ in g.edges}
+        assert ((False,), (True,)) in arcs
+        assert ((True,), (False,)) in arcs
 
     def test_counter_stg_edges_carry_io(self):
         g = extract_stg(make_sr_counter())
-        assert g.number_of_nodes() == 4
+        assert len(g.states) == 4
         # Each state has 2 outgoing edges (en = 0 / 1).
-        assert all(g.out_degree(n) == 2 for n in g.nodes)
-        edge = next(iter(g.edges(data=True)))
-        assert "input" in edge[2] and "output" in edge[2]
+        degree = Counter(src for src, _, _, _ in g.edges)
+        assert all(degree[n] == 2 for n in g.states)
+        # Reset, en=1: the counter moves 00 -> 10 and outputs (q0, q1).
+        assert g.edges[1] == ((False, False), (True,), (True, False), (False, False))
 
     def test_input_cap(self):
         c = Circuit(
@@ -107,6 +113,75 @@ class TestStg:
         )
         with pytest.raises(AnalysisError):
             enumerate_reachable(c, max_inputs=8)
+
+    def test_state_cap(self):
+        c = make_sr_counter()  # 4 reachable states
+        with pytest.raises(AnalysisError):
+            extract_stg(c, max_states=3)
+        assert len(extract_stg(c, max_states=4).states) == 4
+
+    def test_table_matches_walk(self):
+        circuit, _ = random_fsm(3, 2, 3, 8)
+        g = extract_stg(circuit)
+        assert g.states[0] == (False,) * len(circuit.latches)
+        assert g.inputs == input_vectors(2)
+        assert set(g.states) == enumerate_reachable(circuit)
+        for s, state in enumerate(g.states):
+            for i, u in enumerate(g.inputs):
+                nxt, outs = circuit.step(
+                    dict(zip(circuit.state_nets, state)),
+                    dict(zip(circuit.inputs, u)),
+                )
+                assert g.states[g.succ[s][i]] == tuple(
+                    nxt[q] for q in circuit.state_nets
+                )
+                assert g.out[s][i] == tuple(outs[o] for o in circuit.outputs)
+
+
+def counting_machine(output) -> ExplicitMealy:
+    """An unbounded machine: a counter that always emits ``output``."""
+    return ExplicitMealy(
+        initial=(0,), step=lambda s, u: ((s[0] + 1,), output), n_inputs=0
+    )
+
+
+class TestWalk:
+    def test_discovery_order(self):
+        machine = counting_machine((True,))
+        steps = list(zip(walk(machine, max_states=4), range(3)))
+        assert [t for t, _ in steps] == [
+            ((0,), (), (1,), (True,)),
+            ((1,), (), (2,), (True,)),
+            ((2,), (), (3,), (True,)),
+        ]
+
+    def test_cap_raises_on_admission(self):
+        with pytest.raises(AnalysisError):
+            list(walk(counting_machine((True,)), max_states=4))
+
+    def test_first_difference_wins_over_the_pair_cap(self):
+        left, right = counting_machine((True,)), counting_machine((False,))
+        assert not machines_equivalent(left, right, max_pairs=1)
+        with pytest.raises(AnalysisError):
+            machines_equivalent(left, left, max_pairs=8)
+
+    def test_pair_cap(self):
+        c = make_sr_counter()
+        delays = unit_delays(c)
+        # At τ = L = 2 the τ-machine is the steady one: 8 reachable pairs.
+        left = tau_machine(c, delays, Fraction(2))
+        right = steady_machine(c, delays)
+        with pytest.raises(AnalysisError):
+            machines_equivalent(left, right, max_pairs=7)
+        assert machines_equivalent(left, right, max_pairs=8)
+
+    def test_minimize_state_cap(self):
+        c = make_sr_counter()
+        machine = steady_machine(c, unit_delays(c))  # 8 reachable states
+        with pytest.raises(AnalysisError):
+            minimize_mealy(machine, max_states=7)
+        n, classes = minimize_mealy(machine, max_states=8)
+        assert (n, len(classes)) == (4, 8)
 
 
 class TestExplicitMachines:
@@ -163,3 +238,29 @@ class TestExplicitMachines:
         c = Circuit("half", [], ["y"], gates, [Latch("q0", "d0"), Latch("q1", "d1")])
         n, _ = minimize_mealy(steady_machine(c, unit_delays(c)))
         assert n == 2
+
+
+class TestEquivalentToSteady:
+    def test_builds_each_machine_once(self, monkeypatch):
+        """A pre-start history changes only the initial states: one
+        discretization and two BDD builds serve every history."""
+        from repro.fsm import equivalence
+
+        calls = Counter()
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("build_discretized_machine", "BddManager"):
+            monkeypatch.setattr(
+                equivalence, name, counted(name, getattr(equivalence, name))
+            )
+        circuit, delays = random_fsm(0, 1, 2, 6)
+        # L = 7/2; at 63/20, m = 2: four pre-start histories of the one
+        # input, all equivalent, so every one is walked.
+        assert equivalent_to_steady(circuit, delays, Fraction(63, 20))
+        assert calls == {"build_discretized_machine": 1, "BddManager": 2}

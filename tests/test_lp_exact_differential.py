@@ -4,7 +4,9 @@
 solved with ``scipy.optimize.linprog`` before it became exact: an
 ``EPSILON = 1e-6`` slack on the strict rows decides feasibility, an
 ε = 0 re-solve gives the supremum, which is rationalized with
-``limit_denominator(10**9)`` and clamped to the relaxed supremum.  The
+``limit_denominator(10**9)`` and clamped to the relaxed supremum.  Like
+the exact oracle, it carries the setup time as a constant on every
+latch-data row, and the random machines draw a nonzero setup.  The
 exact answers must equal it wherever that ε or rounding cannot explain
 a gap (``tests/test_lp_branch_bound.py::TestFloatArtifacts`` pins the
 cases where it does).  scipy is only a test dependency, so the module
@@ -41,15 +43,23 @@ class HighsReference:
     def __init__(self, machine, max_paths=10_000):
         circuit, delays = machine.circuit, machine.delays
         setup = Interval.point(machine.setup)
+        # (path, row constant): a latch-data row carries the setup time.
         paths = []
         for latch in circuit.latches.values():
-            paths += enumerate_paths(
-                circuit, delays, latch.data, extra=setup, max_paths=max_paths
-            )
+            paths += [
+                (path, float(machine.setup))
+                for path in enumerate_paths(
+                    circuit, delays, latch.data, extra=setup,
+                    max_paths=max_paths,
+                )
+            ]
         for po in circuit.outputs:
-            paths += enumerate_paths(
-                circuit, delays, po, max_paths=max_paths
-            )
+            paths += [
+                (path, 0.0)
+                for path in enumerate_paths(
+                    circuit, delays, po, max_paths=max_paths
+                )
+            ]
         index: dict[tuple, int] = {}
         self.bounds: list[tuple[float, float]] = []
 
@@ -61,7 +71,8 @@ class HighsReference:
 
         self.leaves = []
         self.rows = []
-        for path in paths:
+        self.constants = []
+        for path, constant in paths:
             total = path.total
             counts: dict[int, float] = {}
             for net, pin, kind in path.edges:
@@ -76,11 +87,12 @@ class HighsReference:
                 counts[j] = counts.get(j, 0.0) + 1.0
             self.leaves.append(TimedLeaf(path.leaf, total))
             self.rows.append(counts)
+            self.constants.append(constant)
 
     def program(self, sigma, epsilon):
         n = len(self.bounds)
         a_ub, b_ub = [], []
-        for leaf, counts in zip(self.leaves, self.rows):
+        for leaf, counts, constant in zip(self.leaves, self.rows, self.constants):
             age = sigma[leaf]
             if age == 0:
                 continue
@@ -91,7 +103,7 @@ class HighsReference:
             lower = -upper
             lower[n] = float(age - 1)
             a_ub += [upper, lower]
-            b_ub += [0.0, -epsilon if age > 1 else 0.0]
+            b_ub += [-constant, constant - (epsilon if age > 1 else 0.0)]
         if not a_ub:
             return None, None
         return np.array(a_ub), np.array(b_ub)
@@ -169,11 +181,13 @@ def sigmas_of(machine, n_windows, per_window):
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     widen=st.sampled_from([Fraction(1, 2), Fraction(9, 10)]),
+    setup=st.sampled_from([Fraction(0), Fraction(1, 2)]),
 )
-def test_random_machines_agree_with_highs(seed, widen):
+def test_random_machines_agree_with_highs(seed, widen, setup):
     circuit, delays = random_fsm(seed, 2, 3, 10)
+    delays = delays.widen(widen).with_setup_hold(setup=setup, hold=0)
     try:
-        machine = build_discretized_machine(circuit, delays.widen(widen))
+        machine = build_discretized_machine(circuit, delays)
         pair = ExactFeasibility(machine), HighsReference(machine)
     except AnalysisError:
         return  # zero-delay register loop or path cap: not this test's concern

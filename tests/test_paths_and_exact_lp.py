@@ -139,6 +139,40 @@ class TestExactLp:
             self.oracle.sup_tau({self.leaf_a: 1}, None)
 
 
+def not_toggle(pin: Interval, setup=0) -> tuple[Circuit, DelayMap]:
+    """``q <- NOT(q)`` through one pin of delay ``pin``."""
+    circuit = Circuit("not_toggle", [], [], [Gate("d", GateType.NOT, ("q",))],
+                      [Latch("q", "d")])
+    delays = DelayMap(circuit, {("d", 0): PinTiming.symmetric(pin)})
+    return circuit, delays.with_setup_hold(setup=setup, hold=0)
+
+
+class TestSetupGuardBand:
+    """The setup time is a constant on every latch-data row: pin
+    ``[3, 4]`` with setup 1/2 times like pin ``[7/2, 9/2]`` without."""
+
+    def test_sigma_needs_the_setup(self):
+        circuit, delays = not_toggle(Interval.of(3, 4), setup=Fraction(1, 2))
+        oracle = ExactFeasibility(build_discretized_machine(circuit, delays))
+        leaf = TimedLeaf("q", Interval.of(Fraction(7, 2), Fraction(9, 2)))
+        window = (Fraction(4), Fraction(5))
+        assert oracle.feasible({leaf: 2}, window)
+        assert oracle.sup_tau({leaf: 2}, window) == Fraction(9, 2)
+
+    @pytest.mark.parametrize("pin, setup", [
+        (Interval.of(3, 4), Fraction(1, 2)),
+        (Interval.of(Fraction(7, 2), Fraction(9, 2)), 0),
+    ])
+    def test_exact_bound_equals_relaxed(self, pin, setup):
+        circuit, delays = not_toggle(pin, setup)
+        relaxed = minimum_cycle_time(circuit, delays)
+        exact = minimum_cycle_time(
+            circuit, delays, MctOptions(exact_feasibility=True)
+        )
+        assert relaxed.mct_upper_bound == Fraction(9, 2)
+        assert exact.mct_upper_bound == Fraction(9, 2)
+
+
 class TestEngineIntegration:
     def test_exact_option_agrees_on_uncoupled_circuit(self):
         """Fig. 2 has no shared gates: exact == relaxed bound."""

@@ -5,8 +5,14 @@ contract, and this test fails the moment an export goes stale.
 """
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 PACKAGES = [
     "repro",
@@ -58,3 +64,30 @@ def test_version():
     import repro
 
     assert repro.__version__ == "1.0.0"
+
+
+def test_imports_only_the_standard_library():
+    """Importing every module of the package, in a fresh interpreter,
+    loads no top-level package but ``repro`` and the standard library.
+
+    Compared against a snapshot taken before the first import: site
+    hooks may load third-party modules of their own at start-up.
+    """
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "before = set(sys.modules)\n"
+        "import repro\n"
+        "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    importlib.import_module(info.name)\n"
+        "loaded = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(loaded - {'repro'} - sys.stdlib_module_names))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "[]"

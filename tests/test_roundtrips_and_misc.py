@@ -9,7 +9,7 @@ import repro
 from repro.benchgen.generators import random_combinational, random_fsm
 from repro.fsm import extract_stg
 from repro.fsm.dot import stg_to_dot
-from repro.logic import parse_bench, write_bench
+from repro.logic import Circuit, Gate, GateType, Latch, parse_bench, write_bench
 from repro.logic.blif import parse_blif, write_blif
 
 from tests.test_logic_netlist import make_sr_counter
@@ -64,6 +64,33 @@ class TestStgDot:
     def test_custom_name(self):
         graph = extract_stg(make_sr_counter())
         assert stg_to_dot(graph, name="x").startswith('digraph "x"')
+
+    def test_counter_dot_text(self):
+        """Nodes in discovery order, one edge per (src, dst) pair."""
+        assert stg_to_dot(extract_stg(make_sr_counter())) == "\n".join([
+            'digraph "count2" {',
+            "  rankdir=LR;",
+            "  node [shape=circle];",
+            '  "00" [shape=doublecircle];',
+            '  "10" [shape=circle];',
+            '  "01" [shape=circle];',
+            '  "11" [shape=circle];',
+            '  "00" -> "00" [label="0/00"];',
+            '  "00" -> "10" [label="1/00"];',
+            '  "10" -> "10" [label="0/10"];',
+            '  "10" -> "01" [label="1/10"];',
+            '  "01" -> "01" [label="0/01"];',
+            '  "01" -> "11" [label="1/01"];',
+            '  "11" -> "11" [label="0/11"];',
+            '  "11" -> "00" [label="1/11"];',
+            "}",
+        ])
+
+    def test_parallel_edges_share_one_label(self):
+        gates = [Gate("d", GateType.BUF, ("q",))]
+        held = Circuit("hold", ["u"], [], gates, [Latch("q", "d")])
+        dot = stg_to_dot(extract_stg(held))
+        assert '"0" -> "0" [label="0/\\n1/"];' in dot
 
 
 def test_package_docstring_examples():
