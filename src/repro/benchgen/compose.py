@@ -11,42 +11,19 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.errors import CircuitError
-from repro.logic import Circuit, DelayMap, Gate, Latch
+from repro.logic import Circuit, DelayMap, Gate, Latch, PinTiming
 from repro.logic.delays import Interval
 
 
 def prefix_circuit(
     circuit: Circuit, delays: DelayMap, prefix: str
 ) -> tuple[Circuit, DelayMap]:
-    """Rename every net with ``prefix`` (keeps structure and timing)."""
+    """Rename every net with ``prefix`` (keeps structure and timing).
 
-    def ren(net: str) -> str:
-        return f"{prefix}{net}"
-
-    gates = [
-        Gate(ren(g.output), g.gtype, tuple(ren(i) for i in g.inputs))
-        for g in circuit.gates.values()
-    ]
-    latches = [Latch(ren(l.output), ren(l.data)) for l in circuit.latches.values()]
-    renamed = Circuit(
-        name=f"{prefix}{circuit.name}",
-        inputs=[ren(i) for i in circuit.inputs],
-        outputs=[ren(o) for o in circuit.outputs],
-        gates=gates,
-        latches=latches,
-    )
-    pins = {
-        (ren(net), pin): delays.pin(net, pin)
-        for net, gate in circuit.gates.items()
-        for pin in range(len(gate.inputs))
-    }
-    latch_delay = {ren(q): delays.latch(q) for q in circuit.latches}
-    phase = {ren(q): delays.phase(q) for q in circuit.latches}
-    renamed_delays = DelayMap(
-        renamed, pins, latch_delay,
-        setup=delays.setup, hold=delays.hold, phase=phase,
-    )
-    return renamed, renamed_delays
+    The one-block case of :func:`merge`; the renamed circuit is named
+    ``prefix + circuit.name``.
+    """
+    return merge(f"{prefix}{circuit.name}", [(circuit, delays)], [prefix])
 
 
 def merge(
@@ -57,6 +34,8 @@ def merge(
     """Disjoint union of annotated blocks under fresh prefixes.
 
     All blocks must agree on setup/hold (they become the merged map's).
+    Every block is renamed straight into the one merged circuit and its
+    one delay map, which keeps each block's timing objects.
     """
     if not blocks:
         raise CircuitError("cannot merge zero blocks")
@@ -64,32 +43,32 @@ def merge(
         prefixes = [f"b{i}_" for i in range(len(blocks))]
     if len(prefixes) != len(blocks):
         raise CircuitError("one prefix per block required")
-    renamed = [
-        prefix_circuit(circuit, delays, prefix)
-        for (circuit, delays), prefix in zip(blocks, prefixes)
-    ]
-    setup = renamed[0][1].setup
-    hold = renamed[0][1].hold
-    if any(d.setup != setup or d.hold != hold for _, d in renamed):
+    setup = blocks[0][1].setup
+    hold = blocks[0][1].hold
+    if any(d.setup != setup or d.hold != hold for _, d in blocks):
         raise CircuitError("blocks disagree on setup/hold times")
     inputs: list[str] = []
     outputs: list[str] = []
     gates: list[Gate] = []
     latches: list[Latch] = []
-    pins: dict[tuple[str, int], object] = {}
+    pins: dict[tuple[str, int], PinTiming] = {}
     latch_delay: dict[str, Interval] = {}
     phase: dict[str, object] = {}
-    for circuit, delays in renamed:
-        inputs.extend(circuit.inputs)
-        outputs.extend(circuit.outputs)
-        gates.extend(circuit.gates.values())
-        latches.extend(circuit.latches.values())
+    for (circuit, delays), prefix in zip(blocks, prefixes):
+        inputs.extend(f"{prefix}{net}" for net in circuit.inputs)
+        outputs.extend(f"{prefix}{net}" for net in circuit.outputs)
         for net, gate in circuit.gates.items():
+            renamed = f"{prefix}{net}"
+            gates.append(Gate(
+                renamed, gate.gtype, tuple(f"{prefix}{i}" for i in gate.inputs)
+            ))
             for pin in range(len(gate.inputs)):
-                pins[(net, pin)] = delays.pin(net, pin)
-        for q in circuit.latches:
-            latch_delay[q] = delays.latch(q)
-            phase[q] = delays.phase(q)
+                pins[(renamed, pin)] = delays.pin(net, pin)
+        for q, latch in circuit.latches.items():
+            renamed = f"{prefix}{q}"
+            latches.append(Latch(renamed, f"{prefix}{latch.data}"))
+            latch_delay[renamed] = delays.latch(q)
+            phase[renamed] = delays.phase(q)
     merged = Circuit(name, inputs, outputs, gates, latches)
     merged_delays = DelayMap(
         merged, pins, latch_delay, setup=setup, hold=hold, phase=phase

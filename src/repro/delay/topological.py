@@ -21,8 +21,11 @@ def _arrival_times(
     """Max (or min) leaf-to-net structural delay for every net.
 
     Uses each pin's rise/fall *envelope*: the longest analysis takes the
-    upper endpoint, the shortest the lower endpoint, so interval delay
-    maps yield the worst-case long path and best-case short path.
+    larger upper endpoint, the shortest the smaller lower endpoint, so
+    interval delay maps yield the worst-case long path and best-case
+    short path.  The endpoints are read off the pin rather than through
+    :attr:`~repro.logic.delays.PinTiming.envelope`, which builds an
+    interval per pin.
     """
     arrival: dict[str, Fraction] = {leaf: Fraction(0) for leaf in circuit.leaves}
     agg = max if longest else min
@@ -33,8 +36,14 @@ def _arrival_times(
             continue
         candidates = []
         for pin, child in enumerate(gate.inputs):
-            envelope = delays.pin(net, pin).envelope
-            edge = envelope.hi if longest else envelope.lo
+            timing = delays.pin(net, pin)
+            rise, fall = timing.rise, timing.fall
+            if rise is fall:  # a symmetric pin shares one interval
+                edge = rise.hi if longest else rise.lo
+            elif longest:
+                edge = max(rise.hi, fall.hi)
+            else:
+                edge = min(rise.lo, fall.lo)
             candidates.append(arrival[child] + edge)
         arrival[net] = agg(candidates)
     return arrival

@@ -44,23 +44,38 @@ def as_fraction(value: DelayLike | float) -> Fraction:
     return Fraction(value)
 
 
-@dataclasses.dataclass(frozen=True, order=True)
+@dataclasses.dataclass(frozen=True, order=True, slots=True)
 class Interval:
-    """A closed delay interval ``[lo, hi]`` with exact endpoints."""
+    """A closed delay interval ``[lo, hi]`` with exact endpoints.
+
+    Intervals key the compiled cones, leaf instances and timed leaves,
+    and hashing a :class:`Fraction` costs a modular inverse, so the
+    hash is computed on first use and kept: it is ``hash((lo, hi))``,
+    the value the generated dataclass hash gives.
+    """
 
     lo: Fraction
     hi: Fraction
+    _hash: int | None = dataclasses.field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not isinstance(self.lo, Fraction) or not isinstance(self.hi, Fraction):
             object.__setattr__(self, "lo", as_fraction(self.lo))
             object.__setattr__(self, "hi", as_fraction(self.hi))
-        if self.lo > self.hi:
-            raise DelayModelError(f"interval lo {self.lo} > hi {self.hi}")
+        lo, hi = self.lo, self.hi
+        if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
+            raise DelayModelError(f"interval lo {lo} > hi {hi}")
         # Negative endpoints are allowed at the Interval level: clock
         # phase differences shift *effective* path delays below zero
         # (a race, which the analyses guard against).  Physical pin and
         # latch delays are checked for non-negativity by DelayMap.
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.lo, self.hi)))
+        return self._hash
 
     def shifted(self, delta: "DelayLike | float") -> "Interval":
         """The interval translated by ``delta`` (may go negative)."""
@@ -181,7 +196,7 @@ class DelayMap:
             if not isinstance(timing, PinTiming):
                 raise DelayModelError(f"pin ({net!r}, {pin}): expected PinTiming")
             for interval in (timing.rise, timing.fall):
-                if interval.lo < 0:
+                if interval.lo.numerator < 0:
                     raise DelayModelError(
                         f"pin ({net!r}, {pin}) has negative delay {interval.lo}"
                     )
@@ -190,10 +205,10 @@ class DelayMap:
                 if (net, pin) not in self._pins:
                     raise DelayModelError(f"gate {net!r} pin {pin} has no delay")
         for q, interval in self._latch.items():
-            if interval.lo < 0:
+            if interval.lo.numerator < 0:
                 raise DelayModelError(f"latch {q!r} has negative delay")
         for q, value in self._phase.items():
-            if value < 0:
+            if value.numerator < 0:
                 raise DelayModelError(f"latch {q!r} has negative phase")
 
     def pin(self, net: str, pin: int) -> PinTiming:

@@ -23,7 +23,10 @@ A replay works on the manager's raw node references: each gate step
 runs its :data:`~repro.logic.gate.BDD_OPS` entry on the manager's
 ref-level algebra, the same ITE calls :func:`~repro.logic.gate.gate_bdd`
 makes, but builds no handle and repeats no arity check (a
-:class:`~repro.logic.Gate` checks its arity when it is built).  Only a
+:class:`~repro.logic.Gate` checks its arity when it is built).  A BUF
+or NOT over a symmetric pin, most of a cone's steps on the benchmark
+suite, compiles to a copy or a complement of its operand's ref: what
+its op returns, without an operand list or an op call.  Only a
 resolved leaf is checked, once, for its manager.  Raw references are
 safe because a manager never moves a node.
 
@@ -48,7 +51,7 @@ from fractions import Fraction
 from repro.bdd import BddManager, Function
 from repro.errors import AnalysisError, Budget, TbfError
 from repro.logic.delays import DelayMap, Interval, ZERO
-from repro.logic.gate import BDD_OPS
+from repro.logic.gate import BDD_OPS, GateType
 from repro.logic.netlist import Circuit
 
 
@@ -83,14 +86,22 @@ Resolver = Callable[[LeafInstance], Function]
 _SLOW_RISE = 1  # output high only once both samples are high
 _SLOW_FALL = 2  # output high if either sample is high
 
+#: Step codes of a BUF or NOT gate whose one pin is symmetric: the step
+#: copies or complements its operand's ref and calls no gate op.
+_COPY = "copy"
+_NEGATE = "negate"
+_UNARY = {GateType.BUF: _COPY, GateType.NOT: _NEGATE}
+
 
 class ConeProgram:
     """One ``(root, extra)`` cone compiled into a straight-line program.
 
     ``steps`` has one entry per distinct ``(net, offset)`` of the cone,
     in the order a depth-first walk from the root completes them (the
-    root last): ``(None, instance, None)`` is a leaf slot, and
-    ``(op, operand_slots, asymmetric_pins)`` a gate op (from
+    root last): ``(None, instance, None)`` is a leaf slot,
+    ``(_COPY, operand_slot, None)`` and ``(_NEGATE, operand_slot, None)``
+    a BUF and a NOT over a symmetric pin, and
+    ``(op, operand_slots, asymmetric_pins)`` any other gate op (from
     :data:`~repro.logic.gate.BDD_OPS`) over the values of earlier steps.
     Each ``asymmetric_pins`` entry ``(pin, combine, fall_slot)`` merges
     the pin's fall sample into its rise sample with the Fig. 1(b)
@@ -119,10 +130,13 @@ class ConeProgram:
         One ``budget`` unit is charged and ``deadline`` polled per step,
         so resolver calls, BDD operations and charges follow the walk's
         order exactly.  Each resolved leaf is checked once for
-        ``manager``; the Fig. 1(b) combines are ``and_ref`` and
-        ``or_ref``, the ITE triples of ``&`` and ``|``.
+        ``manager``; a BUF or NOT step copies or complements (``not_ref``)
+        its operand, as its gate op would, without building an operand
+        list; the Fig. 1(b) combines are ``and_ref`` and ``or_ref``, the
+        ITE triples of ``&`` and ``|``.
         """
         ref = manager.ref
+        not_ref = manager.not_ref
         and_ref = manager.and_ref
         or_ref = manager.or_ref
         values: list[int] = []
@@ -134,6 +148,12 @@ class ConeProgram:
                 budget.charge()
             if op is None:
                 push(ref(resolver(arg)))
+                continue
+            if op is _COPY:
+                push(values[arg])
+                continue
+            if op is _NEGATE:
+                push(not_ref(values[arg]))
                 continue
             operands = [values[slot] for slot in arg]
             if asymmetric is not None:
@@ -263,6 +283,10 @@ class ConePrograms:
                         stack.append((dep, None))
                 continue
             op, pins = layout[net]
+            if op is _COPY or op is _NEGATE:
+                slots[key] = len(steps)
+                steps.append((op, slots[deps[0]], None))
+                continue
             operands: list[int] = []
             asymmetric: list[tuple] = []
             dep_slots = iter([slots[dep] for dep in deps])
@@ -319,7 +343,10 @@ class ConePrograms:
                     child, rise_lo, rise_hi,
                     _scaled(fall.lo, scale), _scaled(fall.hi, scale), combine,
                 ))
-            layout[net] = (BDD_OPS[gate.gtype], tuple(pins))
+            op = _UNARY.get(gate.gtype)
+            if op is None or pins[0][3] is not None:
+                op = BDD_OPS[gate.gtype]
+            layout[net] = (op, tuple(pins))
         return layout
 
 

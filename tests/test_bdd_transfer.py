@@ -51,9 +51,14 @@ class TestTransferBasics:
         # bottom-up and implicitly reverses it (still correct, but the
         # order-reversed rebuild is quadratic).
         dst.add_vars(names)
+        # Declare the source order too and conjoin bottom-up: each AND
+        # then puts one node above the chain built so far, where a fold
+        # in declaration order would rebuild the whole chain every time.
+        src.add_vars(names)
         acc = src.true
-        for name in names:
+        for name in reversed(names):
             acc = acc & src.var(name)
+        assert acc.node_count() == len(names) + 1
         g = transfer(acc, dst)
         assert g.node_count() == acc.node_count()
 

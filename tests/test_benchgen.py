@@ -23,9 +23,11 @@ from repro.benchgen import (
     suite_cases,
     toggle_loop,
 )
+import repro.benchgen.suite as suite_module
 from repro.benchgen.generators import false_path_block, hold_loop
 from repro.delay import floating_delay, longest_topological_delay, transition_delay
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, CircuitError
+from repro.logic import Circuit, DelayMap, Gate, Interval, Latch
 from repro.mct import MctOptions, minimum_cycle_time
 
 
@@ -164,6 +166,164 @@ class TestCompose:
 
         with pytest.raises(CircuitError):
             merge("none", [])
+
+
+def _old_prefix_circuit(circuit, delays, prefix):
+    """The renaming ``merge`` ran per block before it renamed blocks
+    straight into one map: a circuit and a delay map per block."""
+
+    def ren(net):
+        return f"{prefix}{net}"
+
+    renamed = Circuit(
+        name=f"{prefix}{circuit.name}",
+        inputs=[ren(i) for i in circuit.inputs],
+        outputs=[ren(o) for o in circuit.outputs],
+        gates=[
+            Gate(ren(g.output), g.gtype, tuple(ren(i) for i in g.inputs))
+            for g in circuit.gates.values()
+        ],
+        latches=[Latch(ren(l.output), ren(l.data)) for l in circuit.latches.values()],
+    )
+    pins = {
+        (ren(net), pin): delays.pin(net, pin)
+        for net, gate in circuit.gates.items()
+        for pin in range(len(gate.inputs))
+    }
+    return renamed, DelayMap(
+        renamed, pins, {ren(q): delays.latch(q) for q in circuit.latches},
+        setup=delays.setup, hold=delays.hold,
+        phase={ren(q): delays.phase(q) for q in circuit.latches},
+    )
+
+
+def _old_merge(name, blocks):
+    """The old route: each block renamed on its own, then the union."""
+    renamed = [
+        _old_prefix_circuit(circuit, delays, f"b{i}_")
+        for i, (circuit, delays) in enumerate(blocks)
+    ]
+    inputs, outputs, gates, latches = [], [], [], []
+    pins, latch_delay, phase = {}, {}, {}
+    for circuit, delays in renamed:
+        inputs.extend(circuit.inputs)
+        outputs.extend(circuit.outputs)
+        gates.extend(circuit.gates.values())
+        latches.extend(circuit.latches.values())
+        for net, gate in circuit.gates.items():
+            for pin in range(len(gate.inputs)):
+                pins[(net, pin)] = delays.pin(net, pin)
+        for q in circuit.latches:
+            latch_delay[q] = delays.latch(q)
+            phase[q] = delays.phase(q)
+    merged = Circuit(name, inputs, outputs, gates, latches)
+    first = renamed[0][1]
+    return merged, DelayMap(
+        merged, pins, latch_delay, setup=first.setup, hold=first.hold, phase=phase
+    )
+
+
+def _annotated(circuit, delays):
+    """Everything an annotated circuit is made of, in its order."""
+    return (
+        circuit.name,
+        circuit.inputs,
+        circuit.outputs,
+        list(circuit.gates.items()),
+        list(circuit.latches.items()),
+        [
+            ((net, pin), delays.pin(net, pin))
+            for net, gate in circuit.gates.items()
+            for pin in range(len(gate.inputs))
+        ],
+        [(q, delays.latch(q), delays.phase(q)) for q in circuit.latches],
+        (delays.setup, delays.hold),
+    )
+
+
+def _clocked(block):
+    """``block`` with latch delays, clock phases and setup/hold set."""
+    circuit, delays = block
+    pins = {
+        (net, pin): delays.pin(net, pin)
+        for net, gate in circuit.gates.items()
+        for pin in range(len(gate.inputs))
+    }
+    return circuit, DelayMap(
+        circuit, pins,
+        {q: Interval.of("1/4", "1/2") for q in circuit.latches},
+        setup="1/8", hold="1/16",
+        phase={q: Fraction(i, 3) for i, q in enumerate(circuit.latches)},
+    )
+
+
+@pytest.fixture(scope="module")
+def row_blocks():
+    """Each suite row's name and the blocks ``build_case`` merges."""
+    captured = []
+    real = suite_module.merge
+
+    def capturing(name, blocks, prefixes=None):
+        captured.append((name, list(blocks)))
+        return real(name, blocks, prefixes)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(suite_module, "merge", capturing)
+        for case in suite_cases():
+            build_case(case)
+    return captured
+
+
+class TestMergeParity:
+    """``merge`` builds what renaming each block, then merging, built."""
+
+    def test_every_suite_row_matches_the_old_route(self, row_blocks, monkeypatch):
+        assert [name for name, _ in row_blocks] == [c.name for c in suite_cases()]
+        built = []
+        real_init = DelayMap.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DelayMap, "__init__", counting)
+        for name, blocks in row_blocks:
+            want = _annotated(*_old_merge(name, blocks))
+            built.clear()
+            merged = merge(name, blocks)
+            assert len(built) == 1 and built[0] is merged[1]
+            assert _annotated(*merged) == want
+
+    def test_clocked_blocks_match_the_old_route(self):
+        blocks = [
+            _clocked(block)
+            for block in (
+                counter(3, name="cnt"),
+                toggle_loop(3, chain_len=3, name="tog"),
+                hold_loop(4, name="cfg"),
+                random_fsm(seed=3),
+            )
+        ]
+        merged = merge("clocked", blocks)
+        assert _annotated(*merged) == _annotated(*_old_merge("clocked", blocks))
+        assert merged[1].setup == Fraction(1, 8)
+        assert merged[1].phase("b0_q1") == Fraction(1, 3)
+        renamed = prefix_circuit(*blocks[0], "p_")
+        assert _annotated(*renamed) == _annotated(
+            *_old_prefix_circuit(*blocks[0], "p_")
+        )
+
+    def test_error_messages(self):
+        block = toggle_loop(3, name="a")
+        with pytest.raises(CircuitError, match=r"^cannot merge zero blocks$"):
+            merge("none", [])
+        with pytest.raises(CircuitError, match=r"^one prefix per block required$"):
+            merge("m", [block, block], prefixes=["x_"])
+        late = (block[0], block[1].with_setup_hold(1, 0))
+        with pytest.raises(
+            CircuitError, match=r"^blocks disagree on setup/hold times$"
+        ):
+            merge("m", [block, late])
 
 
 class TestSuite:

@@ -1,5 +1,7 @@
 """Unit tests for delay annotations, intervals, and delay models."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from repro.logic import (
     widen_to_intervals,
 )
 from repro.logic.delays import ZERO, as_fraction
+from repro.mct import TimedLeaf
 
 
 @pytest.fixture()
@@ -79,6 +82,67 @@ class TestInterval:
     def test_repr(self):
         assert "Interval(2" in repr(Interval.point(2))
         assert repr(Interval.of(1, 2)) == "Interval(1, 2)"
+
+    def test_endpoints_compared_exactly(self):
+        # 1/3 > 3/10 by 1/30: an exact comparison, not a rounded one.
+        with pytest.raises(DelayModelError):
+            Interval.of("1/3", "0.3")
+        assert Interval.of("3/10", "0.3").is_point
+        assert Interval.of(Fraction(-1, 3), Fraction(-3, 10)).lo == Fraction(-1, 3)
+
+    @pytest.mark.parametrize("lo, hi, want", [
+        (1, 2, (Fraction(1), Fraction(2))),
+        ("1/3", "0.5", (Fraction(1, 3), Fraction(1, 2))),
+        (0.1, 0.3, (Fraction(1, 10), Fraction(3, 10))),
+        (Fraction(2, 3), Fraction(5, 4), (Fraction(2, 3), Fraction(5, 4))),
+        (Fraction(2, 3), 1, (Fraction(2, 3), Fraction(1))),
+    ])
+    def test_endpoints_convert_exactly(self, lo, hi, want):
+        for interval in (Interval(lo, hi), Interval.of(lo, hi)):
+            assert (interval.lo, interval.hi) == want
+            assert type(interval.lo) is Fraction and type(interval.hi) is Fraction
+
+
+def _roundtrip_pickle(interval):
+    return pickle.loads(pickle.dumps(interval))
+
+
+class TestIntervalHash:
+    @pytest.mark.parametrize("lo, hi", [
+        (0, 0), (1, 2), ("1/3", "1/2"), (Fraction(-7, 3), 5), ("-1/2", "0"),
+    ])
+    def test_hash_is_the_endpoint_tuple_hash(self, lo, hi):
+        interval = Interval(lo, hi)
+        want = hash((Fraction(lo), Fraction(hi)))
+        assert hash(interval) == want
+        assert hash(interval) == want  # the kept hash, read again
+
+    def test_equal_intervals_hash_equal(self):
+        a = Interval.of(1, "3/2")
+        hash(a)  # one side hashed before the other is built
+        b = Interval(Fraction(2, 2), Fraction(6, 4))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, Interval.of("1", 1.5)}) == 1
+        assert {a: "x"}[Interval.of(1, 1.5)] == "x"
+
+    def test_kept_hash_is_not_compared(self):
+        a, b = Interval.of(1, 2), Interval.of(1, 2)
+        hash(a)
+        assert a == b and not a < b and not b < a
+        assert Interval.of(1, 2) < Interval.of(1, 3) < Interval.of(2, 2)
+        assert repr(a) == "Interval(1, 2)"
+
+    @pytest.mark.parametrize("roundtrip", [_roundtrip_pickle, copy.deepcopy])
+    @pytest.mark.parametrize("hashed", [False, True])
+    def test_roundtrip_keeps_equality_and_hash(self, roundtrip, hashed):
+        interval = Interval.of("1/3", 2)
+        if hashed:
+            hash(interval)
+        back = roundtrip(interval)
+        assert back == interval
+        assert hash(back) == hash(interval) == hash((Fraction(1, 3), Fraction(2)))
+        leaf = TimedLeaf("x", interval)
+        assert roundtrip(leaf) == leaf and hash(roundtrip(leaf)) == hash(leaf)
 
 
 class TestPinTiming:
@@ -170,6 +234,29 @@ class TestDelayMap:
         d = unit_delays(circuit).with_setup_hold(setup=0.5, hold=0.25)
         assert d.setup == Fraction(1, 2)
         assert d.hold == Fraction(1, 4)
+
+    def test_negative_latch_delay_rejected(self, circuit):
+        pins = {
+            (net, pin): PinTiming.symmetric(1)
+            for net, gate in circuit.gates.items()
+            for pin in range(len(gate.inputs))
+        }
+        with pytest.raises(DelayModelError, match="latch 'q' has negative delay"):
+            DelayMap(circuit, pins, latch_delay={"q": Interval.of("-1/3", 1)})
+        zero_lo = DelayMap(circuit, pins, latch_delay={"q": Interval.of(0, 1)})
+        assert zero_lo.latch("q") == Interval.of(0, 1)
+
+    def test_negative_phase_rejected(self, circuit):
+        pins = {
+            (net, pin): PinTiming.symmetric(1)
+            for net, gate in circuit.gates.items()
+            for pin in range(len(gate.inputs))
+        }
+        with pytest.raises(DelayModelError, match="latch 'q' has negative phase"):
+            DelayMap(circuit, pins, phase={"q": Fraction(-1, 7)})
+        with pytest.raises(DelayModelError, match="negative phase"):
+            unit_delays(circuit).with_phases({"q": "-0.5"})
+        assert DelayMap(circuit, pins, phase={"q": 0}).phase("q") == 0
 
     def test_latch_delay_propagates(self, circuit):
         pins = {

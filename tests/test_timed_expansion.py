@@ -22,7 +22,7 @@ from repro.errors import (
 )
 from repro.logic import Circuit, DelayMap, Gate, GateType, Interval, Latch, PinTiming
 from repro.logic.delays import ZERO
-from repro.logic.gate import gate_bdd
+from repro.logic.gate import BDD_OPS, gate_bdd
 from repro.mct import minimum_cycle_time
 from repro.resilience import Deadline
 from repro.resilience.faults import inject_faults, observe_calls
@@ -562,6 +562,83 @@ class TestCompiledMatchesReferenceWalk:
             collect_leaf_instances(
                 circuit, delays, ["g"], programs=ConePrograms(other)
             )
+
+    def test_repeated_lookup_hashes_no_fraction(self, monkeypatch):
+        circuit, delays = fig2_circuit()
+        programs = ConePrograms(delays)
+        extra = Interval.of(Fraction(1, 3), Fraction(1, 2))
+        first = programs.program("g", extra)
+        hashed = []
+        real = Fraction.__hash__
+
+        def counting(self):
+            hashed.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting)
+        for _ in range(3):
+            assert programs.program("g", extra) is first
+        assert hashed == []
+
+
+def unary_chain(asymmetric: bool = False) -> tuple[Circuit, DelayMap]:
+    """``n2 = NOT(BUF(NOT(x)))`` with unit pins; ``asymmetric`` gives the
+    BUF's pin rise 2 and fall 1 (a Fig. 1(b) slow-rise pin)."""
+    gates = [
+        Gate("n0", GateType.NOT, ("x",)),
+        Gate("n1", GateType.BUF, ("n0",)),
+        Gate("n2", GateType.NOT, ("n1",)),
+    ]
+    circuit = Circuit("unary", ["x"], ["n2"], gates)
+    pins = {(g.output, 0): PinTiming.symmetric(1) for g in gates}
+    if asymmetric:
+        pins[("n1", 0)] = PinTiming.asym(rise=2, fall=1)
+    return circuit, DelayMap(circuit, pins)
+
+
+class TestUnarySteps:
+    """A BUF or NOT over a symmetric pin replays as a copy or a
+    complement of its operand's ref: no gate op, and still one budget
+    charge and one deadline poll per step."""
+
+    def test_symmetric_steps_call_no_gate_op(self, monkeypatch):
+        def refuse(manager, refs):
+            raise AssertionError("a symmetric BUF/NOT step ran its gate op")
+
+        monkeypatch.setitem(BDD_OPS, GateType.NOT, refuse)
+        monkeypatch.setitem(BDD_OPS, GateType.BUF, refuse)
+        circuit, delays = unary_chain()
+        mgr = BddManager()
+        expander = TimedExpander(
+            circuit, delays, mgr, budget=Budget(limit=100), deadline=Deadline(60)
+        )
+        with observe_calls() as plan:
+            first = expander.expand("n2", lambda inst: mgr.var(inst.leaf))
+            # x, n0, n1, n2: four entries polled while compiling, then
+            # four steps charged and polled by the replay.
+            assert (plan.budget_calls, plan.deadline_calls) == (4, 8)
+            second = expander.expand("n2", lambda inst: mgr.var(inst.leaf))
+            assert (plan.budget_calls, plan.deadline_calls) == (8, 12)
+        assert first == second == mgr.var("x")
+        assert expander.expand("n1", lambda inst: mgr.var(inst.leaf)) == ~mgr.var("x")
+        assert mgr.stats.ite_calls == 0
+
+    def test_asymmetric_pin_keeps_its_gate_op(self, monkeypatch):
+        calls = []
+        real = BDD_OPS[GateType.BUF]
+
+        def recording(manager, refs):
+            calls.append(len(refs))
+            return real(manager, refs)
+
+        monkeypatch.setitem(BDD_OPS, GateType.BUF, recording)
+        circuit, delays = unary_chain(asymmetric=True)
+        mgr = BddManager()
+        expander = TimedExpander(circuit, delays, mgr)
+        value = expander.expand("n2", lambda inst: mgr.var(f"x@{inst.offset.lo}"))
+        assert calls == [1]
+        # n1 = n0(t-3)·n0(t-2), so n2 = ¬(¬x(t-4)·¬x(t-3)).
+        assert value == mgr.var("x@4") | mgr.var("x@3")
 
 
 def reconvergent_ladder(stages: int) -> tuple[Circuit, DelayMap]:
