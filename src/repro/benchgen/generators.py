@@ -45,17 +45,18 @@ def _chain(
     """Append a gate chain of ``length`` stages; returns the last net.
 
     ``invert=True`` uses NOT gates (parity = length's parity), else
-    BUFs.  The total delay is split evenly across stages.
+    BUFs.  The total delay is split evenly across stages, which share
+    one :class:`PinTiming`.
     """
     if length < 1:
         raise AnalysisError("chain length must be >= 1")
-    per_stage = total_delay / length
+    stage = PinTiming.symmetric(total_delay / length)
+    gtype = GateType.NOT if invert else GateType.BUF
     prev = source
     for i in range(length):
         net = f"{prefix}{i}"
-        gtype = GateType.NOT if invert else GateType.BUF
         gates.append(Gate(net, gtype, (prev,)))
-        pins[(net, 0)] = PinTiming.symmetric(per_stage)
+        pins[(net, 0)] = stage
         prev = net
     return prev
 
@@ -140,14 +141,15 @@ def interval_bank(
     pins[("d0", 0)] = PinTiming.symmetric(driver)
     latches = [Latch("q", "d0")]
     level = ["q"]
+    hold = PinTiming.symmetric(Interval.of(lo, hi))
     for i in range(n_holds):
         h = f"h{i}"
         net = f"hb{i}"
         gates.append(Gate(net, GateType.BUF, (h,)))
-        pins[(net, 0)] = PinTiming.symmetric(Interval.of(lo, hi))
+        pins[(net, 0)] = hold
         latches.append(Latch(h, net))
         level.append(h)
-    tree_delay = Fraction(1, 20)
+    tree = PinTiming.symmetric(Fraction(1, 20))
     depth = 0
     next_id = 0
     while len(level) > 1:
@@ -157,8 +159,7 @@ def interval_bank(
             next_id += 1
             gtype = gate_types[mix[depth % len(mix)]]
             gates.append(Gate(net, gtype, (level[j], level[j + 1])))
-            pins[(net, 0)] = PinTiming.symmetric(tree_delay)
-            pins[(net, 1)] = PinTiming.symmetric(tree_delay)
+            pins[(net, 0)] = pins[(net, 1)] = tree
             reduced.append(net)
         if len(level) % 2:
             reduced.append(level[-1])
@@ -241,7 +242,7 @@ def counter(
     carry chain (all bounds coincide with the carry-path delay)."""
     if nbits < 1:
         raise AnalysisError("counter needs at least one bit")
-    d = as_fraction(stage_delay)
+    stage = PinTiming.symmetric(stage_delay)
     gates: list[Gate] = []
     pins: dict = {}
     latches: list[Latch] = []
@@ -249,13 +250,11 @@ def counter(
     for i in range(nbits):
         q, nxt, c_out = f"q{i}", f"n{i}", f"c{i}"
         gates.append(Gate(nxt, GateType.XOR, (q, carry)))
-        pins[(nxt, 0)] = PinTiming.symmetric(d)
-        pins[(nxt, 1)] = PinTiming.symmetric(d)
+        pins[(nxt, 0)] = pins[(nxt, 1)] = stage
         latches.append(Latch(q, nxt))
         if i + 1 < nbits:
             gates.append(Gate(c_out, GateType.AND, (q, carry)))
-            pins[(c_out, 0)] = PinTiming.symmetric(d)
-            pins[(c_out, 1)] = PinTiming.symmetric(d)
+            pins[(c_out, 0)] = pins[(c_out, 1)] = stage
             carry = c_out
     circuit = Circuit(
         name, ["en"], [f"q{nbits - 1}"], gates, latches
@@ -271,7 +270,7 @@ def shift_register(
     """``u -> q0 -> q1 -> ...``: per-stage paths only."""
     if nbits < 1:
         raise AnalysisError("shift register needs at least one bit")
-    d = as_fraction(stage_delay)
+    stage = PinTiming.symmetric(stage_delay)
     gates: list[Gate] = []
     pins: dict = {}
     latches: list[Latch] = []
@@ -279,7 +278,7 @@ def shift_register(
     for i in range(nbits):
         nxt = f"n{i}"
         gates.append(Gate(nxt, GateType.BUF, (prev,)))
-        pins[(nxt, 0)] = PinTiming.symmetric(d)
+        pins[(nxt, 0)] = stage
         latches.append(Latch(f"q{i}", nxt))
         prev = f"q{i}"
     circuit = Circuit(name, ["u"], [f"q{nbits - 1}"], gates, latches)
@@ -301,7 +300,7 @@ def lfsr(
     taps = tuple(sorted(set(taps) | {nbits - 1}))
     if any(not 0 <= t < nbits for t in taps):
         raise AnalysisError("tap index out of range")
-    d = as_fraction(stage_delay)
+    stage = PinTiming.symmetric(stage_delay)
     gates: list[Gate] = []
     pins: dict = {}
     latches: list[Latch] = []
@@ -310,19 +309,18 @@ def lfsr(
     for idx, tap in enumerate(taps[1:]):
         net = f"fb{idx}"
         gates.append(Gate(net, GateType.XOR, (prev, f"q{tap}")))
-        pins[(net, 0)] = PinTiming.symmetric(d)
-        pins[(net, 1)] = PinTiming.symmetric(d)
+        pins[(net, 0)] = pins[(net, 1)] = stage
         prev = net
     if len(taps) == 1:
         # Degenerate: plain rotation through a buffer.
         gates.append(Gate("fb0", GateType.BUF, (prev,)))
-        pins[("fb0", 0)] = PinTiming.symmetric(d)
+        pins[("fb0", 0)] = stage
         prev = "fb0"
     latches.append(Latch("q0", prev))
     for i in range(1, nbits):
         net = f"s{i}"
         gates.append(Gate(net, GateType.BUF, (f"q{i - 1}",)))
-        pins[(net, 0)] = PinTiming.symmetric(d)
+        pins[(net, 0)] = stage
         latches.append(Latch(f"q{i}", net))
     circuit = Circuit(name, [], [f"q{nbits - 1}"], gates, latches)
     return circuit, DelayMap(circuit, pins)
@@ -418,7 +416,7 @@ def gray_counter(
     """
     if nbits < 2:
         raise AnalysisError("gray counter needs at least two bits")
-    d = as_fraction(stage_delay)
+    stage = PinTiming.symmetric(stage_delay)
     gates: list[Gate] = []
     pins: dict = {}
     latches: list[Latch] = []
@@ -427,28 +425,25 @@ def gray_counter(
         q, nxt = f"q{i}", f"n{i}"
         if i == 0:
             gates.append(Gate(nxt, GateType.NOT, (q,)))
-            pins[(nxt, 0)] = PinTiming.symmetric(d)
+            pins[(nxt, 0)] = stage
         else:
             gates.append(Gate(nxt, GateType.XOR, (q, carry)))
-            pins[(nxt, 0)] = PinTiming.symmetric(d)
-            pins[(nxt, 1)] = PinTiming.symmetric(d)
+            pins[(nxt, 0)] = pins[(nxt, 1)] = stage
         if i + 1 < nbits:
             c_out = f"c{i}"
             if i == 0:
                 gates.append(Gate(c_out, GateType.BUF, (q,)))
-                pins[(c_out, 0)] = PinTiming.symmetric(d)
+                pins[(c_out, 0)] = stage
             else:
                 gates.append(Gate(c_out, GateType.AND, (q, carry)))
-                pins[(c_out, 0)] = PinTiming.symmetric(d)
-                pins[(c_out, 1)] = PinTiming.symmetric(d)
+                pins[(c_out, 0)] = pins[(c_out, 1)] = stage
             carry = c_out
         latches.append(Latch(q, nxt))
     outputs = []
     for i in range(nbits - 1):
         g = f"g{i}"
         gates.append(Gate(g, GateType.XOR, (f"q{i}", f"q{i + 1}")))
-        pins[(g, 0)] = PinTiming.symmetric(d)
-        pins[(g, 1)] = PinTiming.symmetric(d)
+        pins[(g, 0)] = pins[(g, 1)] = stage
         outputs.append(g)
     outputs.append(f"q{nbits - 1}")
     circuit = Circuit(name, [], outputs, gates, latches)
@@ -467,7 +462,7 @@ def traffic_light(
     state, used to demonstrate STG extraction, reachability don't
     cares, and minimization.
     """
-    d = as_fraction(stage_delay)
+    stage = PinTiming.symmetric(stage_delay)
     gates = [
         # next q0 = green AND car  (green = ~q1 & ~q0)
         Gate("ng1", GateType.NOR, ("q0", "q1")),     # green indicator
@@ -480,10 +475,9 @@ def traffic_light(
         Gate("yellow", GateType.BUF, ("q0",)),
         Gate("red", GateType.BUF, ("q1",)),
     ]
-    pins = {}
-    for g in gates:
-        for pin in range(len(g.inputs)):
-            pins[(g.output, pin)] = PinTiming.symmetric(d)
+    pins = {
+        (g.output, pin): stage for g in gates for pin in range(len(g.inputs))
+    }
     circuit = Circuit(
         name, ["car"], ["green", "yellow", "red"], gates,
         [Latch("q0", "n0"), Latch("q1", "n1")],

@@ -38,7 +38,9 @@ def reachable_states(
     ----------
     circuit:
         The machine; its ideal (zero-delay) next-state function defines
-        reachability, matching the steady-state machine of Def. 2.
+        reachability, matching the steady-state machine of Def. 2.  Its
+        compiled zero-delay next-state cones replay over the
+        current-state and input variables.
     initial_state:
         Defaults to all-zero.
     manager:
@@ -60,9 +62,9 @@ def reachable_states(
     for u in circuit.inputs:
         manager.var(u)
 
-    leaf_refs = {net: manager.ref(manager.var(net)) for net in circuit.leaves}
+    leaf_vars = {net: manager.var(net) for net in circuit.leaves}
     next_state = {
-        q: manager.function(program.run(manager, leaf_refs))
+        q: manager.function(program.run(lambda inst: leaf_vars[inst.leaf], manager))
         for q, program in next_state_programs(circuit).items()
     }
 

@@ -153,17 +153,20 @@ class SymbolicTauMachine:
             return steady_value(tl.leaf, steady_regime[tl][0])
 
         # Next-state functions (state roots never reference age 0).  The
-        # steady machine reads s|q and u|u@1, all declared above.
+        # steady machine's zero-delay cones read s|q and u|u@1, all
+        # declared above.
         next_state = next_state_programs(circuit)
-        steady_refs = {p: self._var(f"s|{p}").node for p in circuit.state_nets}
-        steady_refs.update({u: self._var(f"u|{u}@1").node for u in circuit.inputs})
+        steady_leaves = {p: self._var(f"s|{p}") for p in circuit.state_nets}
+        steady_leaves.update({u: self._var(f"u|{u}@1") for u in circuit.inputs})
         self.next_tau: dict[str, Function] = {}
         self.next_steady: dict[str, Function] = {}
         for q, latch in circuit.latches.items():
             self.next_tau[q] = expander.expand(
                 latch.data, tau_resolver, extra=setup_extra
             )
-            self.next_steady[q] = mgr.function(next_state[q].run(mgr, steady_refs))
+            self.next_steady[q] = mgr.function(
+                next_state[q].run(lambda inst: steady_leaves[inst.leaf], mgr)
+            )
         # Output mismatch (may reference age-0 state = the next values).
         mismatch = mgr.false
         for po in circuit.outputs:

@@ -213,13 +213,14 @@ class DecisionContext:
 
         ``inputs`` are the input variables in ``circuit.inputs`` order;
         the caller creates them before the step, which fixes their place
-        in the variable order.
+        in the variable order.  Every latch's compiled cone resolves its
+        leaves by net name from ``state`` and ``inputs``.
         """
         manager = self.manager
-        leaf_refs = {q: f.node for q, f in state.items()}
-        leaf_refs.update(zip(self.machine.circuit.inputs, (f.node for f in inputs)))
+        values = dict(state)
+        values.update(zip(self.machine.circuit.inputs, inputs))
         return {
-            q: Function(manager, program.run(manager, leaf_refs))
+            q: Function(manager, program.run(lambda inst: values[inst.leaf], manager))
             for q, program in self._next_state.items()
         }
 

@@ -31,10 +31,11 @@ resolved leaf is checked, once, for its manager.  Raw references are
 safe because a manager never moves a node.
 
 The zero-delay cones of the steady machine ``x̂(n) = g(x̂(n-1), u(n-1))``
-compile the same way, without time offsets: a
-:class:`CombinationalProgram` is one root's ``circuit.cone(root)``
-walk as a straight-line op list, replayed on raw references at every
-unrolling step (:func:`next_state_programs`, :func:`combinational_bdd`).
+compile into a :class:`ConeProgram` too, every leaf at offset zero:
+the leaf slots of one root's ``circuit.cone(root)`` walk, then its
+gates in topological order.  The same :meth:`ConeProgram.run` replays
+them against a resolver at every unrolling step
+(:func:`next_state_programs`, :func:`combinational_bdd`).
 
 Rise/fall-asymmetric pins are handled with the paper's Fig. 1(b) buffer
 decomposition: the pin value is ``x(t-τr)·x(t-τf)`` when ``τr > τf``
@@ -94,11 +95,14 @@ _UNARY = {GateType.BUF: _COPY, GateType.NOT: _NEGATE}
 
 
 class ConeProgram:
-    """One ``(root, extra)`` cone compiled into a straight-line program.
+    """One cone compiled into a straight-line program.
 
-    ``steps`` has one entry per distinct ``(net, offset)`` of the cone,
-    in the order a depth-first walk from the root completes them (the
-    root last): ``(None, instance, None)`` is a leaf slot,
+    ``steps`` has one entry per distinct ``(net, offset)`` of the cone.
+    A timed ``(root, extra)`` cone (:class:`ConePrograms`) lists them in
+    the order a depth-first walk from the root completes them, a
+    zero-delay cone (:func:`next_state_programs`) its leaf slots first
+    and then its gates in topological order; the root comes last.
+    ``(None, instance, None)`` is a leaf slot,
     ``(_COPY, operand_slot, None)`` and ``(_NEGATE, operand_slot, None)``
     a BUF and a NOT over a symmetric pin, and
     ``(op, operand_slots, asymmetric_pins)`` any other gate op (from
@@ -448,59 +452,42 @@ def collect_leaf_instances(
     return result
 
 
-class CombinationalProgram:
-    """One root's zero-delay cone compiled into a straight-line program.
+def _zero_delay_program(circuit: Circuit, root: str) -> ConeProgram:
+    """``root``'s zero-delay cone as a :class:`ConeProgram`.
 
-    ``leaves`` are the leaf nets the cone reads, in the order a walk of
-    ``circuit.cone(root)`` first reads them (just ``[root]`` when the
-    root is itself a leaf).  ``steps`` has one ``(op, operand_slots)``
-    per gate of that walk, in its (topological) order, the root last:
-    slot ``i < len(leaves)`` holds ``leaves[i]`` and slot
-    ``len(leaves) + j`` the value of step ``j``.  A gate that two roots
-    share is compiled into both, so replaying every root issues the ITE
-    calls of one cone walk per root.
+    First one leaf slot per leaf net the cone reads, at offset zero, in
+    the order a walk of ``circuit.cone(root)`` first reads them (just
+    the root when it is a leaf); then one step per gate of that walk, in
+    its topological order, the root last.  Every zero-delay pin is
+    symmetric, so a BUF or NOT is a copy or a complement step.  A gate
+    that two roots share is compiled into both, so replaying every root
+    issues the ITE calls of one cone walk per root.
     """
-
-    __slots__ = ("leaves", "steps")
-
-    def __init__(self, circuit: Circuit, root: str):
-        gates = circuit.gates
-        cone = circuit.cone(root)
-        if cone:
-            inside = set(cone)
-            self.leaves = list(dict.fromkeys(
-                child
-                for net in cone
-                for child in gates[net].inputs
-                if child not in inside
-            ))
-        else:  # the root is a leaf
-            self.leaves = [root]
-        slots = {net: i for i, net in enumerate(self.leaves + cone)}
-        self.steps = [
-            (BDD_OPS[gates[net].gtype], tuple(slots[c] for c in gates[net].inputs))
-            for net in cone
-        ]
-
-    def run(self, manager: BddManager, leaf_refs: Mapping[str, int]) -> int:
-        """The root's node ref, with each leaf's ref read from ``leaf_refs``.
-
-        Each step runs its :data:`~repro.logic.gate.BDD_OPS` entry on raw
-        references and checks no arity.  The replay charges no budget
-        and polls no deadline of its own; the manager's node creation
-        still does.
-        """
-        values = [leaf_refs[leaf] for leaf in self.leaves]
-        push = values.append
-        for op, slots in self.steps:
-            push(op(manager, [values[slot] for slot in slots]))
-        return values[-1]
+    gates = circuit.gates
+    cone = circuit.cone(root)
+    inside = set(cone)
+    read = [child for net in cone for child in gates[net].inputs if child not in inside]
+    leaves = list(dict.fromkeys(read)) if cone else [root]
+    slots = {net: i for i, net in enumerate(leaves + cone)}
+    instances = [LeafInstance(leaf, ZERO) for leaf in leaves]
+    steps: list[tuple] = [(None, instance, None) for instance in instances]
+    for net in cone:
+        gate = gates[net]
+        operands = tuple(slots[child] for child in gate.inputs)
+        op = _UNARY.get(gate.gtype)
+        if op is None:
+            steps.append((BDD_OPS[gate.gtype], operands, None))
+        else:
+            steps.append((op, operands[0], None))
+    return ConeProgram(steps, frozenset(instances))
 
 
-def next_state_programs(circuit: Circuit) -> dict[str, CombinationalProgram]:
-    """Every latch's compiled next-state cone (``latch.data``), by latch."""
+def next_state_programs(circuit: Circuit) -> dict[str, ConeProgram]:
+    """Every latch's compiled zero-delay next-state cone (``latch.data``),
+    by latch: the steady machine's ``g``, replayed with no budget or
+    deadline of its own (the manager's node creation still polls)."""
     return {
-        q: CombinationalProgram(circuit, latch.data)
+        q: _zero_delay_program(circuit, latch.data)
         for q, latch in circuit.latches.items()
     }
 
@@ -513,18 +500,16 @@ def combinational_bdd(
 ) -> Function:
     """Plain (untimed) BDD of a cone with arbitrary leaf values.
 
-    The one-root case of :class:`CombinationalProgram`: compiles the
-    cone and replays it once.  Raises :class:`AnalysisError` naming the
-    first leaf the cone reads that ``leaf_map`` does not supply.  The
-    steady machine compiles its cones once instead
-    (:func:`next_state_programs`).
+    The one-root case of :func:`next_state_programs`: compiles the
+    zero-delay cone and replays it once.  Raises :class:`AnalysisError`
+    naming the first leaf the cone reads that ``leaf_map`` does not
+    supply.  The steady machine compiles its cones once instead.
     """
-    program = CombinationalProgram(circuit, root)
-    leaf_refs: dict[str, int] = {}
-    for leaf in program.leaves:
+
+    def resolve(inst: LeafInstance) -> Function:
         try:
-            value = leaf_map[leaf]
+            return leaf_map[inst.leaf]
         except KeyError:
-            raise AnalysisError(f"no leaf value supplied for {leaf!r}") from None
-        leaf_refs[leaf] = manager.ref(value)
-    return manager.function(program.run(manager, leaf_refs))
+            raise AnalysisError(f"no leaf value supplied for {inst.leaf!r}") from None
+
+    return manager.function(_zero_delay_program(circuit, root).run(resolve, manager))

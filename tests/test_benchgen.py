@@ -24,7 +24,13 @@ from repro.benchgen import (
     toggle_loop,
 )
 import repro.benchgen.suite as suite_module
-from repro.benchgen.generators import false_path_block, hold_loop
+from repro.benchgen.generators import (
+    false_path_block,
+    gray_counter,
+    hold_loop,
+    interval_bank,
+    traffic_light,
+)
 from repro.delay import floating_delay, longest_topological_delay, transition_delay
 from repro.errors import AnalysisError, CircuitError
 from repro.logic import Circuit, DelayMap, Gate, Interval, Latch
@@ -127,6 +133,35 @@ class TestGenerators:
         top = longest_topological_delay(circuit, delays)
         assert top == 4  # two chained tap XORs
         assert minimum_cycle_time(circuit, delays).mct_upper_bound == top
+
+    @pytest.mark.parametrize(
+        "build, distinct",
+        [
+            (lambda: toggle_loop(5, chain_len=3), 1),
+            (lambda: counter(4), 1),
+            (lambda: shift_register(5), 1),
+            (lambda: lfsr(4, taps=(0, 1)), 1),
+            (lambda: lfsr(3, taps=()), 1),
+            (lambda: gray_counter(3), 1),
+            (lambda: traffic_light(), 1),
+            # the driver, the holds and the mixing tree
+            (lambda: interval_bank(4), 3),
+        ],
+        ids=[
+            "toggle_chain", "counter", "shift_register", "lfsr",
+            "lfsr_rotation", "gray_counter", "traffic_light", "interval_bank",
+        ],
+    )
+    def test_one_delay_pins_share_one_pin_timing(self, build, distinct):
+        """Pins of one delay share one PinTiming (a chain's stages too),
+        so ``DelayMap.widen`` hashes its interval once."""
+        circuit, delays = build()
+        timings = {
+            id(delays.pin(net, pin))
+            for net, gate in circuit.gates.items()
+            for pin in range(len(gate.inputs))
+        }
+        assert len(timings) == distinct
 
     def test_random_fsm_reproducible(self):
         c1, d1 = random_fsm(seed=5)

@@ -868,16 +868,18 @@ class TestNextStateProgram:
         new_state = {q: new_mgr.var(f"s|{q}") for q in circuit.latches}
         for t in range(steps):
             leaf_map = dict(ref_state)
-            leaf_refs = {q: new_mgr.ref(f) for q, f in new_state.items()}
+            new_map = dict(new_state)
             for u in circuit.inputs:
                 leaf_map[u] = ref_mgr.var(f"in|{u}|{t}")
-                leaf_refs[u] = new_mgr.ref(new_mgr.var(f"in|{u}|{t}"))
+                new_map[u] = new_mgr.var(f"in|{u}|{t}")
             ref_state = {
                 q: reference_combinational_bdd(circuit, latch.data, leaf_map, ref_mgr)
                 for q, latch in circuit.latches.items()
             }
             new_state = {
-                q: new_mgr.function(program.run(new_mgr, leaf_refs))
+                q: new_mgr.function(
+                    program.run(lambda inst: new_map[inst.leaf], new_mgr)
+                )
                 for q, program in programs.items()
             }
             assert {q: f.node for q, f in new_state.items()} == {
@@ -885,6 +887,38 @@ class TestNextStateProgram:
             }
         assert new_mgr.var_names == ref_mgr.var_names
         assert _counters(new_mgr) == _counters(ref_mgr)
+
+    def test_unary_steps_call_no_gate_op(self, monkeypatch):
+        """A latch fed by a BUF/NOT chain replays as copies and
+        complements of its leaf's ref, as a timed cone does."""
+
+        def refuse(manager, refs):
+            raise AssertionError("a zero-delay BUF/NOT step ran its gate op")
+
+        monkeypatch.setitem(BDD_OPS, GateType.NOT, refuse)
+        monkeypatch.setitem(BDD_OPS, GateType.BUF, refuse)
+        gates = [
+            Gate("n0", GateType.NOT, ("q",)),
+            Gate("n1", GateType.BUF, ("n0",)),
+            Gate("n2", GateType.NOT, ("n1",)),
+            Gate("n3", GateType.NOT, ("n2",)),
+            Gate("y", GateType.AND, ("n1", "u")),
+        ]
+        circuit = Circuit(
+            "unary", ["u"], ["y"], gates, [Latch("q", "n3"), Latch("p", "y")]
+        )
+        programs = next_state_programs(circuit)
+        mgr = BddManager()
+        leaf_map = {"q": mgr.var("q"), "p": mgr.var("p"), "u": mgr.var("u")}
+
+        def replay(q):
+            return mgr.function(programs[q].run(lambda inst: leaf_map[inst.leaf], mgr))
+
+        assert combinational_bdd(circuit, "n2", leaf_map, mgr) == mgr.var("q")
+        assert replay("q") == ~mgr.var("q")
+        assert mgr.stats.ite_calls == 0
+        assert replay("p") == ~mgr.var("q") & mgr.var("u")
+        assert len(programs["q"]) == 5  # the leaf q, then n0 .. n3
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), every_gate=st.booleans())
